@@ -54,7 +54,6 @@ from .training import (
 from .analysis import (
     LipschitzReport,
     estimate_map_lipschitz,
-    estimate_rnn_contraction,
     gap_lipschitz_bound,
     projection_spectrum,
 )

@@ -117,28 +117,6 @@ def gap_lipschitz_bound(epsilon: float, eigenvalues) -> float:
     return (1.0 + epsilon) * float(np.max(np.abs(1.0 - eigenvalues)))
 
 
-def estimate_rnn_contraction(map_obj, seed: int, n_pairs: int, shape=None) -> float:
-    """Sampled lower bound on the map's global Lipschitz constant.
-
-    Maximum of ||f(x) - f(x')|| / ||x - x'|| over random pairs in [0, 1]^shape.
-    """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    f = _apply(map_obj)
-    if shape is None:
-        shape = map_obj.mask.frames.shape
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(n_pairs):
-        x = rng.random(shape)
-        xp = rng.random(shape)
-        dx = float(np.linalg.norm(x - xp))
-        if dx == 0:
-            continue
-        best = max(best, float(np.linalg.norm(f(x) - f(xp)) / dx))
-    return best
-
-
 @dataclass
 class LipschitzReport:
     sigma_hat: float                 # sampled ||df/dx|| at a point

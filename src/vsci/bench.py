@@ -183,10 +183,3 @@ def _write_summary(path: str, rows) -> None:
         lines.append(",".join(_fmt(r[c]) for c in cols))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def psnr_at(trace, k: int) -> float:
-    """PSNR after k iterations; constant continuation past early convergence."""
-    if not trace.psnrs:
-        return math.nan
-    return trace.psnrs[min(k, len(trace.psnrs)) - 1]

@@ -2,24 +2,40 @@
 
 Data layout is channels-last with a leading batch axis: (F, H, W, C).
 Kernels are (C_out, C_in, kh, kw) with odd kh, kw; outputs keep the spatial
-size ("same" padding). The adjoint identities are exercised by tests:
+size ("same" padding), and even kernel sizes raise ``ValueError``. The adjoint
+identities are exercised by tests:
 
     <conv(x, K), v> == <x, conv_adjoint_input(v, K)>
     <conv(x, K), v> == <K, conv_grad_kernel(x, v)>  (bias handled separately)
+
+Every kernel works on the kh*kw shifted views of the zero-padded input, one
+per kernel tap. ``conv_forward`` picks its path from the kernel's shape:
+
+- C_in == 1: im2col. The kh*kw shifted frames are copied into one column
+  buffer and contracted with the kernel in a single GEMM.
+- C_in > 1: one ``(F, H, W, C_in) @ (C_in, C_out)`` matmul per tap,
+  accumulated into one preallocated output.
+
+``conv_adjoint_input`` is a forward conv with the flipped, transposed kernel,
+so it takes the same rule with C_in and C_out swapped.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
-def _patches(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Zero-pad spatially and return sliding patches (F, H, W, C, kh, kw)."""
+def _taps(x: np.ndarray, kh: int, kw: int) -> list[tuple[int, int, np.ndarray]]:
+    """Zero-pad x spatially; return (i, j, view) per kernel tap.
+
+    ``view[f, r, c] = x_padded[f, r + i, c + j]`` has the shape of x.
+    """
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError(f"kernel size must be odd, got {kh}x{kw}")
+    _, h, w, _ = x.shape
     ph, pw = kh // 2, kw // 2
     xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return win  # (F, H, W, C, kh, kw)
+    return [(i, j, xp[:, i : i + h, j : j + w]) for i in range(kh) for j in range(kw)]
 
 
 def conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
@@ -27,10 +43,19 @@ def conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = No
     c_out, c_in, kh, kw = kernel.shape
     if x.shape[-1] != c_in:
         raise ValueError(f"input has {x.shape[-1]} channels, kernel expects {c_in}")
-    win = _patches(x, kh, kw)
-    out = np.einsum("fhwckl,ockl->fhwo", win, kernel, optimize=True)
+    taps = _taps(x, kh, kw)
+    out_shape = x.shape[:-1] + (c_out,)
+    if c_in == 1:
+        cols = np.stack([xs[..., 0] for _, _, xs in taps])  # (kh*kw, F, H, W)
+        out = cols.reshape(kh * kw, -1).T @ kernel.reshape(c_out, kh * kw).T
+        out = out.reshape(out_shape)
+    else:
+        out = np.zeros(out_shape)
+        tmp = np.empty(out_shape)
+        for i, j, xs in taps:
+            out += np.matmul(xs, kernel[:, :, i, j].T, out=tmp)
     if bias is not None:
-        out = out + bias
+        out += bias
     return out
 
 
@@ -46,8 +71,14 @@ def conv_adjoint_input(v: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def conv_grad_kernel(x: np.ndarray, v: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Adjoint of conv_forward in its kernel: returns (Cout, Cin, kh, kw)."""
-    win = _patches(x, kh, kw)
-    return np.einsum("fhwckl,fhwo->ockl", win, v, optimize=True)
+    c_in, c_out = x.shape[-1], v.shape[-1]
+    vt = v.reshape(-1, c_out).T
+    xs_buf = np.empty(x.shape)
+    grad = np.empty((c_out, c_in, kh, kw))
+    for i, j, xs in _taps(x, kh, kw):
+        np.copyto(xs_buf, xs)
+        grad[:, :, i, j] = vt @ xs_buf.reshape(-1, c_in)
+    return grad
 
 
 def conv_grad_bias(v: np.ndarray) -> np.ndarray:
@@ -55,18 +86,33 @@ def conv_grad_bias(v: np.ndarray) -> np.ndarray:
     return v.sum(axis=(0, 1, 2))
 
 
+def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    """exp(-|z|) in a fresh float64 array; it never overflows."""
+    e = np.empty(np.shape(z))
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    with np.errstate(under="ignore"):  # flushing to 0 for large |z| is the exact limit
+        np.exp(e, out=e)
+    return e
+
+
 def softplus(z: np.ndarray) -> np.ndarray:
-    """Numerically stable log(1 + exp(z))."""
-    return np.logaddexp(0.0, z)
+    """Numerically stable log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|))."""
+    out = _exp_neg_abs(z)
+    np.log1p(out, out=out)
+    out += np.maximum(z, 0.0)
+    return out
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (= derivative of softplus)."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Numerically stable logistic function (= derivative of softplus).
+
+    Branch-free on e = exp(-|z|): 1 / (1 + e) for z >= 0, e / (1 + e) below.
+    """
+    e = _exp_neg_abs(z)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

@@ -224,13 +224,3 @@ def dense_sensing_matrix(mask: SensingMask) -> np.ndarray:
     for k in range(b):
         phi[:, k * n : (k + 1) * n] = np.diag(mask.frames[:, :, k].ravel())
     return phi
-
-
-def cube_to_vec(x: np.ndarray) -> np.ndarray:
-    """Flatten an (H, W, B) cube with the frame-major convention above."""
-    return np.concatenate([x[:, :, k].ravel() for k in range(x.shape[2])])
-
-
-def vec_to_cube(vec: np.ndarray, h: int, w: int, b: int) -> np.ndarray:
-    """Inverse of :func:`cube_to_vec`."""
-    return np.stack([vec[k * h * w : (k + 1) * h * w].reshape(h, w) for k in range(b)], axis=2)

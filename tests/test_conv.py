@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal, special
 
 from vsci.conv import (
     conv_adjoint_input,
@@ -75,3 +77,62 @@ def test_softplus_sigmoid_consistent():
     np.testing.assert_allclose(sigmoid(z), numeric, atol=1e-6)
     assert sigmoid(np.array([800.0]))[0] == 1.0  # no overflow
     assert sigmoid(np.array([-800.0]))[0] == 0.0
+
+
+CHANNELS = [(1, 1), (8, 1), (1, 8), (8, 8), (4, 3)]  # (C_out, C_in): both conv paths
+KERNELS = [(1, 1), (3, 3), (5, 5), (3, 5)]
+
+
+@pytest.mark.parametrize("kh, kw", KERNELS)
+@pytest.mark.parametrize("c_out, c_in", CHANNELS)
+def test_conv_matches_scipy_oracle(c_out, c_in, kh, kw):
+    x = _rand((2, 7, 6, c_in), 11)
+    k = _rand((c_out, c_in, kh, kw), 12)
+    b = _rand((c_out,), 13)
+    v = _rand((2, 7, 6, c_out), 14)
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    fwd = np.zeros_like(v) + b
+    adj = np.zeros_like(x)
+    gk = np.zeros_like(k)
+    # Per channel pair, zero-padded "same": forward is a correlation, its input
+    # adjoint a convolution, and its kernel adjoint a "valid" correlation with v.
+    for f in range(x.shape[0]):
+        for o in range(c_out):
+            for c in range(c_in):
+                fwd[f, :, :, o] += signal.correlate(x[f, :, :, c], k[o, c], mode="same", method="direct")
+                adj[f, :, :, c] += signal.convolve(v[f, :, :, o], k[o, c], mode="same", method="direct")
+                gk[o, c] += signal.correlate(xp[f, :, :, c], v[f, :, :, o], mode="valid", method="direct")
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(conv_forward(x, k, b), fwd, **tol)
+    np.testing.assert_allclose(conv_adjoint_input(v, k), adj, **tol)
+    np.testing.assert_allclose(conv_grad_kernel(x, v, kh, kw), gk, **tol)
+
+
+@pytest.mark.parametrize("kh, kw", [(2, 2), (3, 2), (2, 3), (4, 4)])
+def test_even_kernel_rejected(kh, kw):
+    x = _rand((1, 5, 5, 1), 0)
+    with pytest.raises(ValueError, match="odd"):
+        conv_forward(x, np.ones((1, 1, kh, kw)))
+    with pytest.raises(ValueError, match="odd"):
+        conv_grad_kernel(x, _rand((1, 5, 5, 1), 1), kh, kw)
+
+
+def test_activations_at_extremes():
+    z = np.array([800.0, -800.0, 1e300, -1e300, 0.0, 5e-324, -5e-324])
+    with np.errstate(all="raise"):
+        sp, sg = softplus(z), sigmoid(z)
+    assert sp.dtype == np.float64 and sg.dtype == np.float64
+    assert np.all((sg >= 0.0) & (sg <= 1.0))
+    np.testing.assert_array_equal(sg[:4], [1.0, 0.0, 1.0, 0.0])
+    ref = np.logaddexp(0.0, z)
+    assert np.all(np.abs(sp - ref) <= 1e-15 * np.maximum(1.0, np.abs(z)))
+
+
+def test_activations_match_references_on_dense_grid():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), np.linspace(-40.0, 40.0, 80_001)])
+    with np.errstate(all="raise"):
+        sp, sg = softplus(z), sigmoid(z)
+    assert np.all(np.abs(sp - np.logaddexp(0.0, z)) <= 1e-15 * np.maximum(1.0, np.abs(z)))
+    # expit and sigmoid may round differently in the subnormal range.
+    np.testing.assert_allclose(sg, special.expit(z), rtol=1e-15, atol=np.finfo(np.float64).tiny)
+    assert np.all((sg >= 0.0) & (sg <= 1.0))
