@@ -22,37 +22,19 @@ from .sci import SensingMask, dense_sensing_matrix
 MAX_DENSE_DIM = 4096
 
 
-def _apply(map_obj):
-    return map_obj.apply if hasattr(map_obj, "apply") else map_obj
-
-
-def _fd_vjp(f, x, w, fx, step):
-    """O(2n) central-difference fallback for J^T w."""
-    out = np.zeros_like(x)
-    flat = out.ravel()
-    xf = x.ravel()
-    for i in range(xf.size):
-        e = np.zeros_like(xf)
-        e[i] = step
-        fp = f((xf + e).reshape(x.shape))
-        fm = f((xf - e).reshape(x.shape))
-        flat[i] = float(np.sum((fp - fm) * w)) / (2.0 * step)
-    return out
-
-
 def estimate_map_lipschitz(map_obj, x_point: np.ndarray, n_iters: int = 20, seed: int = 0) -> float:
     """Power-iteration estimate of ||df/dx|| at x_point.
 
-    Jv is formed by forward finite differences of the map (relative step
-    1e-6); J^T v uses the map's vjp_input when present, else a per-coordinate
-    finite-difference fallback (expensive; small instances only). Returns 0
-    for a locally constant map.
+    Jv is formed by forward finite differences of map_obj.apply (relative
+    step 1e-6); J^T v comes from one map_obj.linearize(x_point), so the
+    map's forward at x_point runs once for all n_iters VJPs. Returns 0 for a
+    locally constant map.
     """
     if n_iters < 5:
         raise ValueError("n_iters must be >= 5")
-    f = _apply(map_obj)
-    vjp = getattr(map_obj, "vjp_input", None)
+    f = map_obj.apply
     x = np.asarray(x_point, dtype=np.float64)
+    lin = map_obj.linearize(x)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(x.shape)
     v /= np.linalg.norm(v)
@@ -64,10 +46,7 @@ def estimate_map_lipschitz(map_obj, x_point: np.ndarray, n_iters: int = 20, seed
         sigma = float(np.linalg.norm(jv))
         if sigma < 1e-12:
             return 0.0
-        if vjp is not None:
-            w = vjp(x, jv)
-        else:
-            w = _fd_vjp(f, x, jv, fx, step)
+        w = lin.vjp_input(jv)
         nw = float(np.linalg.norm(w))
         if nw < 1e-300:
             return sigma

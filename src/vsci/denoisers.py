@@ -37,8 +37,29 @@ def _as_cube(f: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(f[..., 0].transpose(1, 2, 0))
 
 
+@dataclass(frozen=True)
+class AffineLinearization:
+    """Linearization of D(x) = a*x + b: J^T v = a*v at every x, no parameters."""
+
+    kind: str
+    a: float
+
+    def vjp_input(self, v: np.ndarray) -> np.ndarray:
+        return self.a * np.asarray(v, dtype=np.float64)
+
+    def grad_params(self, v: np.ndarray) -> np.ndarray:
+        raise UnsupportedDenoiserOpError(f"{self.kind} denoiser has no parameters")
+
+
 class Denoiser:
-    """Base class; subclasses implement denoise() and, if trainable, VJPs."""
+    """Base class; subclasses implement denoise() and, if differentiable, linearize().
+
+    linearize(x) runs the forward once at x and returns a snapshot whose
+    vjp_input(v) and grad_params(v) run only the backward pass (like
+    jax.vjp). The base serves affine denoisers, whose Jacobian slope() * I
+    does not depend on x; vjp_input(x, v) and grad_params(x, v) are one-shot
+    wrappers over it.
+    """
 
     kind = "abstract"
     trainable = False
@@ -46,11 +67,17 @@ class Denoiser:
     def denoise(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def vjp_input(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def slope(self) -> float:
         raise UnsupportedDenoiserOpError(f"{self.kind} denoiser has no input VJP")
 
+    def linearize(self, x: np.ndarray):
+        return AffineLinearization(self.kind, self.slope())
+
+    def vjp_input(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.linearize(x).vjp_input(v)
+
     def grad_params(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise UnsupportedDenoiserOpError(f"{self.kind} denoiser has no parameters")
+        return self.linearize(x).grad_params(v)
 
     @staticmethod
     def _check(x: np.ndarray) -> np.ndarray:
@@ -68,8 +95,8 @@ class IdentityDenoiser(Denoiser):
     def denoise(self, x):
         return self._check(x)
 
-    def vjp_input(self, x, v):
-        return np.asarray(v, dtype=np.float64)
+    def slope(self):
+        return 1.0
 
 
 @dataclass
@@ -87,8 +114,8 @@ class ScaleShiftDenoiser(Denoiser):
     def denoise(self, x):
         return self.a * self._check(x) + self.b
 
-    def vjp_input(self, x, v):
-        return self.a * np.asarray(v, dtype=np.float64)
+    def slope(self):
+        return self.a
 
 
 def _tv_grad(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,6 +257,53 @@ def spectral_normalize(params: ConvDenoiserParams, n_iters: int) -> ConvDenoiser
     return params
 
 
+def _check_cotangent(v: np.ndarray, shape: tuple) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != shape:
+        raise ShapeMismatchError(f"cotangent {v.shape} vs input {shape}")
+    return v
+
+
+@dataclass(frozen=True)
+class ConvResidualLinearization:
+    """The conv_residual denoiser frozen at one input: kernels, gamma and the
+    forward activations, read when it was built."""
+
+    kernels: tuple  # (C_out, C_in, k, k) per layer
+    gamma: float
+    acts: tuple     # input to each layer, (B, H, W, C_in)
+    slopes: tuple   # softplus'(preact) = sigmoid(preact) per hidden layer
+    shape: tuple    # (H, W, B) of the input cube
+
+    def vjp_input(self, v: np.ndarray) -> np.ndarray:
+        v = _check_cotangent(v, self.shape)
+        w = _as_frames(v)
+        for l in range(len(self.kernels) - 1, -1, -1):
+            w = conv_adjoint_input(w, self.kernels[l])
+            if l > 0:
+                w = w * self.slopes[l - 1]
+        return v + self.gamma * _as_cube(w)
+
+    def grad_params(self, v: np.ndarray) -> np.ndarray:
+        v = _check_cotangent(v, self.shape)
+        n = len(self.kernels)
+        grads_k = [None] * n
+        grads_b = [None] * n
+        w = _as_frames(v)
+        for l in range(n - 1, -1, -1):
+            k = self.kernels[l]
+            grads_k[l] = conv_grad_kernel(self.acts[l], w, k.shape[2], k.shape[3])
+            grads_b[l] = conv_grad_bias(w)
+            if l > 0:
+                w = conv_adjoint_input(w, k)
+                w = w * self.slopes[l - 1]
+        parts = []
+        for gk, gb in zip(grads_k, grads_b):
+            parts.append(gk.ravel())
+            parts.append(gb.ravel())
+        return self.gamma * np.concatenate(parts)
+
+
 @dataclass
 class ConvResidualDenoiser(Denoiser):
     params: ConvDenoiserParams
@@ -237,7 +311,7 @@ class ConvResidualDenoiser(Denoiser):
     trainable = True
 
     def _residual_forward(self, frames: np.ndarray):
-        """Forward through the conv stack, caching activations for VJPs."""
+        """Forward through the conv stack, keeping activations for linearize()."""
         acts = [frames]  # input to each layer
         preacts = []
         h = frames
@@ -257,41 +331,16 @@ class ConvResidualDenoiser(Denoiser):
         r, _, _ = self._residual_forward(_as_frames(x))
         return x + self.params.gamma * _as_cube(r)
 
-    def vjp_input(self, x, v):
+    def linearize(self, x):
         x = self._check(x)
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != x.shape:
-            raise ShapeMismatchError(f"cotangent {v.shape} vs input {x.shape}")
-        _, _, preacts = self._residual_forward(_as_frames(x))
-        w = _as_frames(v)
-        for l in range(self.params.n_layers - 1, -1, -1):
-            w = conv_adjoint_input(w, self.params.kernels[l])
-            if l > 0:
-                w = w * sigmoid(preacts[l - 1])
-        return v + self.params.gamma * _as_cube(w)
-
-    def grad_params(self, x, v):
-        x = self._check(x)
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != x.shape:
-            raise ShapeMismatchError(f"cotangent {v.shape} vs input {x.shape}")
         _, acts, preacts = self._residual_forward(_as_frames(x))
-        n = self.params.n_layers
-        grads_k = [None] * n
-        grads_b = [None] * n
-        w = _as_frames(v)
-        for l in range(n - 1, -1, -1):
-            k = self.params.kernels[l]
-            grads_k[l] = conv_grad_kernel(acts[l], w, k.shape[2], k.shape[3])
-            grads_b[l] = conv_grad_bias(w)
-            if l > 0:
-                w = conv_adjoint_input(w, k)
-                w = w * sigmoid(preacts[l - 1])
-        parts = []
-        for gk, gb in zip(grads_k, grads_b):
-            parts.append(gk.ravel())
-            parts.append(gb.ravel())
-        return self.params.gamma * np.concatenate(parts)
+        return ConvResidualLinearization(
+            kernels=tuple(self.params.kernels),
+            gamma=self.params.gamma,
+            acts=tuple(acts),
+            slopes=tuple(sigmoid(z) for z in preacts),
+            shape=x.shape,
+        )
 
     # parameter-vector plumbing used by the training loop
     def n_params(self) -> int:

@@ -7,7 +7,9 @@ DeRnnMap:  f(x) = x + gamma * cell(x, Phi^T y, Phi^T (y - Phi x)) with a
 plus classical plug-and-play baselines (GAP with per-iteration TV strength,
 ADMM with a pluggable denoiser) used for stability comparisons.
 
-Maps are immutable after construction; apply/vjp calls are pure.
+Maps are immutable after construction; apply/vjp calls are pure. linearize(x)
+runs the forward once at x and returns a frozen snapshot whose vjp_input(v)
+and grad_params(v) run only the backward pass.
 """
 
 from __future__ import annotations
@@ -60,13 +62,30 @@ class DeGapMap:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.denoiser.denoise(gap_project(self.mask, self.y, x))
 
-    def vjp_input(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def linearize(self, x: np.ndarray) -> "DeGapLinearization":
+        """Project x once and linearize the denoiser at the projection."""
         u = gap_project(self.mask, self.y, x)
-        return project_null(self.mask, self.denoiser.vjp_input(u, v))
+        return DeGapLinearization(mask=self.mask, denoiser=self.denoiser.linearize(u))
+
+    def vjp_input(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.linearize(x).vjp_input(v)
 
     def grad_params(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = gap_project(self.mask, self.y, x)
-        return self.denoiser.grad_params(u, v)
+        return self.linearize(x).grad_params(v)
+
+
+@dataclass(frozen=True)
+class DeGapLinearization:
+    """DeGapMap frozen at one x: J^T v = P_null D'(u)^T v with u the projection of x."""
+
+    mask: SensingMask
+    denoiser: object  # the denoiser's linearization at u
+
+    def vjp_input(self, v: np.ndarray) -> np.ndarray:
+        return project_null(self.mask, self.denoiser.vjp_input(v))
+
+    def grad_params(self, v: np.ndarray) -> np.ndarray:
+        return self.denoiser.grad_params(v)
 
 
 @dataclass
@@ -107,37 +126,20 @@ class GatedConvCell:
                 for k in (self.k_in, self.k_gate, self.k_cand)
             ]
 
-    def _kernels(self):
-        return [self.k_in, self.k_gate, self.k_cand]
-
     def _forward(self, u: np.ndarray):
         z_h = conv_forward(u, self.k_in, self.b_in)
         h = softplus(z_h)
-        z_g = conv_forward(h, self.k_gate, self.b_gate)
-        g = sigmoid(z_g)
-        z_c = conv_forward(h, self.k_cand, self.b_cand)
-        c = np.tanh(z_c)
-        return g * c, (u, z_h, h, g, c)
+        g = sigmoid(conv_forward(h, self.k_gate, self.b_gate))
+        c = np.tanh(conv_forward(h, self.k_cand, self.b_cand))
+        return g * c, (z_h, h, g, c)
 
-    def _backward(self, cache, cot):
-        """Cotangents w.r.t. the stacked input channels and all parameters."""
-        u, z_h, h, g, c = cache
-        dg = cot * c
-        dc = cot * g
-        dz_g = dg * g * (1.0 - g)
-        dz_c = dc * (1.0 - c * c)
-        dh = conv_adjoint_input(dz_g, self.k_gate) + conv_adjoint_input(dz_c, self.k_cand)
-        dz_h = dh * sigmoid(z_h)
-        du = conv_adjoint_input(dz_h, self.k_in)
-        grads = {
-            "k_in": conv_grad_kernel(u, dz_h, self.k_in.shape[2], self.k_in.shape[3]),
-            "b_in": conv_grad_bias(dz_h),
-            "k_gate": conv_grad_kernel(h, dz_g, self.k_gate.shape[2], self.k_gate.shape[3]),
-            "b_gate": conv_grad_bias(dz_g),
-            "k_cand": conv_grad_kernel(h, dz_c, self.k_cand.shape[2], self.k_cand.shape[3]),
-            "b_cand": conv_grad_bias(dz_c),
-        }
-        return du, grads
+    def linearize(self, u: np.ndarray) -> "GatedCellLinearization":
+        """Run the cell once on the stacked inputs u, keeping what its VJPs need."""
+        _, (z_h, h, g, c) = self._forward(u)
+        return GatedCellLinearization(
+            k_in=self.k_in, k_gate=self.k_gate, k_cand=self.k_cand,
+            u=u, slope_h=sigmoid(z_h), h=h, g=g, c=c,
+        )
 
     def n_params(self) -> int:
         return sum(a.size for a in (self.k_in, self.b_in, self.k_gate, self.b_gate, self.k_cand, self.b_cand))
@@ -166,6 +168,46 @@ class GatedConvCell:
             self.sn_u[i] = u
             if sig > 1.0:
                 setattr(self, name, kernel / sig)
+
+
+@dataclass(frozen=True)
+class GatedCellLinearization:
+    """GatedConvCell frozen at one input: its kernels and forward activations."""
+
+    k_in: np.ndarray
+    k_gate: np.ndarray
+    k_cand: np.ndarray
+    u: np.ndarray        # (B, H, W, 3) stacked input channels
+    slope_h: np.ndarray  # softplus'(z_h) = sigmoid(z_h)
+    h: np.ndarray
+    g: np.ndarray
+    c: np.ndarray
+
+    def _preact_cotangents(self, cot):
+        """Cotangents of the hidden, gate and candidate pre-activations."""
+        dz_g = cot * self.c * self.g * (1.0 - self.g)
+        dz_c = cot * self.g * (1.0 - self.c * self.c)
+        dh = conv_adjoint_input(dz_g, self.k_gate) + conv_adjoint_input(dz_c, self.k_cand)
+        return dh * self.slope_h, dz_g, dz_c
+
+    def vjp_input(self, cot: np.ndarray) -> np.ndarray:
+        """Cotangent w.r.t. the stacked input channels."""
+        dz_h, _, _ = self._preact_cotangents(cot)
+        return conv_adjoint_input(dz_h, self.k_in)
+
+    def grad_params(self, cot: np.ndarray) -> np.ndarray:
+        """Cotangent w.r.t. the flat parameters, in GatedConvCell.flatten() order."""
+        dz_h, dz_g, dz_c = self._preact_cotangents(cot)
+        k_in, k_gate, k_cand = self.k_in, self.k_gate, self.k_cand
+        grads = (
+            conv_grad_kernel(self.u, dz_h, k_in.shape[2], k_in.shape[3]),
+            conv_grad_bias(dz_h),
+            conv_grad_kernel(self.h, dz_g, k_gate.shape[2], k_gate.shape[3]),
+            conv_grad_bias(dz_g),
+            conv_grad_kernel(self.h, dz_c, k_cand.shape[2], k_cand.shape[3]),
+            conv_grad_bias(dz_c),
+        )
+        return np.concatenate([a.ravel() for a in grads])
 
 
 def make_gated_cell(
@@ -219,38 +261,53 @@ class DeRnnMap:
         out, _ = self.cell._forward(self._inputs(x))
         return x + self.cell.gamma * _as_cube(out)
 
+    def linearize(self, x: np.ndarray) -> "DeRnnLinearization":
+        """Build the cell inputs at x and run the cell once on them."""
+        return DeRnnLinearization(
+            mask=self.mask, gamma=self.cell.gamma,
+            cell=self.cell.linearize(self._inputs(x)),
+        )
+
     def vjp_input(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.linearize(x).vjp_input(v)
+
+    def grad_params(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.linearize(x).grad_params(v)
+
+
+@dataclass(frozen=True)
+class DeRnnLinearization:
+    """DeRnnMap frozen at one x; gamma == 0 makes the map the identity."""
+
+    mask: SensingMask
+    gamma: float
+    cell: GatedCellLinearization
+
+    def vjp_input(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
-        if self.cell.gamma == 0.0:
+        if self.gamma == 0.0:
             return v.copy()
-        _, cache = self.cell._forward(self._inputs(x))
-        du, _ = self.cell._backward(cache, _as_frames(v))
+        du = self.cell.vjp_input(_as_frames(v))
         d_direct = _as_cube(du[..., 0:1])
         d_res = _as_cube(du[..., 2:3])
         # residual input contributes through -Phi^T Phi
-        return v + self.cell.gamma * (
+        return v + self.gamma * (
             d_direct - adjoint(self.mask, forward(self.mask, d_res).data)
         )
 
-    def grad_params(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def grad_params(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
-        _, cache = self.cell._forward(self._inputs(x))
-        _, grads = self.cell._backward(cache, _as_frames(v))
-        flat = np.concatenate(
-            [grads[n].ravel() for n in ("k_in", "b_in", "k_gate", "b_gate", "k_cand", "b_cand")]
-        )
-        return self.cell.gamma * flat
+        return self.gamma * self.cell.grad_params(_as_frames(v))
 
 
 @dataclass
 class AdmmState:
-    """Split variables for the ADMM baseline; mu is absorbed into the denoiser."""
+    """Split variables for the ADMM baseline."""
 
     x: np.ndarray
     v: np.ndarray
     u: np.ndarray
     rho: float
-    mu: float = 0.0
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -272,7 +329,7 @@ def pnp_admm_step(state: AdmmState, mask: SensingMask, y, denoiser: Denoiser) ->
     x_new = z + mask.frames * resid[:, :, None]
     v_new = denoiser.denoise(x_new + state.u / state.rho)
     u_new = state.u + state.rho * (x_new - v_new)
-    return AdmmState(x=x_new, v=v_new, u=u_new, rho=state.rho, mu=state.mu)
+    return AdmmState(x=x_new, v=v_new, u=u_new, rho=state.rho)
 
 
 def pnp_admm_solve(

@@ -5,8 +5,11 @@ J the map Jacobian at the fixed point, the adjoint vector solves
     a = J^T a + (x_hat - x_star),
 either by the same Anderson engine used for the forward pass (mode
 "fixed_point") or by a truncated Neumann sum (mode "neumann"). The parameter
-gradient is then the map's parameter-VJP contracted with a. Memory stays
-constant in the forward iteration count because nothing is unrolled.
+gradient is then the map's parameter-VJP contracted with a. The whole
+backward runs on one linearization of the map at x_hat (map.linearize, like
+jax.vjp): the forward at x_hat runs once, and every adjoint iteration and the
+final parameter-VJP run only the backward pass. Memory stays constant in the
+forward iteration count because nothing is unrolled.
 """
 
 from __future__ import annotations
@@ -109,8 +112,10 @@ def loss_gradient(model, sample, cfg: TrainConfig) -> LossGradResult:
     """Full implicit gradient of the sample loss w.r.t. the model parameters.
 
     sample is (mask, y, x_star). The forward fixed point starts from the
-    canonical initializer Phi^T y. Non-converged solves still yield a
-    gradient, flagged approximate.
+    canonical initializer Phi^T y. The map is linearized once at x_hat, and
+    that one linearization serves every J^T v of the adjoint solve and the
+    final parameter-VJP. Non-converged solves still yield a gradient,
+    flagged approximate.
     """
     mask, y, x_star = sample
     fmap = model.make_map(mask, y)
@@ -118,16 +123,15 @@ def loss_gradient(model, sample, cfg: TrainConfig) -> LossGradResult:
     x_hat = memtrack.track(fwd.x_hat)
     g = memtrack.track(x_hat - x_star)
     loss = mse_loss(x_hat, x_star)
+    lin = fmap.linearize(x_hat)
     if cfg.backward_mode == "neumann":
-        a = neumann_backward(lambda v: fmap.vjp_input(x_hat, v), g, cfg.neumann_order)
+        a = neumann_backward(lin.vjp_input, g, cfg.neumann_order)
         backward_converged = True
     else:
-        bwd = backward_fixed_point(
-            lambda v: fmap.vjp_input(x_hat, v), g, cfg.backward_config()
-        )
+        bwd = backward_fixed_point(lin.vjp_input, g, cfg.backward_config())
         a = memtrack.track(bwd.x_hat)
         backward_converged = bwd.converged
-    grad = memtrack.track(fmap.grad_params(x_hat, a))
+    grad = memtrack.track(lin.grad_params(a))
     return LossGradResult(
         grad=grad,
         loss=loss,

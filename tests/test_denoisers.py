@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import vsci.denoisers
 from vsci.conv import dense_conv_matrix
 from vsci.denoisers import (
     ConvResidualDenoiser,
@@ -159,6 +163,77 @@ class TestConvResidual:
         theta = d.get_theta()
         d.set_theta(theta)
         np.testing.assert_array_equal(d.get_theta(), theta)
+
+
+class TestLinearize:
+    @pytest.mark.parametrize("d", [
+        make_conv_residual(12, channels=4, n_layers=3, init="random", gamma=0.3, noise_scale=0.3),
+        IdentityDenoiser(),
+        ScaleShiftDenoiser(a=0.7, b=0.1),
+    ], ids=lambda d: d.kind)
+    def test_equals_per_call_vjps(self, d):
+        x = _cube((5, 5, 2), 0)
+        lin = d.linearize(x)
+        for seed in (1, 2, 3):
+            v = _cube((5, 5, 2), seed) - 0.5
+            np.testing.assert_array_equal(lin.vjp_input(v), d.vjp_input(x, v))
+            if d.trainable:
+                np.testing.assert_array_equal(lin.grad_params(v), d.grad_params(x, v))
+            else:
+                with pytest.raises(UnsupportedDenoiserOpError):
+                    lin.grad_params(v)
+
+    def test_tv_cannot_linearize(self):
+        with pytest.raises(UnsupportedDenoiserOpError):
+            TvDenoiser(lam=0.1).linearize(_cube((4, 4, 1), 0))
+
+    def test_one_forward_serves_ten_vjps(self, monkeypatch):
+        d = make_conv_residual(13, channels=4, n_layers=3, init="random", noise_scale=0.3)
+        calls = []
+        conv_forward = vsci.denoisers.conv_forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return conv_forward(*args, **kwargs)
+
+        monkeypatch.setattr(vsci.denoisers, "conv_forward", counted)
+        lin = d.linearize(_cube((5, 5, 2), 0))
+        assert len(calls) == d.params.n_layers
+        for seed in range(10):
+            v = _cube((5, 5, 2), seed + 1)
+            lin.vjp_input(v)
+            lin.grad_params(v)
+        assert len(calls) == d.params.n_layers
+
+    def test_set_theta_after_linearize_leaves_it_unchanged(self):
+        d = make_conv_residual(14, channels=4, n_layers=2, init="random",
+                               gamma=0.2, noise_scale=0.3)
+        x, v = _cube((5, 5, 2), 0), _cube((5, 5, 2), 1)
+        lin = d.linearize(x)
+        before = lin.vjp_input(v), lin.grad_params(v)
+        d.set_theta(3.0 * d.get_theta() + 0.1)
+        spectral_normalize(d.params, 5)
+        d.params.gamma = 0.4
+        after = lin.vjp_input(v), lin.grad_params(v)
+        np.testing.assert_array_equal(after[0], before[0])
+        np.testing.assert_array_equal(after[1], before[1])
+        assert not np.array_equal(d.vjp_input(x, v), before[0])
+
+    def test_freed_without_the_cycle_collector(self):
+        d = make_conv_residual(15, channels=4, n_layers=2)
+        freed = []
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            lin = d.linearize(_cube((5, 5, 2), 0))
+            weakref.finalize(lin, freed.append, True)
+            del lin
+            assert freed == [True]
+            assert gc.collect() == 0  # nothing it built is left waiting in a cycle
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSpectralNormalize:

@@ -1,8 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import vsci.denoisers
+import vsci.maps
 from helpers import dense_phi, random_mask, unvec, vec
 from vsci.denoisers import IdentityDenoiser, ScaleShiftDenoiser, make_conv_residual
+from vsci.errors import UnsupportedDenoiserOpError
 from vsci.fixed_point import FixedPointConfig, picard_solve
 from vsci.maps import (
     AdmmState,
@@ -152,6 +158,128 @@ class TestDeRnn:
         back = load_cell(prefix)
         np.testing.assert_array_equal(back.flatten(), cell.flatten())
         assert back.gamma == cell.gamma
+
+
+def _degap_map(kind, seed=20):
+    mask, cube, y = _instance(seed, 5, 5, 2)
+    den = {
+        "conv_residual": lambda: make_conv_residual(0, channels=4, n_layers=3, init="random",
+                                                    gamma=0.3, noise_scale=0.3),
+        "identity": IdentityDenoiser,
+        "scale_shift": lambda: ScaleShiftDenoiser(a=0.7, b=0.1),
+    }[kind]()
+    return DeGapMap(denoiser=den, mask=mask, y=y), cube.shape
+
+
+def _dernn_map(gamma, seed=21):
+    mask, cube, y = _instance(seed, 5, 5, 2)
+    cell = make_gated_cell(5, channels=4, init_scale=0.3, gamma=gamma)
+    return DeRnnMap(cell=cell, mask=mask, y=y), cube.shape
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestLinearize:
+    @staticmethod
+    def _assert_matches_per_call(fmap, shape, has_params):
+        rng = np.random.default_rng(30)
+        x = rng.random(shape)
+        lin = fmap.linearize(x)
+        # several cotangents through one linearization, interleaved, so a
+        # cached activation overwritten by one call would show in the next
+        for _ in range(3):
+            v = rng.standard_normal(shape)
+            np.testing.assert_array_equal(lin.vjp_input(v), fmap.vjp_input(x, v))
+            if has_params:
+                np.testing.assert_array_equal(lin.grad_params(v), fmap.grad_params(x, v))
+            else:
+                with pytest.raises(UnsupportedDenoiserOpError):
+                    lin.grad_params(v)
+
+    @pytest.mark.parametrize("kind", ["conv_residual", "identity", "scale_shift"])
+    def test_degap_linearization_equals_per_call_vjps(self, kind):
+        fmap, shape = _degap_map(kind)
+        self._assert_matches_per_call(fmap, shape, has_params=kind == "conv_residual")
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.0])
+    def test_dernn_linearization_equals_per_call_vjps(self, gamma):
+        fmap, shape = _dernn_map(gamma)
+        self._assert_matches_per_call(fmap, shape, has_params=True)
+
+    def test_degap_one_forward_serves_ten_vjps(self, monkeypatch):
+        fmap, shape = _degap_map("conv_residual")
+        counts = {}
+        for name in ("conv_forward", "softplus", "sigmoid"):
+            _count_calls(monkeypatch, vsci.denoisers, name, counts)
+        _count_calls(monkeypatch, vsci.maps, "gap_project", counts)
+        rng = np.random.default_rng(31)
+        lin = fmap.linearize(rng.random(shape))
+        once = dict(counts)
+        assert once == {"conv_forward": 3, "softplus": 2, "sigmoid": 2, "gap_project": 1}
+        for _ in range(10):
+            v = rng.standard_normal(shape)
+            lin.vjp_input(v)
+            lin.grad_params(v)
+        assert counts == once
+
+    def test_dernn_one_forward_serves_ten_vjps(self, monkeypatch):
+        fmap, shape = _dernn_map(0.1)
+        counts = {}
+        for name in ("conv_forward", "sigmoid", "forward"):
+            _count_calls(monkeypatch, vsci.maps, name, counts)
+        rng = np.random.default_rng(32)
+        lin = fmap.linearize(rng.random(shape))
+        assert counts == {"conv_forward": 3, "sigmoid": 2, "forward": 1}
+        for _ in range(10):
+            v = rng.standard_normal(shape)
+            lin.vjp_input(v)
+            lin.grad_params(v)
+        # each input VJP maps the residual channel back through Phi once
+        assert counts == {"conv_forward": 3, "sigmoid": 2, "forward": 11}
+
+    def test_dernn_unflatten_after_linearize_leaves_it_unchanged(self):
+        fmap, shape = _dernn_map(0.1)
+        rng = np.random.default_rng(33)
+        x = rng.random(shape)
+        v = rng.standard_normal(shape)
+        lin = fmap.linearize(x)
+        before = lin.vjp_input(v), lin.grad_params(v)
+        fmap.cell.unflatten(3.0 * fmap.cell.flatten() + 0.1)
+        fmap.cell.spectral_normalize(5)
+        fmap.cell.gamma = 0.2
+        after = lin.vjp_input(v), lin.grad_params(v)
+        np.testing.assert_array_equal(after[0], before[0])
+        np.testing.assert_array_equal(after[1], before[1])
+        assert not np.array_equal(fmap.vjp_input(x, v), before[0])
+
+    @pytest.mark.parametrize("make", [lambda: _degap_map("conv_residual"),
+                                      lambda: _degap_map("identity"),
+                                      lambda: _dernn_map(0.1)],
+                             ids=["degap_conv_residual", "degap_identity", "dernn"])
+    def test_linearization_is_freed_without_the_cycle_collector(self, make):
+        fmap, shape = make()
+        x = np.random.default_rng(34).random(shape)
+        freed = []
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            lin = fmap.linearize(x)
+            weakref.finalize(lin, freed.append, True)
+            del lin
+            assert freed == [True]
+            assert gc.collect() == 0  # nothing it built is left waiting in a cycle
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestPnpGap:

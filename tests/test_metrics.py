@@ -1,0 +1,47 @@
+import numpy as np
+import pytest
+from scipy import ndimage
+
+from vsci.metrics import ssim
+
+
+def _oracle_ssim_frame(a, r):
+    """SSIM by scipy's Gaussian filter: sigma 1.5, radius 5 (11 taps), then the
+    5-pixel border, where the window would leave the frame, is cropped."""
+
+    def blur(img):
+        return ndimage.gaussian_filter(img, sigma=1.5, truncate=5 / 1.5)[5:-5, 5:-5]
+
+    c1, c2 = 0.01**2, 0.03**2
+    mu_a, mu_r = blur(a), blur(r)
+    var_a = blur(a * a) - mu_a**2
+    var_r = blur(r * r) - mu_r**2
+    cov = blur(a * r) - mu_a * mu_r
+    num = (2 * mu_a * mu_r + c1) * (2 * cov + c2)
+    den = (mu_a**2 + mu_r**2 + c1) * (var_a + var_r + c2)
+    return float(np.mean(num / den))
+
+
+def _cube_pair(seed):
+    rng = np.random.default_rng(seed)
+    ref = ndimage.gaussian_filter(rng.random((32, 32, 3)), sigma=(2, 2, 0))
+    est = np.clip(ref + 0.1 * rng.standard_normal(ref.shape), 0.0, 1.0)
+    return est, ref
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ssim_matches_scipy_gaussian_oracle(seed):
+    est, ref = _cube_pair(seed)
+    per_frame, mean = ssim(est, ref)
+    expected = [_oracle_ssim_frame(est[:, :, k], ref[:, :, k]) for k in range(3)]
+    np.testing.assert_allclose(per_frame, expected, rtol=0, atol=1e-10)
+    assert abs(mean - np.mean(expected)) <= 1e-10
+    assert max(expected) < 0.99  # the estimates are visibly off the reference
+
+
+def test_identical_frames_score_one():
+    _, ref = _cube_pair(2)
+    frame = ref[:, :, :1]
+    per_frame, mean = ssim(frame, frame.copy())
+    assert abs(_oracle_ssim_frame(frame[:, :, 0], frame[:, :, 0]) - 1.0) <= 1e-10
+    assert abs(per_frame[0] - 1.0) <= 1e-10 and abs(mean - 1.0) <= 1e-10

@@ -1,3 +1,6 @@
+from functools import partial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,12 @@ def desk_model(seed=0, gamma=0.3, channels=4, n_layers=2):
     den = make_conv_residual(seed, channels=channels, n_layers=n_layers,
                              gamma=gamma, init="smooth", noise_scale=0.05)
     return DeGapModel(denoiser=den)
+
+
+def bound_at(fmap, x):
+    """Linearization of a fake map: its per-call VJPs with x bound."""
+    return SimpleNamespace(vjp_input=partial(fmap.vjp_input, x),
+                           grad_params=partial(fmap.grad_params, x))
 
 
 class TestMseLoss:
@@ -137,6 +146,9 @@ class ScaledProjectionModel:
             def grad_params(self, x, v):
                 return np.array([float(np.sum(v * gap_project(model.mask, y, x)))])
 
+            def linearize(self, x):
+                return bound_at(self, x)
+
         return _Map()
 
     def get_params(self):
@@ -225,6 +237,9 @@ class TestGradCheckHarness:
 
                     def grad_params(self, x, v):
                         return v.ravel().copy()
+
+                    def linearize(self, x):
+                        return bound_at(self, x)
 
                 return _Map()
 
