@@ -27,7 +27,6 @@ from .fixed_point import (
     IterationTrace,
     SolveResult,
     anderson_solve,
-    picard_solve,
     solve,
     solve_alpha,
 )

@@ -73,26 +73,24 @@ class BenchSpec:
     def __post_init__(self):
         if not self.scenes or not self.methods:
             raise ValueError("need at least one scene and one method")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 def _scene_tag(scene: SyntheticScene) -> str:
     return f"{scene.kind}_s{scene.seed}"
 
 
-def _make_denoiser(spec: str):
+def _make_denoiser(spec: str, tv_iters: int):
     if spec == "identity":
         return IdentityDenoiser()
     if spec.startswith("tv:"):
-        return TvDenoiser(lam=float(spec.split(":", 1)[1]))
+        return TvDenoiser(lam=float(spec.split(":", 1)[1]), iters=tv_iters)
     return load_denoiser(spec)
 
 
 def _run_method(method: MethodSpec, mask, y, cube, bench: BenchSpec):
-    cfg = FixedPointConfig(
-        tol=bench.tol if bench.tol > 0 else 0.0,
-        max_iter=bench.max_iter,
-        record_trace=True,
-    )
+    cfg = FixedPointConfig(tol=bench.tol, max_iter=bench.max_iter)
     if method.name == "de_gap":
         den = load_denoiser(method.checkpoint) if method.checkpoint else IdentityDenoiser()
         fmap = DeGapMap(denoiser=den, mask=mask, y=y)
@@ -107,7 +105,7 @@ def _run_method(method: MethodSpec, mask, y, cube, bench: BenchSpec):
             tv_iters=bench.tv_iters, tol=bench.tol, psnr_ref=cube,
         )
     return pnp_admm_solve(
-        mask, y, _make_denoiser(method.denoiser), method.rho, bench.max_iter,
+        mask, y, _make_denoiser(method.denoiser, bench.tv_iters), method.rho, bench.max_iter,
         tol=bench.tol, psnr_ref=cube,
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -143,7 +144,7 @@ def _reconstruct(args, cfg):
         result = pnp_gap_solve(mask, y, schedule, solver_cfg.max_iter,
                                tv_iters=args.tv_iters, tol=solver_cfg.tol, psnr_ref=gt)
     elif args.method == "pnp-admm":
-        den = TvDenoiser(lam=args.tv_lam, iters=args.tv_iters) if args.tv_lam > 0 else IdentityDenoiser()
+        den = TvDenoiser(lam=args.tv_lam, iters=args.tv_iters) if args.tv_lam != 0 else IdentityDenoiser()
         result = pnp_admm_solve(mask, y, den, args.rho, solver_cfg.max_iter,
                                 tol=solver_cfg.tol, psnr_ref=gt)
     else:
@@ -187,12 +188,6 @@ def _train_cfg(args, cfg: dict) -> TrainConfig:
     def pick(flag, key):
         return getattr(args, flag) if getattr(args, flag, None) is not None else cfg[key]
 
-    forward_cfg = FixedPointConfig(
-        tol=cfg["solver.tol"], max_iter=cfg["solver.max_iter"],
-        anderson_memory=cfg["solver.anderson_memory"],
-        anderson_damping=cfg["solver.anderson_damping"],
-        anderson_reg=cfg["solver.anderson_reg"], record_trace=False,
-    )
     return TrainConfig(
         epochs=pick("epochs", "train.epochs"),
         batch_size=pick("batch_size", "train.batch_size"),
@@ -205,7 +200,7 @@ def _train_cfg(args, cfg: dict) -> TrainConfig:
         backward_tol=cfg["train.backward_tol"],
         backward_max_iter=cfg["train.backward_max_iter"],
         seed=pick("seed", "train.seed"),
-        forward=forward_cfg,
+        forward=replace(_solver_cfg(args, cfg), record_trace=False),
     )
 
 

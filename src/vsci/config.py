@@ -10,15 +10,6 @@ from __future__ import annotations
 from .errors import ConfigError
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 # key -> (type, default, help)
 KNOWN_KEYS = {
     "solver.tol": (float, 1e-6, "relative-residual stopping threshold"),
@@ -26,7 +17,6 @@ KNOWN_KEYS = {
     "solver.anderson_memory": (int, 3, "history length s"),
     "solver.anderson_damping": (float, 1.0, "mixing damping delta in (0,1]"),
     "solver.anderson_reg": (float, 1e-8, "relative Tikhonov weight in the alpha solve"),
-    "solver.record_trace": (bool, True, "keep per-iteration trace"),
     "train.epochs": (int, 30, "training epochs"),
     "train.batch_size": (int, 1, "samples per parameter update"),
     "train.lr": (float, 1e-3, "learning rate"),
@@ -51,8 +41,6 @@ KNOWN_KEYS = {
     "bench.timing": (str, "wall", "wall | none (none = bitwise-reproducible CSVs)"),
 }
 
-_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
-
 
 def defaults() -> dict:
     return {k: spec[1] for k, spec in KNOWN_KEYS.items()}
@@ -63,7 +51,7 @@ def parse_value(key: str, raw: str):
         raise ConfigError(f"unknown config key: {key}")
     typ = KNOWN_KEYS[key][0]
     try:
-        return _PARSERS[typ](raw)
+        return typ(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 

@@ -143,8 +143,8 @@ def tv_denoise(x: np.ndarray, lam: float, iters: int) -> np.ndarray:
     the box-constrained dual; iters is a fixed iteration count. lam = 0
     returns x unchanged.
     """
-    if lam < 0:
-        raise ValueError("tv strength must be >= 0")
+    if not lam >= 0:
+        raise ValueError(f"tv strength must be >= 0, got {lam}")
     x = np.asarray(x, dtype=np.float64)
     if lam == 0.0 or iters < 1:
         return x.copy()
@@ -172,7 +172,7 @@ class TvDenoiser(Denoiser):
     kind = "tv"
 
     def __post_init__(self):
-        if self.lam < 0 or self.iters < 1:
+        if not self.lam >= 0 or self.iters < 1:
             raise ValueError("tv denoiser needs lam >= 0 and iters >= 1")
 
     def denoise(self, x):

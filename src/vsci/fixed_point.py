@@ -1,7 +1,8 @@
-"""Generic fixed-point solving: Picard iteration and Anderson acceleration.
+"""One fixed-point engine: Anderson acceleration, with Picard as its memory-1 case.
 
-The engine is shape-agnostic (any float ndarray) so it can drive both the
-reconstruction iteration and the adjoint (backward) iteration. Stopping rule:
+The engine is shape-agnostic (any float ndarray) so it drives the
+reconstruction iteration of every method (DE-GAP, DE-RNN and the PnP-GAP and
+PnP-ADMM baselines) and the adjoint (backward) iteration. Stopping rule:
 relative residual ||f(x_k) - x_k|| / (||x_k|| + 1e-12) <= tol; the returned
 x_hat is always the point whose residual was measured, so a converged result
 verifiably satisfies the tolerance.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,28 +112,6 @@ def _check_growth(res, best, trace, k):
         )
 
 
-def picard_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> SolveResult:
-    """Plain iteration x_{k+1} = f(x_k)."""
-    trace = IterationTrace()
-    x = memtrack.track(np.array(x0, dtype=np.float64))
-    best = np.inf
-    for k in range(1, cfg.max_iter + 1):
-        t0 = time.perf_counter()
-        fx = memtrack.track(f(x))
-        dt = time.perf_counter() - t0
-        _check_finite(fx, trace, k)
-        res = float(np.linalg.norm(fx - x))
-        rel = res / (float(np.linalg.norm(x)) + _EPS)
-        if cfg.record_trace:
-            trace.append(res, rel, dt, _trace_psnr(fx, psnr_ref))
-        if rel <= cfg.tol:
-            return SolveResult(x_hat=x, converged=True, iterations=k, trace=trace)
-        _check_growth(res, best, trace, k)
-        best = min(best, res)
-        x = fx
-    return SolveResult(x_hat=x, converged=False, iterations=cfg.max_iter, trace=trace)
-
-
 def solve_alpha(residual_matrix: np.ndarray, reg: float) -> np.ndarray:
     """Mixing weights minimizing ||A alpha||^2 subject to sum(alpha) = 1.
 
@@ -165,6 +144,10 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
     With memory 1 this reduces exactly to damped Picard. A singular mixing
     system falls back to a damped Picard step for that iteration (recorded
     in trace.fallbacks).
+
+    f is called exactly once per iteration, in order, on the iterate whose
+    residual it measures; stateful step closures (the PnP baselines) rely
+    on this.
     """
     trace = IterationTrace()
     s = cfg.anderson_memory
@@ -206,9 +189,9 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
 
 
 def solve(f, x0, cfg, method: str = "anderson", psnr_ref=None) -> SolveResult:
-    """Dispatch helper: method is "picard" or "anderson"."""
+    """Run anderson_solve; method "picard" is its memory-1, undamped case."""
     if method == "picard":
-        return picard_solve(f, x0, cfg, psnr_ref=psnr_ref)
-    if method == "anderson":
-        return anderson_solve(f, x0, cfg, psnr_ref=psnr_ref)
-    raise ValueError(f"unknown solver {method!r}")
+        cfg = replace(cfg, anderson_memory=1, anderson_damping=1.0)
+    elif method != "anderson":
+        raise ValueError(f"unknown solver {method!r}")
+    return anderson_solve(f, x0, cfg, psnr_ref=psnr_ref)

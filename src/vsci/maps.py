@@ -5,7 +5,10 @@ DeGapMap:  f(x) = D(x + Phi^T (Phi Phi^T)^{-1} (y - Phi x))   (denoise the
 DeRnnMap:  f(x) = x + gamma * cell(x, Phi^T y, Phi^T (y - Phi x)) with a
            small gated convolutional cell
 plus classical plug-and-play baselines (GAP with per-iteration TV strength,
-ADMM with a pluggable denoiser) used for stability comparisons.
+ADMM with a pluggable denoiser) used for stability comparisons. The baselines
+run as step closures through the one fixed-point engine (fixed_point.solve,
+Picard case), so every method shares its stopping rule, trace and
+divergence guard.
 
 Maps are immutable after construction; apply/vjp calls are pure. linearize(x)
 runs the forward once at x and returns a frozen snapshot whose vjp_input(v)
@@ -14,7 +17,7 @@ and grad_params(v) run only the backward pass.
 
 from __future__ import annotations
 
-import time
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,7 @@ from .conv import (
 )
 from .denoisers import Denoiser, _as_cube, _as_frames, tv_denoise
 from .errors import ShapeMismatchError
-from .fixed_point import FixedPointConfig, IterationTrace, SolveResult, _EPS, _trace_psnr
+from .fixed_point import FixedPointConfig, SolveResult, solve
 from .sci import (
     Measurement,
     SensingMask,
@@ -341,21 +344,23 @@ def pnp_admm_solve(
     tol: float = 1e-6,
     psnr_ref=None,
 ) -> SolveResult:
-    """Iterate pnp_admm_step from the canonical initializer, tracing progress."""
+    """Iterate pnp_admm_step from the canonical initializer.
+
+    The step closure owns the split state and hands the engine x, so the
+    residual is ||x_k - x_{k-1}||.
+    """
     x0 = init_estimate(mask, y)
     state = AdmmState(x=x0, v=x0.copy(), u=np.zeros_like(x0), rho=rho)
-    trace = IterationTrace()
-    for k in range(1, max_iter + 1):
-        t0 = time.perf_counter()
-        new = pnp_admm_step(state, mask, y, denoiser)
-        dt = time.perf_counter() - t0
-        res = float(np.linalg.norm(new.x - state.x))
-        rel = res / (float(np.linalg.norm(state.x)) + _EPS)
-        trace.append(res, rel, dt, _trace_psnr(new.x, psnr_ref))
-        state = new
-        if rel <= tol:
-            return SolveResult(x_hat=state.x, converged=True, iterations=k, trace=trace)
-    return SolveResult(x_hat=state.x, converged=False, iterations=max_iter, trace=trace)
+
+    def step(_x):
+        nonlocal state
+        state = pnp_admm_step(state, mask, y, denoiser)
+        # v enters x only in the next sweep, whose input checks would reject
+        # it as bad input; hand a diverged v to the engine's guard at once.
+        return state.x if np.isfinite(state.v).all() else state.v
+
+    cfg = FixedPointConfig(tol=tol, max_iter=max_iter)
+    return solve(step, x0, cfg, method="picard", psnr_ref=psnr_ref)
 
 
 def pnp_gap_solve(
@@ -372,20 +377,15 @@ def pnp_gap_solve(
     schedule = list(schedule)
     if not schedule:
         raise ValueError("schedule must contain at least one strength")
-    v = init_estimate(mask, y)
-    trace = IterationTrace()
-    for k in range(1, max_iter + 1):
-        t0 = time.perf_counter()
-        x = gap_project(mask, y, v)
-        v_new = tv_denoise(x, schedule[(k - 1) % len(schedule)], tv_iters)
-        dt = time.perf_counter() - t0
-        res = float(np.linalg.norm(v_new - v))
-        rel = res / (float(np.linalg.norm(v)) + _EPS)
-        trace.append(res, rel, dt, _trace_psnr(v_new, psnr_ref))
-        v = v_new
-        if rel <= tol:
-            return SolveResult(x_hat=v, converged=True, iterations=k, trace=trace)
-    return SolveResult(x_hat=v, converged=False, iterations=max_iter, trace=trace)
+    if not all(lam >= 0 for lam in schedule):
+        raise ValueError(f"tv strengths must be >= 0, got {schedule}")
+    strengths = itertools.cycle(schedule)
+
+    def step(v):
+        return tv_denoise(gap_project(mask, y, v), next(strengths), tv_iters)
+
+    cfg = FixedPointConfig(tol=tol, max_iter=max_iter)
+    return solve(step, init_estimate(mask, y), cfg, method="picard", psnr_ref=psnr_ref)
 
 
 def save_cell(prefix: str, cell: GatedConvCell) -> None:

@@ -1,0 +1,38 @@
+import math
+
+import pytest
+
+from vsci.bench import BenchSpec, MethodSpec, run_trajectory_bench
+from vsci.denoisers import TvDenoiser
+from vsci.maps import pnp_admm_solve
+from vsci.sci import forward, mask_generate
+from vsci.synth import SyntheticScene, synth_video
+
+SCENE = SyntheticScene(kind="moving_square", seed=0, h=12, w=12, b=2)
+
+
+def _spec(tmp_path, **kw):
+    return BenchSpec(scenes=[SCENE], methods=[MethodSpec(name="admm", denoiser="tv:0.05")],
+                     max_iter=4, timing="none", outdir=str(tmp_path), **kw)
+
+
+def test_admm_tv_denoiser_honours_tv_iters(tmp_path):
+    cube = synth_video(SCENE)
+    mask = mask_generate(0, SCENE.h, SCENE.w, SCENE.b, kind="bernoulli", p=0.5, policy="floor")
+    y = forward(mask, cube)
+
+    def direct(iters):
+        res = pnp_admm_solve(mask, y, TvDenoiser(lam=0.05, iters=iters), 0.1, 4,
+                             tol=0.0, psnr_ref=cube)
+        return res.trace.psnrs[-1]
+
+    assert direct(3) != direct(30)
+    (row,) = run_trajectory_bench(_spec(tmp_path, tv_iters=3))
+    assert row["final_psnr"] == direct(3)
+
+
+@pytest.mark.parametrize("tol", [-1e-6, math.nan])
+def test_negative_tol_rejected(tmp_path, tol):
+    with pytest.raises(ValueError, match="tol"):
+        _spec(tmp_path, tol=tol)
+

@@ -1,0 +1,96 @@
+"""The CLI's exit-code contract, driven through main(argv)."""
+
+import os
+
+import pytest
+
+from vsci.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_IO, EXIT_OK, main
+from vsci.denoisers import make_conv_residual, save_denoiser
+
+
+@pytest.fixture
+def scene(tmp_path):
+    """A 16x16x4 mask, measurement and ground truth; returns path prefixes."""
+    p = {k: str(tmp_path / k) for k in ("mask", "y.vsci", "gt.vsci")}
+    assert main(["mask", "--seed", "0", "--height", "16", "--width", "16", "--frames", "4",
+                 "--policy", "floor", "--out", p["mask"]]) == EXIT_OK
+    assert main(["simulate", "--height", "16", "--width", "16", "--frames", "4",
+                 "--mask", p["mask"], "--out-cube", p["gt.vsci"],
+                 "--out-meas", p["y.vsci"]]) == EXIT_OK
+    return p
+
+
+def _reconstruct(scene, out, *extra):
+    return main(["reconstruct", "--mask", scene["mask"], "--measurement", scene["y.vsci"],
+                 "--out", out, *extra])
+
+
+def _bench(outdir, *methods):
+    return main(["bench", "--height", "12", "--width", "12", "--frames", "2", "--n-scenes", "1",
+                 "--max-iter", "4", "--timing", "none", "--outdir", outdir,
+                 "--methods", *methods])
+
+
+def test_success_exits_0(scene, tmp_path):
+    out = str(tmp_path / "x.vsci")
+    assert _reconstruct(scene, out, "--gt", scene["gt.vsci"], "--max-iter", "5") == EXIT_OK
+    assert os.path.exists(out)
+
+
+def test_unknown_config_key_exits_2(scene, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("solver.tol = 1e-3\nsolver.no_such_key = 1\n", encoding="utf-8")
+    out = str(tmp_path / "x.vsci")
+    assert _reconstruct(scene, out, "--config", str(cfg)) == EXIT_CONFIG
+    assert not os.path.exists(out)
+
+
+def test_unknown_bench_method_exits_2(tmp_path):
+    assert _bench(str(tmp_path / "b"), "no_such_method") == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("extra", [
+    ("--method", "pnp-gap", "--schedule", "nan"),
+    ("--method", "pnp-gap", "--schedule", "0.05,-1"),
+    ("--method", "pnp-admm", "--tv-lam", "-1"),
+    ("--method", "pnp-admm", "--tv-lam", "nan"),
+])
+def test_bad_tv_strength_exits_2_and_writes_nothing(scene, tmp_path, extra):
+    out = str(tmp_path / "x.vsci")
+    assert _reconstruct(scene, out, "--max-iter", "3", *extra) == EXIT_CONFIG
+    assert not os.path.exists(out)
+
+
+def test_missing_measurement_exits_3(scene, tmp_path):
+    out = str(tmp_path / "x.vsci")
+    code = main(["reconstruct", "--mask", scene["mask"],
+                 "--measurement", str(tmp_path / "absent.vsci"), "--out", out])
+    assert code == EXIT_IO
+    assert not os.path.exists(out)
+
+
+def test_unnormalized_checkpoint_diverges_exits_4(scene, tmp_path):
+    ckpt = str(tmp_path / "wild")
+    save_denoiser(ckpt, make_conv_residual(1, channels=4, n_layers=2, gamma=0.9,
+                                           init="random", noise_scale=50))
+    out = str(tmp_path / "x.vsci")
+    assert _reconstruct(scene, out, "--method", "de-gap", "--checkpoint", ckpt) == EXIT_DIVERGED
+    assert not os.path.exists(out)
+
+
+def test_gradcheck_over_threshold_exits_5():
+    assert main(["gradcheck", "--probes", "2", "--threshold", "0"]) == EXIT_GRADCHECK
+
+
+def test_bench_timing_none_is_bitwise_reproducible(tmp_path):
+    methods = ("de_gap", "de_rnn", "pnp_gap:0.1,0.05", "admm:rho=0.1,denoiser=tv:0.05")
+    dirs = [str(tmp_path / name) for name in ("a", "b")]
+    for d in dirs:
+        assert _bench(d, *methods) == EXIT_OK
+    names = sorted(os.listdir(dirs[0]))
+    assert names == sorted(os.listdir(dirs[1]))
+    assert len(names) == 5  # four trace CSVs and the summary
+    for name in names:
+        with open(os.path.join(dirs[0], name), "rb") as fa, \
+                open(os.path.join(dirs[1], name), "rb") as fb:
+            assert fa.read() == fb.read(), name

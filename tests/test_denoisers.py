@@ -96,6 +96,13 @@ class TestTv:
         e_oracle = tv_energy(z.reshape(1, 8, 1), x, lam)
         assert abs(e_out - e_oracle) <= 1e-6
 
+    @pytest.mark.parametrize("lam", [-0.1, np.nan])
+    def test_bad_strength_rejected(self, lam):
+        with pytest.raises(ValueError):
+            tv_denoise(_cube((4, 4, 1), 0), lam, 5)
+        with pytest.raises(ValueError):
+            TvDenoiser(lam=lam)
+
     def test_energy_never_worse_than_input(self):
         x = _cube((8, 8, 2), 3)
         out = tv_denoise(x, 0.05, 500)

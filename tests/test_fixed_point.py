@@ -5,7 +5,7 @@ from vsci.errors import DivergedError, SingularAlphaError
 from vsci.fixed_point import (
     FixedPointConfig,
     anderson_solve,
-    picard_solve,
+    solve,
     solve_alpha,
 )
 
@@ -25,7 +25,7 @@ def contraction_16(seed, radius):
 class TestPicard:
     def test_half_map_converges_within_60(self):
         cfg = FixedPointConfig(tol=1e-6, max_iter=100)
-        res = picard_solve(lambda x: 0.5 * x, np.ones(4), cfg)
+        res = solve(lambda x: 0.5 * x, np.ones(4), cfg, method="picard")
         # iterations counts map evaluations; the accepted iterate is x_{k-1},
         # so "within 60 iterates" allows 61 evaluations
         assert res.converged and res.iterations - 1 <= 60
@@ -37,7 +37,7 @@ class TestPicard:
     def test_identity_converges_at_one(self):
         cfg = FixedPointConfig(tol=1e-6, max_iter=10)
         x0 = np.arange(5, dtype=float)
-        res = picard_solve(lambda x: x, x0, cfg)
+        res = solve(lambda x: x, x0, cfg, method="picard")
         assert res.converged and res.iterations == 1
         assert res.trace.residuals[0] == 0.0
         np.testing.assert_array_equal(res.x_hat, x0)
@@ -45,7 +45,7 @@ class TestPicard:
     def test_affine_matches_dense_solve(self):
         a, b = contraction_16(0, 0.8)
         cfg = FixedPointConfig(tol=1e-12, max_iter=500)
-        res = picard_solve(affine_map(a, b), np.zeros(16), cfg)
+        res = solve(affine_map(a, b), np.zeros(16), cfg, method="picard")
         expected = np.linalg.solve(np.eye(16) - a, b)
         assert res.converged
         np.testing.assert_allclose(res.x_hat, expected, atol=1e-8)
@@ -56,14 +56,14 @@ class TestPicard:
 
         cfg = FixedPointConfig(tol=1e-12, max_iter=100)
         with pytest.raises(DivergedError) as exc:
-            picard_solve(f, np.ones(4), cfg)
+            solve(f, np.ones(4), cfg, method="picard")
         assert exc.value.trace is not None
         assert exc.value.iterations >= 1
 
     def test_growth_guard(self):
         cfg = FixedPointConfig(tol=1e-16, max_iter=10_000)
         with pytest.raises(DivergedError):
-            picard_solve(lambda x: 1.5 * x, np.ones(3), cfg)
+            solve(lambda x: 1.5 * x, np.ones(3), cfg, method="picard")
 
     def test_contraction_ratio_property(self):
         for seed, c in ((1, 0.3), (2, 0.6), (3, 0.9)):
@@ -73,7 +73,7 @@ class TestPicard:
             a *= c / lip
             lip = c
             cfg = FixedPointConfig(tol=1e-13, max_iter=400)
-            res = picard_solve(affine_map(a, b), np.zeros(16), cfg)
+            res = solve(affine_map(a, b), np.zeros(16), cfg, method="picard")
             r = np.array(res.trace.residuals)
             ratios = r[6:] / r[5:-1]
             ratios = ratios[r[5:-1] > 1e-13]
@@ -82,8 +82,8 @@ class TestPicard:
     def test_determinism_bitwise(self):
         a, b = contraction_16(4, 0.7)
         cfg = FixedPointConfig(tol=1e-10, max_iter=300)
-        r1 = picard_solve(affine_map(a, b), np.zeros(16), cfg)
-        r2 = picard_solve(affine_map(a, b), np.zeros(16), cfg)
+        r1 = solve(affine_map(a, b), np.zeros(16), cfg, method="picard")
+        r2 = solve(affine_map(a, b), np.zeros(16), cfg, method="picard")
         assert r1.x_hat.tobytes() == r2.x_hat.tobytes()
         assert r1.trace.residuals == r2.trace.residuals
 
@@ -149,7 +149,7 @@ class TestAnderson:
         a, b = contraction_16(8, 0.8)
         f = affine_map(a, b)
         cfg = FixedPointConfig(tol=1e-10, max_iter=2000)
-        pic = picard_solve(f, np.zeros(16), cfg)
+        pic = solve(f, np.zeros(16), cfg, method="picard")
         and_ = anderson_solve(f, np.zeros(16), cfg)
         assert and_.converged
         np.testing.assert_allclose(and_.x_hat, pic.x_hat, atol=1e-8)
@@ -159,7 +159,7 @@ class TestAnderson:
         a, b = contraction_16(9, 0.99)
         f = affine_map(a, b)
         cfg = FixedPointConfig(tol=1e-9, max_iter=20_000)
-        pic = picard_solve(f, np.zeros(16), cfg)
+        pic = solve(f, np.zeros(16), cfg, method="picard")
         and_ = anderson_solve(f, np.zeros(16), FixedPointConfig(tol=1e-9, max_iter=20_000))
         assert pic.converged and and_.converged
         assert and_.iterations <= pic.iterations
@@ -186,7 +186,7 @@ class TestAnderson:
 class TestTraceCsv:
     def test_columns_and_empty_psnr(self, tmp_path):
         cfg = FixedPointConfig(tol=1e-4, max_iter=50)
-        res = picard_solve(lambda x: 0.5 * x, np.ones(3), cfg)
+        res = solve(lambda x: 0.5 * x, np.ones(3), cfg, method="picard")
         path = str(tmp_path / "trace.csv")
         res.trace.to_csv(path)
         lines = open(path).read().strip().split("\n")

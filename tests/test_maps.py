@@ -7,9 +7,10 @@ import pytest
 import vsci.denoisers
 import vsci.maps
 from helpers import dense_phi, random_mask, unvec, vec
+from vsci.cli import main
 from vsci.denoisers import IdentityDenoiser, ScaleShiftDenoiser, make_conv_residual
-from vsci.errors import UnsupportedDenoiserOpError
-from vsci.fixed_point import FixedPointConfig, picard_solve
+from vsci.errors import DivergedError, UnsupportedDenoiserOpError
+from vsci.fixed_point import FixedPointConfig, solve
 from vsci.maps import (
     AdmmState,
     DeGapMap,
@@ -44,14 +45,15 @@ class TestDeGap:
         fmap = DeGapMap(denoiser=ScaleShiftDenoiser(a=0.0), mask=mask, y=y)
         rng = np.random.default_rng(0)
         assert (fmap.apply(rng.random(cube.shape)) == 0).all()
-        res = picard_solve(fmap.apply, init_estimate(mask, y), FixedPointConfig(tol=1e-12, max_iter=50))
+        res = solve(fmap.apply, init_estimate(mask, y), FixedPointConfig(tol=1e-12, max_iter=50),
+                    method="picard")
         assert np.linalg.norm(res.x_hat) <= 1e-12
 
     def test_scale_half_fixed_point_matches_dense_solve(self):
         mask, cube, y = _instance(2, 3, 3, 2)
         fmap = DeGapMap(denoiser=ScaleShiftDenoiser(a=0.5), mask=mask, y=y)
-        res = picard_solve(fmap.apply, init_estimate(mask, y),
-                           FixedPointConfig(tol=1e-13, max_iter=500))
+        res = solve(fmap.apply, init_estimate(mask, y),
+                    FixedPointConfig(tol=1e-13, max_iter=500), method="picard")
         phi = dense_phi(mask)
         n = phi.shape[1]
         m_null = np.eye(n) - phi.T @ np.linalg.inv(phi @ phi.T) @ phi
@@ -100,7 +102,7 @@ class TestDeRnn:
         fmap = DeRnnMap(cell=make_gated_cell(0), mask=mask, y=y)
         x = np.random.default_rng(0).random(cube.shape)
         np.testing.assert_array_equal(fmap.apply(x), x)
-        res = picard_solve(fmap.apply, init_estimate(mask, y), FixedPointConfig())
+        res = solve(fmap.apply, init_estimate(mask, y), FixedPointConfig(), method="picard")
         assert res.converged and res.iterations == 1
 
     def test_gamma_zero_identity_any_params(self):
@@ -346,3 +348,66 @@ class TestAdmmGapAgreement:
         admm = pnp_admm_solve(mask, y, IdentityDenoiser(), rho=0.1, max_iter=60, tol=0.0)
         for res in (gap, admm):
             assert np.max(np.abs(forward(mask, res.x_hat).data - y.data)) <= 1e-6
+
+
+def _nan_from_third_call(fn):
+    """fn, except that its third and later calls return NaN of the same shape."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        out = fn(*args)
+        return out * np.nan if len(calls) >= 3 else out
+
+    wrapped.calls = calls
+    return wrapped
+
+
+class _NanFromThirdCall(IdentityDenoiser):
+    """Identity denoiser whose third and later outputs are NaN."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def denoise(self, x):
+        self.calls += 1
+        out = super().denoise(x)
+        return out * np.nan if self.calls >= 3 else out
+
+
+class TestDivergenceGuard:
+    def test_pnp_gap_nan_denoiser_raises_with_partial_trace(self, monkeypatch):
+        mask, cube, y = _instance(17, 6, 6, 2)
+        monkeypatch.setattr(vsci.maps, "tv_denoise", _nan_from_third_call(vsci.maps.tv_denoise))
+        with pytest.raises(DivergedError) as exc:
+            pnp_gap_solve(mask, y, [0.05], 10, tv_iters=5, tol=0.0, psnr_ref=cube)
+        assert exc.value.iterations == 3
+        assert len(exc.value.trace) == 2 and len(exc.value.trace.psnrs) == 2
+
+    def test_pnp_admm_nan_denoiser_raises_with_partial_trace(self):
+        mask, cube, y = _instance(18, 6, 6, 2)
+        den = _NanFromThirdCall()
+        with pytest.raises(DivergedError) as exc:
+            pnp_admm_solve(mask, y, den, rho=0.1, max_iter=10, tol=0.0, psnr_ref=cube)
+        assert den.calls == 3 and exc.value.iterations == 3
+        assert len(exc.value.trace) == 2 and len(exc.value.trace.psnrs) == 2
+
+    def test_bad_schedule_rejected_before_any_iteration(self, monkeypatch):
+        mask, cube, y = _instance(19, 6, 6, 2)
+        tv = _nan_from_third_call(vsci.maps.tv_denoise)
+        monkeypatch.setattr(vsci.maps, "tv_denoise", tv)
+        for schedule in ([0.05, np.nan], [0.05, -0.01]):
+            with pytest.raises(ValueError):
+                pnp_gap_solve(mask, y, schedule, 10, tol=0.0)
+        assert tv.calls == []
+
+    def test_bench_reports_diverged_cell(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(vsci.maps, "tv_denoise", _nan_from_third_call(vsci.maps.tv_denoise))
+        outdir = str(tmp_path / "bench")
+        assert main(["bench", "--height", "8", "--width", "8", "--frames", "2",
+                     "--n-scenes", "1", "--max-iter", "5", "--timing", "none",
+                     "--outdir", outdir, "--methods", "pnp_gap:0.05"]) == 0
+        assert "moving_square_s0/pnp_gap: DIVERGED" in capsys.readouterr().out
+        with open(tmp_path / "bench" / "summary.csv", encoding="utf-8") as fh:
+            row = fh.read().splitlines()[1].split(",")
+        assert row[:3] == ["moving_square_s0", "pnp_gap", "nan"]
