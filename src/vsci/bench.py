@@ -75,6 +75,8 @@ class BenchSpec:
             raise ValueError("need at least one scene and one method")
         if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if self.tv_iters < 1:
+            raise ValueError(f"tv_iters must be >= 1, got {self.tv_iters}")
 
 
 def _scene_tag(scene: SyntheticScene) -> str:

@@ -144,7 +144,7 @@ def _reconstruct(args, cfg):
         result = pnp_gap_solve(mask, y, schedule, solver_cfg.max_iter,
                                tv_iters=args.tv_iters, tol=solver_cfg.tol, psnr_ref=gt)
     elif args.method == "pnp-admm":
-        den = TvDenoiser(lam=args.tv_lam, iters=args.tv_iters) if args.tv_lam != 0 else IdentityDenoiser()
+        den = TvDenoiser(lam=args.tv_lam, iters=args.tv_iters)  # lam 0 is the identity
         result = pnp_admm_solve(mask, y, den, args.rho, solver_cfg.max_iter,
                                 tol=solver_cfg.tol, psnr_ref=gt)
     else:

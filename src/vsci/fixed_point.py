@@ -141,9 +141,10 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
     Keeps the last `anderson_memory` iterates and their images; each step
     mixes them with solve_alpha weights:
         x_{k+1} = (1 - delta) sum_i alpha_i x_i + delta sum_i alpha_i f(x_i).
-    With memory 1 this reduces exactly to damped Picard. A singular mixing
-    system falls back to a damped Picard step for that iteration (recorded
-    in trace.fallbacks).
+    With memory 1, alpha is exactly [1], so the step is computed directly as
+    damped Picard, (1 - delta) x + delta f(x), with no mixing solve. A
+    singular mixing system falls back to that damped Picard step for one
+    iteration (recorded in trace.fallbacks).
 
     f is called exactly once per iteration, in order, on the iterate whose
     residual it measures; stateful step closures (the PnP baselines) rely
@@ -169,6 +170,12 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
             return SolveResult(x_hat=x, converged=True, iterations=k, trace=trace)
         _check_growth(res, best, trace, k)
         best = min(best, res)
+        if s == 1:  # alpha is exactly [1]: the mix is the damped Picard step
+            if cfg.record_trace:
+                trace.alpha_errors.append(0.0)
+                trace.fallbacks.append(False)
+            x = memtrack.track((1.0 - delta) * x + delta * fx)
+            continue
         xs.append(x)
         fxs.append(fx)
         cols = np.stack([(b - a).ravel() for a, b in zip(xs, fxs)], axis=1)

@@ -379,6 +379,8 @@ def pnp_gap_solve(
         raise ValueError("schedule must contain at least one strength")
     if not all(lam >= 0 for lam in schedule):
         raise ValueError(f"tv strengths must be >= 0, got {schedule}")
+    if tv_iters < 1:
+        raise ValueError(f"tv iterations must be >= 1, got {tv_iters}")
     strengths = itertools.cycle(schedule)
 
     def step(v):

@@ -36,3 +36,9 @@ def test_negative_tol_rejected(tmp_path, tol):
     with pytest.raises(ValueError, match="tol"):
         _spec(tmp_path, tol=tol)
 
+
+
+@pytest.mark.parametrize("tv_iters", [0, -1])
+def test_tv_iters_below_one_rejected(tmp_path, tv_iters):
+    with pytest.raises(ValueError, match="tv_iters"):
+        _spec(tmp_path, tv_iters=tv_iters)

@@ -61,6 +61,15 @@ def test_bad_tv_strength_exits_2_and_writes_nothing(scene, tmp_path, extra):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("iters", ["0", "-1"])
+@pytest.mark.parametrize("method", ["pnp-gap", "pnp-admm"])
+def test_tv_iters_below_one_exits_2_and_writes_nothing(scene, tmp_path, method, iters):
+    out = str(tmp_path / "x.vsci")
+    assert _reconstruct(scene, out, "--max-iter", "3", "--method", method,
+                        "--tv-iters", iters) == EXIT_CONFIG
+    assert not os.path.exists(out)
+
+
 def test_missing_measurement_exits_3(scene, tmp_path):
     out = str(tmp_path / "x.vsci")
     code = main(["reconstruct", "--mask", scene["mask"],

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,6 +25,36 @@ from vsci.errors import UnsupportedDenoiserOpError
 
 def _cube(shape, seed):
     return np.random.default_rng(seed).random(shape)
+
+
+def _oracle_tv_denoise(x, lam, iters):
+    """Whole-cube reference for tv_denoise: the same dual projected-gradient
+    step on (H, W, B) stacks with fresh, unpadded arrays per iteration."""
+
+    def grad(z):
+        gx = np.zeros_like(z)
+        gy = np.zeros_like(z)
+        gx[:, :-1] = z[:, 1:] - z[:, :-1]
+        gy[:-1] = z[1:] - z[:-1]
+        return gx, gy
+
+    def grad_adjoint(px, py):
+        out = np.zeros_like(px)
+        out[:, :-1] -= px[:, :-1]
+        out[:, 1:] += px[:, :-1]
+        out[:-1] -= py[:-1]
+        out[1:] += py[:-1]
+        return out
+
+    x = np.asarray(x, dtype=np.float64)
+    tau = 0.125
+    px = np.zeros_like(x)
+    py = np.zeros_like(x)
+    for _ in range(iters):
+        gx, gy = grad(x - grad_adjoint(px, py))
+        px = np.clip(px + tau * gx, -lam, lam)
+        py = np.clip(py + tau * gy, -lam, lam)
+    return x - grad_adjoint(px, py)
 
 
 class TestBasicKinds:
@@ -56,7 +87,47 @@ class TestBasicKinds:
 class TestTv:
     def test_lam_zero_identity(self):
         x = _cube((6, 6, 2), 0)
-        np.testing.assert_array_equal(tv_denoise(x, 0.0, 50), x)
+        out = tv_denoise(x, 0.0, 50)
+        np.testing.assert_array_equal(out, x)
+        assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 9, 2), (9, 1, 2), (3, 5, 1),
+                                       (17, 23, 3), (64, 64, 8)])
+    @pytest.mark.parametrize("lam", [0.01, 0.05, 0.5])
+    @pytest.mark.parametrize("iters", [1, 2, 30])
+    def test_bitwise_equal_to_whole_cube_oracle(self, shape, lam, iters):
+        x = _cube(shape, 5)
+        x0 = x.copy()
+        out = tv_denoise(x, lam, iters)
+        assert np.array_equal(out, _oracle_tv_denoise(x, lam, iters))
+        assert np.array_equal(x, x0)
+
+    def test_noncontiguous_and_integer_inputs_match_oracle(self):
+        xt = _cube((6, 17, 11), 6).transpose(1, 2, 0)  # (17, 11, 6) view
+        assert not xt.flags.c_contiguous
+        assert np.array_equal(tv_denoise(xt, 0.05, 7), _oracle_tv_denoise(xt, 0.05, 7))
+        xi = np.random.default_rng(7).integers(0, 4, (9, 7, 2))
+        assert np.array_equal(tv_denoise(xi, 0.5, 7), _oracle_tv_denoise(xi, 0.5, 7))
+
+    @pytest.mark.parametrize("iters", [0, -1])
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_iters_below_one_rejected(self, iters, lam):
+        with pytest.raises(ValueError, match="iterations"):
+            tv_denoise(_cube((4, 4, 1), 0), lam, iters)
+        with pytest.raises(ValueError):
+            TvDenoiser(lam=lam, iters=iters)
+
+    def test_peak_allocation_within_three_cubes(self):
+        # every per-iteration update is in place; fresh per-iteration arrays
+        # put the traced peak at 8x the cube
+        x = _cube((64, 64, 8), 8)
+        tracemalloc.start()
+        try:
+            tv_denoise(x, 0.05, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.nbytes
 
     def test_constant_frame_unchanged(self):
         x = np.full((5, 5, 1), 0.7)

@@ -144,6 +144,10 @@ class TestAnderson:
             x = (1.0 - 0.6) * x + 0.6 * fx
         np.testing.assert_allclose(res.trace.residuals, manual, rtol=1e-12)
         np.testing.assert_allclose(res.x_hat, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
+        # the memory-1 step is this loop's formula, so the match is bitwise
+        assert res.trace.residuals == manual
+        assert np.array_equal(res.x_hat, x)
+        assert res.trace.alpha_errors == [0.0] * 50 and not any(res.trace.fallbacks)
 
     def test_same_fixed_point_as_picard_and_not_slower(self):
         a, b = contraction_16(8, 0.8)

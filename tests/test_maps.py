@@ -300,6 +300,15 @@ class TestPnpGap:
         res = pnp_gap_solve(mask, y, [0.05, 0.01], 5, tv_iters=10, tol=0.0, psnr_ref=cube)
         assert res.iterations == 5
 
+    @pytest.mark.parametrize("tv_iters", [0, -1])
+    def test_tv_iters_below_one_rejected_before_first_step(self, monkeypatch, tv_iters):
+        mask, cube, y = _instance(12, 6, 6, 2)
+        calls = []
+        monkeypatch.setattr(vsci.maps, "gap_project", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="tv iterations"):
+            pnp_gap_solve(mask, y, [0.05], 5, tv_iters=tv_iters, tol=0.0)
+        assert calls == []
+
 
 class TestPnpAdmm:
     def test_large_rho_keeps_x_near_z(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -45,3 +47,28 @@ def test_identical_frames_score_one():
     per_frame, mean = ssim(frame, frame.copy())
     assert abs(_oracle_ssim_frame(frame[:, :, 0], frame[:, :, 0]) - 1.0) <= 1e-10
     assert abs(per_frame[0] - 1.0) <= 1e-10 and abs(mean - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(11, 11, 2), (11, 40, 3), (40, 12, 2)])
+def test_ssim_matches_oracle_on_small_and_nonsquare_frames(shape):
+    rng = np.random.default_rng(3)
+    ref = rng.random(shape)
+    est = np.clip(ref + 0.1 * rng.standard_normal(shape), 0.0, 1.0)
+    per_frame, _ = ssim(est, ref)
+    expected = [_oracle_ssim_frame(est[:, :, k], ref[:, :, k]) for k in range(shape[2])]
+    np.testing.assert_allclose(per_frame, expected, rtol=0, atol=1e-10)
+
+
+def test_ssim_peak_allocation_within_three_cubes():
+    # the separable filter keeps a few frame-sized arrays alive; an 11x11
+    # sliding-window product put the traced peak at 15x the cube
+    rng = np.random.default_rng(4)
+    ref = rng.random((64, 64, 8))
+    est = rng.random((64, 64, 8))
+    tracemalloc.start()
+    try:
+        ssim(est, ref)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * est.nbytes
