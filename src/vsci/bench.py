@@ -122,9 +122,26 @@ def _write_trace_csv(path: str, trace, timing: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _unique_labels(methods) -> list:
+    """Each method's label; a repeat gets the first free suffix _2, _3, ... in spec order."""
+    labels = []
+    for m in methods:
+        label, n = m.label, 1
+        while label in labels:
+            n += 1
+            label = f"{m.label}_{n}"
+        labels.append(label)
+    return labels
+
+
 def run_trajectory_bench(bench: BenchSpec):
-    """Run every scene x method cell; returns the summary rows and writes CSVs."""
+    """Run every scene x method cell; returns the summary rows and writes CSVs.
+
+    Cells are named by scene and method label; repeated labels are made
+    unique (see _unique_labels), so no trace file overwrites another.
+    """
     os.makedirs(bench.outdir, exist_ok=True)
+    labels = _unique_labels(bench.methods)
     rows = []
     for scene in bench.scenes:
         cube = synth_video(scene)
@@ -135,8 +152,8 @@ def run_trajectory_bench(bench: BenchSpec):
         y = forward(mask, cube)
         if bench.noise_sigma > 0:
             y = add_noise(y, bench.noise_sigma, bench.noise_seed)
-        for method in bench.methods:
-            tag = f"{_scene_tag(scene)}_{method.label}"
+        for method, label in zip(bench.methods, labels):
+            tag = f"{_scene_tag(scene)}_{label}"
             t0 = time.perf_counter()
             try:
                 result = _run_method(method, mask, y, cube, bench)
@@ -152,7 +169,7 @@ def run_trajectory_bench(bench: BenchSpec):
                 _write_trace_csv(os.path.join(bench.outdir, f"trace_{tag}.csv"), trace, bench.timing)
             if diverged or trace is None or not trace.psnrs:
                 rows.append({
-                    "scene": _scene_tag(scene), "method": method.label,
+                    "scene": _scene_tag(scene), "method": label,
                     "final_psnr": math.nan, "max_psnr": math.nan, "drop_db": math.nan,
                     "mean_ssim": math.nan, "sec_per_meas": wall, "diverged": True,
                 })
@@ -161,7 +178,7 @@ def run_trajectory_bench(bench: BenchSpec):
             max_psnr = max(trace.psnrs)
             _, mean_ssim = ssim(np.clip(x_hat, 0.0, 1.0), cube)
             rows.append({
-                "scene": _scene_tag(scene), "method": method.label,
+                "scene": _scene_tag(scene), "method": label,
                 "final_psnr": final_psnr, "max_psnr": max_psnr,
                 "drop_db": max_psnr - final_psnr, "mean_ssim": mean_ssim,
                 "sec_per_meas": wall, "diverged": False,

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: mask, simulate, reconstruct, train, gradcheck, spectrum, bench.
-Exit codes: 0 ok, 2 config error, 3 I/O error, 4 diverged, 5 gradcheck over
-threshold. Every command is deterministic given its seeds (bench timing
-columns excepted unless bench.timing=none).
+Exit codes: 0 ok, 2 config error, 3 I/O error, 4 diverged (a solve, or a
+training run that aborted), 5 gradcheck over threshold. Every command is
+deterministic given its seeds (bench timing columns excepted unless
+bench.timing=none).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .denoisers import (
     make_conv_residual,
     save_denoiser,
 )
-from .errors import ConfigError, DivergedError, TensorFileError, VsciError
+from .errors import ConfigError, DivergedError, TensorFileError, TrainingAbortedError, VsciError
 from .fixed_point import FixedPointConfig, solve
 from .maps import DeGapMap, DeRnnMap, load_cell, make_gated_cell, pnp_admm_solve, pnp_gap_solve
 from .metrics import psnr, ssim
@@ -469,6 +470,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except DivergedError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except TrainingAbortedError as exc:
+        print(f"training aborted: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (ValueError, VsciError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

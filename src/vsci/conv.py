@@ -9,12 +9,18 @@ identities are exercised by tests:
     <conv(x, K), v> == <K, conv_grad_kernel(x, v)>  (bias handled separately)
 
 Every kernel works on the kh*kw shifted views of the zero-padded input, one
-per kernel tap. ``conv_forward`` picks its path from the kernel's shape:
+per kernel tap. ``conv_forward`` picks its path from the kernel's shape, so
+that it shifts kh*kw*min(C_in, C_out) planes and no more:
 
 - C_in == 1: im2col. The kh*kw shifted frames are copied into one column
   buffer and contracted with the kernel in a single GEMM.
-- C_in > 1: one ``(F, H, W, C_in) @ (C_in, C_out)`` matmul per tap,
-  accumulated into one preallocated output.
+- 1 < C_in, C_out < C_in (a narrowing layer): one GEMM on the padded input,
+  ``(kh*kw*C_out, C_in) @ (C_in, F*Hp*Wp)``, gives one C_out-channel plane
+  per tap; the kh*kw planes, each shifted by its tap, are then summed. The
+  sum over taps and channels is reassociated, so results differ from the
+  per-tap path by rounding only.
+- otherwise (C_out >= C_in > 1): one ``(F, H, W, C_in) @ (C_in, C_out)``
+  matmul per tap, accumulated into one preallocated output.
 
 ``conv_adjoint_input`` is a forward conv with the flipped, transposed kernel,
 so it takes the same rule with C_in and C_out swapped.
@@ -25,17 +31,40 @@ from __future__ import annotations
 import numpy as np
 
 
+def _pad(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Zero-pad the spatial axes of x by half the (odd) kernel size."""
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError(f"kernel size must be odd, got {kh}x{kw}")
+    f, h, w, c = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((f, h + 2 * ph, w + 2 * pw, c))
+    xp[:, ph : ph + h, pw : pw + w] = x
+    return xp
+
+
 def _taps(x: np.ndarray, kh: int, kw: int) -> list[tuple[int, int, np.ndarray]]:
     """Zero-pad x spatially; return (i, j, view) per kernel tap.
 
     ``view[f, r, c] = x_padded[f, r + i, c + j]`` has the shape of x.
     """
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError(f"kernel size must be odd, got {kh}x{kw}")
     _, h, w, _ = x.shape
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    xp = _pad(x, kh, kw)
     return [(i, j, xp[:, i : i + h, j : j + w]) for i in range(kh) for j in range(kw)]
+
+
+def _narrowing_forward(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """conv_forward without bias for C_out < C_in: one GEMM, then shifted adds."""
+    c_out, c_in, kh, kw = kernel.shape
+    f, h, w, _ = x.shape
+    xp = _pad(x, kh, kw)
+    hp, wp = xp.shape[1:3]
+    k2 = kernel.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
+    planes = (k2 @ xp.reshape(-1, c_in).T).reshape(kh, kw, c_out, f, hp, wp)
+    out = np.zeros((c_out, f, h, w))
+    for i in range(kh):
+        for j in range(kw):
+            out += planes[i, j, :, :, i : i + h, j : j + w]
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
@@ -43,19 +72,23 @@ def conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = No
     c_out, c_in, kh, kw = kernel.shape
     if x.shape[-1] != c_in:
         raise ValueError(f"input has {x.shape[-1]} channels, kernel expects {c_in}")
-    taps = _taps(x, kh, kw)
     out_shape = x.shape[:-1] + (c_out,)
     if c_in == 1:
-        cols = np.stack([xs[..., 0] for _, _, xs in taps])  # (kh*kw, F, H, W)
+        cols = np.stack([xs[..., 0] for _, _, xs in _taps(x, kh, kw)])  # (kh*kw, F, H, W)
         out = cols.reshape(kh * kw, -1).T @ kernel.reshape(c_out, kh * kw).T
         out = out.reshape(out_shape)
+    elif c_out < c_in:
+        out = _narrowing_forward(x, kernel)
     else:
         out = np.zeros(out_shape)
         tmp = np.empty(out_shape)
-        for i, j, xs in taps:
+        for i, j, xs in _taps(x, kh, kw):
             out += np.matmul(xs, kernel[:, :, i, j].T, out=tmp)
     if bias is not None:
-        out += bias
+        # one bias row per image row gives a long inner loop, not one of C_out
+        # elements; out is C-contiguous on every path, so the reshape is a view
+        rows = out.reshape(-1, out.shape[2] * c_out)
+        rows += np.tile(bias, out.shape[2])
     return out
 
 

@@ -44,9 +44,10 @@ def _moving_square(scene: SyntheticScene) -> np.ndarray:
 
 
 def _shifting_gradient(scene: SyntheticScene) -> np.ndarray:
+    rng = np.random.default_rng(scene.seed)
     h, w, b = scene.h, scene.w, scene.b
     span = max(h + w - 2, 1)
-    base = (np.arange(h)[:, None] + np.arange(w)[None, :]) / span
+    base = (np.arange(h)[:, None] + np.arange(w)[None, :]) / span + rng.random()
     phase = scene.amplitude / max(h, w)
     return np.stack([(base + k * phase) % 1.0 for k in range(b)], axis=2)
 

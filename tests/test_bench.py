@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -42,3 +43,15 @@ def test_negative_tol_rejected(tmp_path, tol):
 def test_tv_iters_below_one_rejected(tmp_path, tv_iters):
     with pytest.raises(ValueError, match="tv_iters"):
         _spec(tmp_path, tv_iters=tv_iters)
+
+
+def test_repeated_method_labels_get_suffixes(tmp_path):
+    methods = [MethodSpec(name="admm", rho=0.1, denoiser="tv:0.05"), MethodSpec(name="admm")]
+    rows = run_trajectory_bench(BenchSpec(scenes=[SCENE], methods=methods, max_iter=4,
+                                          timing="none", outdir=str(tmp_path)))
+    assert [r["method"] for r in rows] == ["admm", "admm_2"]
+    assert rows[0]["final_psnr"] != rows[1]["final_psnr"]
+    assert sorted(os.listdir(tmp_path)) == [
+        "summary.csv", "trace_moving_square_s0_admm.csv", "trace_moving_square_s0_admm_2.csv"]
+    summary = (tmp_path / "summary.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[1] for line in summary[1:]] == ["admm", "admm_2"]

@@ -4,8 +4,10 @@ import os
 
 import pytest
 
+import vsci.training
 from vsci.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_IO, EXIT_OK, main
 from vsci.denoisers import make_conv_residual, save_denoiser
+from vsci.errors import DivergedError
 
 
 @pytest.fixture
@@ -85,6 +87,20 @@ def test_unnormalized_checkpoint_diverges_exits_4(scene, tmp_path):
     out = str(tmp_path / "x.vsci")
     assert _reconstruct(scene, out, "--method", "de-gap", "--checkpoint", ckpt) == EXIT_DIVERGED
     assert not os.path.exists(out)
+
+
+def test_training_abort_exits_4_and_writes_no_checkpoint(tmp_path, monkeypatch, capsys):
+    def diverge(*_args, **_kwargs):
+        raise DivergedError("forced")
+
+    monkeypatch.setattr(vsci.training, "loss_gradient", diverge)
+    prefix = str(tmp_path / "model")
+    code = main(["train", "--height", "8", "--width", "8", "--frames", "2",
+                 "--train-scenes", "2", "--val-scenes", "0", "--epochs", "1",
+                 "--out-prefix", prefix])
+    assert code == EXIT_DIVERGED
+    assert "training aborted: epoch 0: 2/2 samples diverged" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_gradcheck_over_threshold_exits_5():

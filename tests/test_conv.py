@@ -79,7 +79,7 @@ def test_softplus_sigmoid_consistent():
     assert sigmoid(np.array([-800.0]))[0] == 0.0
 
 
-CHANNELS = [(1, 1), (8, 1), (1, 8), (8, 8), (4, 3)]  # (C_out, C_in): both conv paths
+CHANNELS = [(1, 1), (8, 1), (1, 8), (8, 8), (4, 3), (2, 8)]  # (C_out, C_in): every conv path
 KERNELS = [(1, 1), (3, 3), (5, 5), (3, 5)]
 
 

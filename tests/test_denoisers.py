@@ -243,6 +243,51 @@ class TestConvResidual:
         np.testing.assert_array_equal(d.get_theta(), theta)
 
 
+class TestTiledForward:
+    # (shape, TILE_ELEMS) for 4 channels, where one activation row holds 4W
+    # elements: H=13 in 4-row tiles ends in a one-row tile; B=1 in 3-row
+    # tiles; 1-row tiles narrower than the halo; blocks of two whole frames.
+    @pytest.mark.parametrize("shape, budget", [
+        ((13, 6, 3), 4 * 6 * 4),
+        ((10, 7, 1), 3 * 7 * 4),
+        ((5, 6, 2), 1 * 6 * 4),
+        ((6, 5, 5), 2 * 6 * 5 * 4),
+    ], ids=["rows4", "rows3-b1", "rows1", "frames2"])
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize("n_layers", [2, 3])
+    def test_tiles_equal_one_tile(self, monkeypatch, n_layers, kernel, shape, budget):
+        d = make_conv_residual(21, channels=4, n_layers=n_layers, kernel=kernel,
+                               init="random", noise_scale=0.3, gamma=0.4)
+        x = _cube(shape, 22)
+        one_out, one_lin = d.denoise(x), d.linearize(x)
+        calls = []
+        conv_forward = vsci.denoisers.conv_forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return conv_forward(*args, **kwargs)
+
+        monkeypatch.setattr(vsci.denoisers, "conv_forward", counted)
+        monkeypatch.setattr(vsci.denoisers, "TILE_ELEMS", budget)
+        out, lin = d.denoise(x), d.linearize(x)
+        assert len(calls) > 2 * n_layers  # the input was split
+        assert np.array_equal(out, one_out)
+        for a, b in zip(lin.acts + lin.slopes, one_lin.acts + one_lin.slopes):
+            assert np.array_equal(a, b)
+
+    def test_denoise_peak_allocation_within_four_cubes(self):
+        # full-size temporaries per layer put the traced peak at 27x the cube
+        d = make_conv_residual(0, channels=8, n_layers=2, gamma=0.3)
+        x = _cube((256, 256, 8), 23)
+        tracemalloc.start()
+        try:
+            d.denoise(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * x.nbytes
+
+
 class TestLinearize:
     @pytest.mark.parametrize("d", [
         make_conv_residual(12, channels=4, n_layers=3, init="random", gamma=0.3, noise_scale=0.3),
