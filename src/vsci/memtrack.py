@@ -2,9 +2,10 @@
 
 The fixed-point engine registers every iterate-sized array it retains; a
 weakref finalizer decrements the live count the moment CPython drops the
-last reference. Because histories are bounded deques, the peak live count
-reaches a plateau after a few iterations and is independent of how many
-iterations a solve runs - which is exactly what the tests assert.
+last reference. The engine's Anderson history is two ring buffers allocated
+once per solve, so the peak live count reaches a plateau after a few
+iterations and is independent of how many iterations a solve runs - which is
+exactly what the tests assert.
 
 Disabled by default (zero overhead beyond one if-check).
 """

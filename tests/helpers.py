@@ -1,11 +1,23 @@
-"""Independent dense-matrix oracles used across the test suite.
+"""Independent dense-matrix oracles and measurement helpers for the test suite.
 
-Everything here builds the sensing operator explicitly as an n x nB matrix
-of concatenated diagonals and works with plain linear algebra, staying
-independent of the elementwise code paths it checks.
+The oracles build the sensing operator explicitly as an n x nB matrix of
+concatenated diagonals and work with plain linear algebra, staying
+independent of the elementwise code paths they check.
 """
 
+import tracemalloc
+
 import numpy as np
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated, as traced by tracemalloc, while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dense_phi(mask) -> np.ndarray:

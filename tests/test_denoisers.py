@@ -1,11 +1,11 @@
 import gc
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import vsci.denoisers
+from helpers import traced_peak
 from vsci.conv import dense_conv_matrix
 from vsci.denoisers import (
     ConvResidualDenoiser,
@@ -121,13 +121,7 @@ class TestTv:
         # every per-iteration update is in place; fresh per-iteration arrays
         # put the traced peak at 8x the cube
         x = _cube((64, 64, 8), 8)
-        tracemalloc.start()
-        try:
-            tv_denoise(x, 0.05, 30)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * x.nbytes
+        assert traced_peak(tv_denoise, x, 0.05, 30) <= 3 * x.nbytes
 
     def test_constant_frame_unchanged(self):
         x = np.full((5, 5, 1), 0.7)
@@ -279,13 +273,7 @@ class TestTiledForward:
         # full-size temporaries per layer put the traced peak at 27x the cube
         d = make_conv_residual(0, channels=8, n_layers=2, gamma=0.3)
         x = _cube((256, 256, 8), 23)
-        tracemalloc.start()
-        try:
-            d.denoise(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * x.nbytes
+        assert traced_peak(d.denoise, x) <= 4 * x.nbytes
 
 
 class TestLinearize:

@@ -1,7 +1,11 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
-from vsci.errors import DivergedError, SingularAlphaError
+import vsci.fixed_point
+from helpers import traced_peak
+from vsci.errors import DivergedError, ShapeMismatchError, SingularAlphaError
 from vsci.fixed_point import (
     FixedPointConfig,
     anderson_solve,
@@ -20,6 +24,42 @@ def contraction_16(seed, radius):
     a *= radius / max(abs(np.linalg.eigvals(a)))
     b = rng.standard_normal(16)
     return a, b
+
+
+def _oracle_anderson(f, x0, cfg):
+    """The history-rebuilding Anderson loop (deques of iterates and images,
+    columns stacked by age, mix as Python sums) kept as the reference for the
+    ring-buffered engine. Runs all max_iter iterations: no stopping rule or
+    guards. Returns (x after the last mix, residuals, fallbacks)."""
+    s, delta = cfg.anderson_memory, cfg.anderson_damping
+    xs, fxs = deque(maxlen=s), deque(maxlen=s)
+    x = np.array(x0, dtype=np.float64)
+    residuals, fallbacks = [], []
+    for _ in range(cfg.max_iter):
+        fx = f(x)
+        residuals.append(float(np.linalg.norm(fx - x)))
+        xs.append(x)
+        fxs.append(fx)
+        cols = np.stack([(b - a).ravel() for a, b in zip(xs, fxs)], axis=1)
+        try:
+            alpha = solve_alpha(cols.T @ cols, cfg.anderson_reg)
+            fallbacks.append(False)
+            x_mix = sum(al * xi for al, xi in zip(alpha, xs))
+            f_mix = sum(al * fi for al, fi in zip(alpha, fxs))
+            x = (1.0 - delta) * x_mix + delta * f_mix
+        except SingularAlphaError:
+            fallbacks.append(True)
+            x = (1.0 - delta) * x + delta * fx
+    return x, residuals, fallbacks
+
+
+def _oracle_maps():
+    a, b = contraction_16(12, 0.9)
+    cube_b = np.random.default_rng(13).standard_normal((12, 10, 3))
+    return {
+        "contraction_16": (affine_map(a, b), np.zeros(16)),
+        "cube": (lambda x: 0.9 * np.tanh(x[::-1, :, ::-1]) + cube_b, np.zeros((12, 10, 3))),
+    }
 
 
 class TestPicard:
@@ -91,19 +131,19 @@ class TestPicard:
 class TestSolveAlpha:
     def test_single_column(self):
         a = np.random.default_rng(0).standard_normal((10, 1))
-        alpha = solve_alpha(a, 1e-8)
+        alpha = solve_alpha(a.T @ a, 1e-8)
         np.testing.assert_array_equal(alpha, [1.0])
 
     def test_two_orthogonal_equal_norm(self):
         a = np.zeros((4, 2))
         a[0, 0] = 2.0
         a[1, 1] = 2.0
-        np.testing.assert_allclose(solve_alpha(a, 1e-8), [0.5, 0.5], atol=1e-9)
+        np.testing.assert_allclose(solve_alpha(a.T @ a, 1e-8), [0.5, 0.5], atol=1e-9)
 
     def test_matches_kkt_oracle(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((16, 5))
-        alpha = solve_alpha(a, 1e-8)
+        alpha = solve_alpha(a.T @ a, 1e-8)
         # dense KKT oracle: stationarity 2 G alpha + nu 1 = 0, 1^T alpha = 1
         g = a.T @ a
         kkt = np.zeros((6, 6))
@@ -121,13 +161,14 @@ class TestSolveAlpha:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((12, 3))
         a[:, 1] = 0.0
-        alpha = solve_alpha(a, 1e-8)
+        alpha = solve_alpha(a.T @ a, 1e-8)
         assert abs(alpha[1] - 1.0) <= 1e-5
         assert abs(alpha.sum() - 1.0) <= 1e-12
 
     def test_zero_matrix_is_singular(self):
+        a = np.zeros((4, 2))
         with pytest.raises(SingularAlphaError):
-            solve_alpha(np.zeros((4, 2)), 1e-8)
+            solve_alpha(a.T @ a, 1e-8)
 
 
 class TestAnderson:
@@ -185,6 +226,99 @@ class TestAnderson:
         assert res.converged
         rel = np.linalg.norm(f(res.x_hat) - res.x_hat) / (np.linalg.norm(res.x_hat) + 1e-12)
         assert rel <= cfg.tol
+
+    @pytest.mark.parametrize("case", ["contraction_16", "cube"])
+    @pytest.mark.parametrize("damping", [1.0, 0.6])
+    @pytest.mark.parametrize("memory", [2, 3, 5])
+    def test_ring_matches_history_oracle(self, memory, damping, case):
+        # 40 iterations wrap every ring. The ring keeps columns in slot order
+        # and mixes with one reassociated sum, so agreement is to rounding:
+        # relative 1e-10, with an absolute floor of 1e-12 of the first
+        # residual once residuals reach the rounding level of the iterates
+        f, x0 = _oracle_maps()[case]
+        cfg = FixedPointConfig(tol=0.0, max_iter=40, anderson_memory=memory,
+                               anderson_damping=damping)
+        res = anderson_solve(f, x0, cfg)
+        x_last, residuals, fallbacks = _oracle_anderson(f, x0, cfg)
+        np.testing.assert_allclose(res.trace.residuals, residuals, rtol=1e-10,
+                                   atol=1e-12 * residuals[0])
+        np.testing.assert_allclose(res.x_hat, x_last, rtol=1e-10,
+                                   atol=1e-12 * np.abs(x_last).max())
+        assert res.trace.fallbacks == fallbacks
+
+    @pytest.mark.parametrize("damping", [1.0, 0.6])
+    def test_singular_mix_falls_back_to_damped_picard(self, monkeypatch, damping):
+        a, b = contraction_16(14, 0.9)
+        xs, fxs = [], []
+
+        def f(x):
+            xs.append(x.copy())
+            fxs.append(a @ x + b)
+            return fxs[-1]
+
+        calls = []
+
+        def third_raises(gram, reg):
+            calls.append(1)
+            if len(calls) == 3:
+                raise SingularAlphaError("forced")
+            return solve_alpha(gram, reg)
+
+        monkeypatch.setattr(vsci.fixed_point, "solve_alpha", third_raises)
+        cfg = FixedPointConfig(tol=0.0, max_iter=8, anderson_memory=3,
+                               anderson_damping=damping)
+        res = anderson_solve(f, np.zeros(16), cfg)
+        assert np.array_equal(xs[3], (1.0 - damping) * xs[2] + damping * fxs[2])
+        assert res.trace.fallbacks == [False, False, True] + [False] * 5
+
+    @pytest.mark.parametrize("memory", [1, 3])
+    @pytest.mark.parametrize("damping", [1.0, 0.6])
+    def test_never_writes_map_inputs_or_outputs(self, memory, damping):
+        a, b = contraction_16(15, 0.9)
+        held = []  # (array, snapshot) for every input and output of f
+
+        def f(x):
+            fx = np.tanh(a @ x) + b
+            held.append((x, x.copy()))
+            held.append((fx, fx.copy()))
+            return fx
+
+        cfg = FixedPointConfig(tol=0.0, max_iter=12, anderson_memory=memory,
+                               anderson_damping=damping)
+        res = anderson_solve(f, np.ones(16), cfg)
+        assert len(held) == 24
+        for arr, snapshot in held:
+            assert np.array_equal(arr, snapshot)
+        # x_hat owns its memory (or views an array of exactly its size)
+        owner = res.x_hat if res.x_hat.base is None else res.x_hat.base
+        assert owner.size == res.x_hat.size
+
+    @pytest.mark.parametrize("memory", [1, 3, 5])
+    def test_peak_allocation_independent_of_history_copies(self, memory):
+        # two (m, N) rings plus the iterate, its image and the new mix; the
+        # history-rebuilding loop read 17x (m=3) and 27x (m=5) the cube
+        b = np.random.default_rng(16).random((64, 64, 8))
+        x0 = np.zeros_like(b)
+        cfg = FixedPointConfig(tol=0.0, max_iter=20, anderson_memory=memory)
+        peak = traced_peak(anderson_solve, lambda x: 0.5 * x + b, x0, cfg)
+        bound = 4.5 if memory == 1 else 2 * memory + 4
+        assert peak <= bound * b.nbytes
+
+
+class TestShapeGuard:
+    @pytest.mark.parametrize("method", ["anderson", "picard"])
+    def test_wrong_map_shape_raises_at_first_bad_iteration(self, method):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            fx = 0.5 * x
+            return fx if len(calls) < 3 else fx[:, :, :1]
+
+        cfg = FixedPointConfig(tol=0.0, max_iter=10)
+        with pytest.raises(ShapeMismatchError, match="iteration 3"):
+            solve(f, np.ones((4, 4, 3)), cfg, method=method)
+        assert len(calls) == 3
 
 
 class TestTraceCsv:

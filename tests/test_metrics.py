@@ -1,9 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from helpers import traced_peak
 from vsci.metrics import ssim
 
 
@@ -65,10 +64,4 @@ def test_ssim_peak_allocation_within_three_cubes():
     rng = np.random.default_rng(4)
     ref = rng.random((64, 64, 8))
     est = rng.random((64, 64, 8))
-    tracemalloc.start()
-    try:
-        ssim(est, ref)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * est.nbytes
+    assert traced_peak(ssim, est, ref) <= 3 * est.nbytes
