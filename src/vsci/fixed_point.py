@@ -184,8 +184,8 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
     x = memtrack.track(np.array(x0, dtype=np.float64))
     shape = x.shape
     if s > 1:
-        g_ring = memtrack.track(np.empty((s, x.size)))
-        y_ring = memtrack.track(np.empty((s, x.size)))
+        g_ring = memtrack.track(np.empty((s, x.size)), count=s)
+        y_ring = memtrack.track(np.empty((s, x.size)), count=s)
         gram = np.zeros((s, s))
     best = np.inf
     for k in range(1, cfg.max_iter + 1):
@@ -214,12 +214,9 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
                 trace.fallbacks.append(False)
             x = memtrack.track((1.0 - delta) * x + delta * fx)
             continue
-        y = y_ring[j].reshape(shape)
-        if delta == 1.0:
-            np.copyto(y, fx)
-        else:  # the damped Picard step's own expression, (1 - delta) x + delta f(x)
-            np.multiply(x, 1.0 - delta, out=y)
-            y += delta * fx
+        y = y_ring[j].reshape(shape)  # the damped Picard step, (1 - delta) x + delta f(x)
+        np.multiply(x, 1.0 - delta, out=y)
+        y += delta * fx
         gram[j, :m] = gram[:m, j] = g_ring[:m] @ g
         try:
             alpha = solve_alpha(gram[:m, :m], cfg.anderson_reg)

@@ -1,11 +1,12 @@
 """Live-tensor accounting for the constant-memory contract.
 
-The fixed-point engine registers every iterate-sized array it retains; a
-weakref finalizer decrements the live count the moment CPython drops the
-last reference. The engine's Anderson history is two ring buffers allocated
-once per solve, so the peak live count reaches a plateau after a few
-iterations and is independent of how many iterations a solve runs - which is
-exactly what the tests assert.
+The live count is in iterate-sized buffers. The fixed-point engine registers
+every array it retains; an array holding several iterates, such as one of the
+two (m, N) Anderson rings, counts as that many. A weakref finalizer takes the
+array's count off again the moment CPython drops the last reference. The
+rings are allocated once per solve, so the peak live count reaches a plateau
+after a few iterations and is independent of how many iterations a solve
+runs - which is exactly what the tests assert.
 
 Disabled by default (zero overhead beyond one if-check).
 """
@@ -35,18 +36,18 @@ def reset() -> None:
     _peak = 0
 
 
-def _drop():
+def _drop(count):
     global _live
-    _live -= 1
+    _live -= count
 
 
-def track(arr):
-    """Register an array as live; returns it unchanged."""
+def track(arr, count=1):
+    """Register an array holding `count` iterate-sized buffers as live; returns it unchanged."""
     global _live, _peak
     if _enabled:
-        _live += 1
+        _live += count
         _peak = max(_peak, _live)
-        weakref.finalize(arr, _drop)
+        weakref.finalize(arr, _drop, count)
     return arr
 
 

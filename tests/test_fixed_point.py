@@ -5,6 +5,7 @@ import pytest
 
 import vsci.fixed_point
 from helpers import traced_peak
+from vsci import memtrack
 from vsci.errors import DivergedError, ShapeMismatchError, SingularAlphaError
 from vsci.fixed_point import (
     FixedPointConfig,
@@ -303,6 +304,21 @@ class TestAnderson:
         peak = traced_peak(anderson_solve, lambda x: 0.5 * x + b, x0, cfg)
         bound = 4.5 if memory == 1 else 2 * memory + 4
         assert peak <= bound * b.nbytes
+
+    def test_live_count_includes_every_ring_slot(self):
+        # each (m, N) ring counts as m iterate-sized buffers, so two more
+        # memory slots show as four more live buffers at the peak
+        peaks = []
+        for memory in (3, 5):
+            cfg = FixedPointConfig(tol=0.0, max_iter=12, anderson_memory=memory)
+            memtrack.reset()
+            memtrack.enable()
+            try:
+                anderson_solve(lambda x: 0.5 * x + 1.0, np.zeros(16), cfg)
+            finally:
+                memtrack.disable()
+            peaks.append(memtrack.peak())
+        assert peaks[1] - peaks[0] == 4
 
 
 class TestShapeGuard:
