@@ -13,6 +13,7 @@ from .sci import (
 )
 from .tensorio import read_tensor, write_tensor
 from .denoisers import (
+    ConvParams,
     ConvResidualDenoiser,
     IdentityDenoiser,
     ScaleShiftDenoiser,

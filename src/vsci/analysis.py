@@ -1,7 +1,7 @@
 """Convergence diagnostics: Jacobian norm estimates, projector spectrum, and
 the composite Lipschitz bound (1 + eps) * max_i |1 - lambda_i|.
 
-Sampled estimates (sigma_hat, rnn contraction, eps_hat) are lower bounds of
+Sampled estimates (sigma_hat, eps_hat) are lower bounds of
 the true quantities; certified upper bounds come from dense layer norms.
 Both sides are reported so neither is overclaimed. Note the structural fact
 surfaced by projector_spectrum: the measurement projector has eigenvalues
@@ -103,7 +103,6 @@ class LipschitzReport:
     composite_bound: float           # (1 + eps) * max|1 - lambda|
     contraction_flag: bool           # sigma_hat < 1
     bound_certifies_contraction: bool  # composite_bound < 1 (usually false)
-    rnn_contraction: float = float("nan")
     idempotence_defect: float = float("nan")
     n_unit_eigenvalues: int = 0
     n_zero_eigenvalues: int = 0
@@ -115,7 +114,6 @@ class LipschitzReport:
             "composite_bound": repr(self.composite_bound),
             "contraction_flag": self.contraction_flag,
             "bound_certifies_contraction": self.bound_certifies_contraction,
-            "rnn_contraction": repr(self.rnn_contraction),
             "idempotence_defect": repr(self.idempotence_defect),
             "n_unit_eigenvalues": self.n_unit_eigenvalues,
             "n_zero_eigenvalues": self.n_zero_eigenvalues,
@@ -129,7 +127,6 @@ def build_report(
     sigma_hat: float,
     epsilon_hat: float,
     spectrum: SpectrumReport,
-    rnn_contraction: float = float("nan"),
     eig_tol: float = 1e-8,
 ) -> LipschitzReport:
     bound = gap_lipschitz_bound(epsilon_hat, spectrum.eigenvalues)
@@ -140,7 +137,6 @@ def build_report(
         composite_bound=bound,
         contraction_flag=sigma_hat < 1.0,
         bound_certifies_contraction=bound < 1.0,
-        rnn_contraction=rnn_contraction,
         idempotence_defect=spectrum.idempotence_defect,
         n_unit_eigenvalues=int(np.sum(np.abs(eigs - 1.0) <= eig_tol)),
         n_zero_eigenvalues=int(np.sum(np.abs(eigs) <= eig_tol)),

@@ -70,16 +70,18 @@ def load_mask(prefix: str) -> SensingMask:
     return SensingMask(frames=frames, q_diag=q, policy=policy, floor_tau=tau)
 
 
-def _solver_cfg(args, cfg: dict) -> FixedPointConfig:
-    def pick(flag, key):
-        return getattr(args, flag) if getattr(args, flag, None) is not None else cfg[key]
+def _pick(args, cfg: dict, flag: str, key: str):
+    """The command-line flag when given, else the config value."""
+    return getattr(args, flag) if getattr(args, flag, None) is not None else cfg[key]
 
+
+def _solver_cfg(args, cfg: dict) -> FixedPointConfig:
     return FixedPointConfig(
-        tol=pick("tol", "solver.tol"),
-        max_iter=pick("max_iter", "solver.max_iter"),
-        anderson_memory=pick("memory", "solver.anderson_memory"),
-        anderson_damping=pick("damping", "solver.anderson_damping"),
-        anderson_reg=pick("reg", "solver.anderson_reg"),
+        tol=_pick(args, cfg, "tol", "solver.tol"),
+        max_iter=_pick(args, cfg, "max_iter", "solver.max_iter"),
+        anderson_memory=_pick(args, cfg, "memory", "solver.anderson_memory"),
+        anderson_damping=_pick(args, cfg, "damping", "solver.anderson_damping"),
+        anderson_reg=_pick(args, cfg, "reg", "solver.anderson_reg"),
     )
 
 
@@ -186,21 +188,18 @@ def _make_dataset(args, n: int, seed0: int):
 
 
 def _train_cfg(args, cfg: dict) -> TrainConfig:
-    def pick(flag, key):
-        return getattr(args, flag) if getattr(args, flag, None) is not None else cfg[key]
-
     return TrainConfig(
-        epochs=pick("epochs", "train.epochs"),
-        batch_size=pick("batch_size", "train.batch_size"),
-        lr=pick("lr", "train.lr"),
+        epochs=_pick(args, cfg, "epochs", "train.epochs"),
+        batch_size=_pick(args, cfg, "batch_size", "train.batch_size"),
+        lr=_pick(args, cfg, "lr", "train.lr"),
         lr_decay=cfg["train.lr_decay"],
         lr_decay_every=cfg["train.lr_decay_every"],
-        momentum=pick("momentum", "train.momentum"),
-        backward_mode=pick("backward_mode", "train.backward_mode"),
+        momentum=_pick(args, cfg, "momentum", "train.momentum"),
+        backward_mode=_pick(args, cfg, "backward_mode", "train.backward_mode"),
         neumann_order=cfg["train.neumann_order"],
         backward_tol=cfg["train.backward_tol"],
         backward_max_iter=cfg["train.backward_max_iter"],
-        seed=pick("seed", "train.seed"),
+        seed=_pick(args, cfg, "seed", "train.seed"),
         forward=replace(_solver_cfg(args, cfg), record_trace=False),
     )
 

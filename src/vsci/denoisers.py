@@ -7,6 +7,13 @@ each frame independently (weights shared across frames, so one parameter set
 serves any number of frames). The residual form makes the Lipschitz constant
 of D - I directly controllable through gamma and per-layer spectral norms.
 
+A conv stack's weights live in ConvParams: kernels, biases and the power-
+iteration vectors that spectral_normalize refines. The conv_residual
+denoiser and the DE-RNN gated cell (maps) each hold one, so they share the
+flat theta order, spectral normalization and one checkpoint format:
+<prefix>.vsci holds theta, and <prefix>.meta the owner's kind and gamma,
+every kernel's shape (C_out x C_in x kh x kw) and sn_h, sn_w, sn_seed.
+
 The conv stack runs over row tiles so that its activations stay in cache.
 A tile is a block of rows of one frame, extended by a halo of sum(k // 2)
 rows on each side (k the kernel height of each layer) and clipped to the
@@ -35,7 +42,7 @@ from .conv import (
     sigmoid,
     softplus,
 )
-from .errors import ShapeMismatchError, UnsupportedDenoiserOpError
+from .errors import ConfigError, ShapeMismatchError, UnsupportedDenoiserOpError
 
 
 def _as_frames(x: np.ndarray) -> np.ndarray:
@@ -217,67 +224,64 @@ class TvDenoiser(Denoiser):
         return tv_denoise(self._check(x), self.lam, self.iters)
 
 
-@dataclass
-class ConvDenoiserParams:
-    """Weights for the conv_residual denoiser.
+def _flat(kernels, biases) -> np.ndarray:
+    """kernel 0, bias 0, kernel 1, bias 1, ... raveled into one vector."""
+    return np.concatenate([a.ravel() for pair in zip(kernels, biases) for a in pair])
 
-    kernels[l] is (C_out, C_in, k, k); biases[l] is (C_out,). The first layer
-    takes 1 channel, the last produces 1. sn_u holds one persistent power-
-    iteration vector per layer, shaped (sn_h, sn_w, C_in); it is state, not a
-    trainable parameter, and is excluded from the flat theta vector.
+
+@dataclass
+class ConvParams:
+    """Weights of a stack of conv layers, with their power-iteration state.
+
+    kernels[l] is (C_out, C_in, kh, kw); biases[l] is (C_out,). The flat
+    theta vector is _flat(kernels, biases). sn_u holds one persistent power-
+    iteration vector per layer, shaped (sn_h, sn_w, C_in), drawn from sn_seed
+    when not given; it is state, not a trainable parameter, and is excluded
+    from theta.
     """
 
     kernels: list
     biases: list
-    gamma: float
     sn_u: list = field(default_factory=list)
     sn_shape: tuple = (16, 16)
     sn_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if len(self.kernels) != len(self.biases) or not self.kernels:
             raise ValueError("kernels and biases must be equal-length, nonempty lists")
-        if self.kernels[0].shape[1] != 1 or self.kernels[-1].shape[0] != 1:
-            raise ValueError("residual stack must map 1 channel -> 1 channel")
-        for a, b in zip(self.kernels[:-1], self.kernels[1:]):
-            if a.shape[0] != b.shape[1]:
-                raise ValueError("channel chain mismatch between consecutive layers")
+        if not all(np.isfinite(a).all() for a in self.kernels + self.biases):
+            raise ValueError("conv parameters must be finite")
         if not self.sn_u:
             rng = np.random.default_rng(self.sn_seed)
             h, w = self.sn_shape
             self.sn_u = [rng.standard_normal((h, w, k.shape[1])) for k in self.kernels]
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.kernels)
-
     def n_params(self) -> int:
-        return sum(k.size + b.size for k, b in zip(self.kernels, self.biases))
+        return sum(a.size for a in self.kernels + self.biases)
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for k, b in zip(self.kernels, self.biases):
-            parts.append(k.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return _flat(self.kernels, self.biases)
 
     def unflatten(self, theta: np.ndarray) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != self.n_params():
-            raise ShapeMismatchError(
-                f"theta has {theta.size} entries, architecture needs {self.n_params()}"
-            )
-        pos = 0
-        for i, (k, b) in enumerate(zip(self.kernels, self.biases)):
-            self.kernels[i] = theta[pos : pos + k.size].reshape(k.shape).copy()
-            pos += k.size
-            self.biases[i] = theta[pos : pos + b.size].reshape(b.shape).copy()
-            pos += b.size
+        self.kernels, self.biases = _split(theta, [k.shape for k in self.kernels])
 
 
-def spectral_normalize(params: ConvDenoiserParams, n_iters: int) -> ConvDenoiserParams:
+def _split(theta: np.ndarray, shapes: list) -> tuple[list, list]:
+    """Cut a flat theta into kernels of the given shapes and their biases."""
+    theta = np.asarray(theta, dtype=np.float64).ravel()
+    n = sum(int(np.prod(s)) + s[0] for s in shapes)
+    if theta.size != n:
+        raise ShapeMismatchError(f"theta has {theta.size} entries, architecture needs {n}")
+    kernels, biases, pos = [], [], 0
+    for s in shapes:
+        size = int(np.prod(s))
+        kernels.append(theta[pos : pos + size].reshape(s).copy())
+        biases.append(theta[pos + size : pos + size + s[0]].copy())
+        pos += size + s[0]
+    return kernels, biases
+
+
+def spectral_normalize(params: ConvParams, n_iters: int) -> ConvParams:
     """Scale each conv layer so its estimated operator norm is <= 1.
 
     Runs power iteration on the actual zero-padded conv operator at the
@@ -335,11 +339,7 @@ class ConvResidualLinearization:
             if l > 0:
                 w = conv_adjoint_input(w, k)
                 w = w * self.slopes[l - 1]
-        parts = []
-        for gk, gb in zip(grads_k, grads_b):
-            parts.append(gk.ravel())
-            parts.append(gb.ravel())
-        return self.gamma * np.concatenate(parts)
+        return self.gamma * _flat(grads_k, grads_b)
 
 
 # Elements (float64) of the widest activation one tile may hold: 512 KiB, so
@@ -366,9 +366,22 @@ def _tiles(nb: int, h: int, row_elems: int):
 
 @dataclass
 class ConvResidualDenoiser(Denoiser):
-    params: ConvDenoiserParams
+    """D(x) = x + gamma * r(x); params holds r's layers, 1 -> ... -> 1 channels."""
+
+    params: ConvParams
+    gamma: float
     kind = "conv_residual"
     trainable = True
+
+    def __post_init__(self):
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        kernels = self.params.kernels
+        if kernels[0].shape[1] != 1 or kernels[-1].shape[0] != 1:
+            raise ValueError("residual stack must map 1 channel -> 1 channel")
+        for a, b in zip(kernels[:-1], kernels[1:]):
+            if a.shape[0] != b.shape[1]:
+                raise ValueError("channel chain mismatch between consecutive layers")
 
     def _residual_forward(self, frames: np.ndarray, keep: bool):
         """r(frames) through the conv stack, one tile at a time (see _tiles).
@@ -408,28 +421,18 @@ class ConvResidualDenoiser(Denoiser):
     def denoise(self, x):
         x = self._check(x)
         r, _, _ = self._residual_forward(_as_frames(x), keep=False)
-        return x + self.params.gamma * _as_cube(r)
+        return x + self.gamma * _as_cube(r)
 
     def linearize(self, x):
         x = self._check(x)
         _, acts, slopes = self._residual_forward(_as_frames(x), keep=True)
         return ConvResidualLinearization(
             kernels=tuple(self.params.kernels),
-            gamma=self.params.gamma,
+            gamma=self.gamma,
             acts=tuple(acts),
             slopes=tuple(slopes),
             shape=x.shape,
         )
-
-    # parameter-vector plumbing used by the training loop
-    def n_params(self) -> int:
-        return self.params.n_params()
-
-    def get_theta(self) -> np.ndarray:
-        return self.params.flatten()
-
-    def set_theta(self, theta: np.ndarray) -> None:
-        self.params.unflatten(theta)
 
     def spectral_normalize(self, n_iters: int) -> None:
         spectral_normalize(self.params, n_iters)
@@ -450,7 +453,6 @@ def make_conv_residual(
     init: str = "smooth",
     noise_scale: float = 0.02,
     sn_shape: tuple = (16, 16),
-    zero_last: bool = False,
 ) -> ConvResidualDenoiser:
     """Build a conv_residual denoiser.
 
@@ -459,9 +461,7 @@ def make_conv_residual(
     which keeps the residual contractive from the first iteration; a small
     seeded perturbation breaks the symmetry so every parameter matters.
     init="zero" gives the exact identity denoiser; init="random" is plain
-    scaled Gaussian init. zero_last=True zeroes the final combine layer so
-    the denoiser starts as the exact identity while keeping pre-wired
-    feature pairs; the canonical starting point for training runs.
+    scaled Gaussian init.
     """
     if init == "smooth" and (channels % 2 or n_layers < 2):
         raise ValueError("smooth init needs even channels and >= 2 layers")
@@ -509,13 +509,8 @@ def make_conv_residual(
     elif init != "zero":
         raise ValueError(f"unknown init {init!r}")
 
-    if zero_last:
-        kernels[-1] = np.zeros(shapes[-1])
-
-    params = ConvDenoiserParams(
-        kernels=kernels, biases=biases, gamma=gamma, sn_shape=sn_shape, sn_seed=seed
-    )
-    return ConvResidualDenoiser(params)
+    params = ConvParams(kernels=kernels, biases=biases, sn_shape=sn_shape, sn_seed=seed)
+    return ConvResidualDenoiser(params, gamma)
 
 
 def estimate_residual_lipschitz(
@@ -542,16 +537,16 @@ def estimate_residual_lipschitz(
     return best
 
 
-def save_denoiser(prefix: str, d: ConvResidualDenoiser) -> None:
-    """Write <prefix>.vsci (flat theta) and <prefix>.meta (architecture)."""
-    p = d.params
+def _save_checkpoint(prefix: str, owner) -> None:
+    """Write <prefix>.vsci (flat theta) and <prefix>.meta for an owner of a
+    ConvParams at .params: its kind and gamma, every kernel's shape, and the
+    power-iteration probe shape and seed."""
+    p = owner.params
     tensorio.write_tensor(prefix + ".vsci", p.flatten())
     meta = {
-        "kind": "conv_residual",
-        "n_layers": p.n_layers,
-        "channels": p.kernels[0].shape[0],
-        "kernel": p.kernels[0].shape[2],
-        "gamma": repr(p.gamma),
+        "kind": owner.kind,
+        "gamma": repr(owner.gamma),
+        "kernels": " ".join("x".join(str(n) for n in k.shape) for k in p.kernels),
         "sn_h": p.sn_shape[0],
         "sn_w": p.sn_shape[1],
         "sn_seed": p.sn_seed,
@@ -559,18 +554,33 @@ def save_denoiser(prefix: str, d: ConvResidualDenoiser) -> None:
     tensorio.write_kv(prefix + ".meta", meta)
 
 
-def load_denoiser(prefix: str) -> ConvResidualDenoiser:
+def _load_checkpoint(prefix: str, cls):
+    """Rebuild a cls(params, gamma) written by _save_checkpoint.
+
+    A missing or malformed key, another kind, a theta that does not fit the
+    kernel shapes or is not finite, or a gamma cls rejects raises ConfigError.
+    """
     meta = tensorio.read_kv(prefix + ".meta")
-    if meta.get("kind") != "conv_residual":
-        raise ValueError(f"{prefix}.meta: not a conv_residual checkpoint")
-    d = make_conv_residual(
-        seed=int(meta["sn_seed"]),
-        channels=int(meta["channels"]),
-        n_layers=int(meta["n_layers"]),
-        kernel=int(meta["kernel"]),
-        gamma=float(meta["gamma"]),
-        init="zero",
-        sn_shape=(int(meta["sn_h"]), int(meta["sn_w"])),
-    )
-    d.set_theta(tensorio.read_tensor(prefix + ".vsci"))
-    return d
+    theta = tensorio.read_tensor(prefix + ".vsci")
+    try:
+        if meta["kind"] != cls.kind:
+            raise ValueError(f"a {meta['kind']} checkpoint, not {cls.kind}")
+        shapes = [tuple(int(n) for n in s.split("x")) for s in meta["kernels"].split()]
+        sn_shape = (int(meta["sn_h"]), int(meta["sn_w"]))
+        if not shapes or min(sn_shape) < 1 or any(len(s) != 4 or min(s) < 1 for s in shapes):
+            raise ValueError("kernels must be 4-d shapes and sn_h/sn_w sizes, all positive")
+        kernels, biases = _split(theta, shapes)
+        params = ConvParams(kernels, biases, sn_shape=sn_shape, sn_seed=int(meta["sn_seed"]))
+        return cls(params, float(meta["gamma"]))
+    except KeyError as exc:
+        raise ConfigError(f"{prefix}.meta: missing key {exc}") from None
+    except (ValueError, ShapeMismatchError) as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
+
+
+def save_denoiser(prefix: str, d: ConvResidualDenoiser) -> None:
+    _save_checkpoint(prefix, d)
+
+
+def load_denoiser(prefix: str) -> ConvResidualDenoiser:
+    return _load_checkpoint(prefix, ConvResidualDenoiser)

@@ -10,6 +10,10 @@ run as step closures through the one fixed-point engine (fixed_point.solve,
 Picard case), so every method shares its stopping rule, trace and
 divergence guard.
 
+The gated cell keeps its three conv layers in a denoisers.ConvParams, so its
+flat parameters, spectral normalization and checkpoint format are those of
+the conv_residual denoiser.
+
 Maps are immutable after construction; apply/vjp calls are pure. linearize(x)
 runs the forward once at x and returns a frozen snapshot whose vjp_input(v)
 and grad_params(v) run only the backward pass.
@@ -18,21 +22,28 @@ and grad_params(v) run only the backward pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensorio
 from .conv import (
     conv_adjoint_input,
     conv_forward,
     conv_grad_bias,
     conv_grad_kernel,
-    conv_operator_sigma,
     sigmoid,
     softplus,
 )
-from .denoisers import Denoiser, _as_cube, _as_frames, tv_denoise
+from .denoisers import (
+    ConvParams,
+    Denoiser,
+    _as_cube,
+    _as_frames,
+    _flat,
+    _load_checkpoint,
+    _save_checkpoint,
+    tv_denoise,
+)
 from .errors import ShapeMismatchError
 from .fixed_point import FixedPointConfig, SolveResult, solve
 from .sci import (
@@ -100,86 +111,43 @@ class GatedConvCell:
     cand   = tanh(conv(hidden))
     out    = gate * cand              one channel per frame
 
-    With all-zero parameters the candidate branch vanishes, so the enclosing
+    params holds the input, gate and candidate layers, in that order. With
+    all-zero parameters the candidate branch vanishes, so the enclosing
     residual map is exactly the identity.
     """
 
-    k_in: np.ndarray
-    b_in: np.ndarray
-    k_gate: np.ndarray
-    b_gate: np.ndarray
-    k_cand: np.ndarray
-    b_cand: np.ndarray
+    params: ConvParams
     gamma: float = 0.1
-    sn_u: list = field(default_factory=list)
-    sn_shape: tuple = (16, 16)
-    sn_seed: int = 0
+    kind = "gated_cell"
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        for arr in (self.k_in, self.b_in, self.k_gate, self.b_gate, self.k_cand, self.b_cand):
-            if not np.isfinite(arr).all():
-                raise ValueError("cell parameters must be finite")
-        if not self.sn_u:
-            rng = np.random.default_rng(self.sn_seed)
-            h, w = self.sn_shape
-            self.sn_u = [
-                rng.standard_normal((h, w, k.shape[1]))
-                for k in (self.k_in, self.k_gate, self.k_cand)
-            ]
+        ch = [k.shape[:2] for k in self.params.kernels]  # (C_out, C_in) per layer
+        if len(ch) != 3 or ch[0][1] != 3 or ch[1:] != [(1, ch[0][0])] * 2:
+            raise ValueError("cell layers must map 3 -> C channels, then C -> 1 twice")
 
     def _forward(self, u: np.ndarray):
-        z_h = conv_forward(u, self.k_in, self.b_in)
+        (k_in, k_gate, k_cand), (b_in, b_gate, b_cand) = self.params.kernels, self.params.biases
+        z_h = conv_forward(u, k_in, b_in)
         h = softplus(z_h)
-        g = sigmoid(conv_forward(h, self.k_gate, self.b_gate))
-        c = np.tanh(conv_forward(h, self.k_cand, self.b_cand))
+        g = sigmoid(conv_forward(h, k_gate, b_gate))
+        c = np.tanh(conv_forward(h, k_cand, b_cand))
         return g * c, (z_h, h, g, c)
 
     def linearize(self, u: np.ndarray) -> "GatedCellLinearization":
         """Run the cell once on the stacked inputs u, keeping what its VJPs need."""
         _, (z_h, h, g, c) = self._forward(u)
         return GatedCellLinearization(
-            k_in=self.k_in, k_gate=self.k_gate, k_cand=self.k_cand,
-            u=u, slope_h=sigmoid(z_h), h=h, g=g, c=c,
+            kernels=tuple(self.params.kernels), u=u, slope_h=sigmoid(z_h), h=h, g=g, c=c,
         )
-
-    def n_params(self) -> int:
-        return sum(a.size for a in (self.k_in, self.b_in, self.k_gate, self.b_gate, self.k_cand, self.b_cand))
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [a.ravel() for a in (self.k_in, self.b_in, self.k_gate, self.b_gate, self.k_cand, self.b_cand)]
-        )
-
-    def unflatten(self, theta: np.ndarray) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != self.n_params():
-            raise ShapeMismatchError(
-                f"theta has {theta.size} entries, cell needs {self.n_params()}"
-            )
-        pos = 0
-        for name in ("k_in", "b_in", "k_gate", "b_gate", "k_cand", "b_cand"):
-            cur = getattr(self, name)
-            setattr(self, name, theta[pos : pos + cur.size].reshape(cur.shape).copy())
-            pos += cur.size
-
-    def spectral_normalize(self, n_iters: int) -> None:
-        for i, name in enumerate(("k_in", "k_gate", "k_cand")):
-            kernel = getattr(self, name)
-            sig, u = conv_operator_sigma(kernel, self.sn_u[i], n_iters)
-            self.sn_u[i] = u
-            if sig > 1.0:
-                setattr(self, name, kernel / sig)
 
 
 @dataclass(frozen=True)
 class GatedCellLinearization:
     """GatedConvCell frozen at one input: its kernels and forward activations."""
 
-    k_in: np.ndarray
-    k_gate: np.ndarray
-    k_cand: np.ndarray
+    kernels: tuple       # input, gate and candidate kernels
     u: np.ndarray        # (B, H, W, 3) stacked input channels
     slope_h: np.ndarray  # softplus'(z_h) = sigmoid(z_h)
     h: np.ndarray
@@ -188,29 +156,24 @@ class GatedCellLinearization:
 
     def _preact_cotangents(self, cot):
         """Cotangents of the hidden, gate and candidate pre-activations."""
+        _, k_gate, k_cand = self.kernels
         dz_g = cot * self.c * self.g * (1.0 - self.g)
         dz_c = cot * self.g * (1.0 - self.c * self.c)
-        dh = conv_adjoint_input(dz_g, self.k_gate) + conv_adjoint_input(dz_c, self.k_cand)
+        dh = conv_adjoint_input(dz_g, k_gate) + conv_adjoint_input(dz_c, k_cand)
         return dh * self.slope_h, dz_g, dz_c
 
     def vjp_input(self, cot: np.ndarray) -> np.ndarray:
         """Cotangent w.r.t. the stacked input channels."""
         dz_h, _, _ = self._preact_cotangents(cot)
-        return conv_adjoint_input(dz_h, self.k_in)
+        return conv_adjoint_input(dz_h, self.kernels[0])
 
     def grad_params(self, cot: np.ndarray) -> np.ndarray:
-        """Cotangent w.r.t. the flat parameters, in GatedConvCell.flatten() order."""
-        dz_h, dz_g, dz_c = self._preact_cotangents(cot)
-        k_in, k_gate, k_cand = self.k_in, self.k_gate, self.k_cand
-        grads = (
-            conv_grad_kernel(self.u, dz_h, k_in.shape[2], k_in.shape[3]),
-            conv_grad_bias(dz_h),
-            conv_grad_kernel(self.h, dz_g, k_gate.shape[2], k_gate.shape[3]),
-            conv_grad_bias(dz_g),
-            conv_grad_kernel(self.h, dz_c, k_cand.shape[2], k_cand.shape[3]),
-            conv_grad_bias(dz_c),
-        )
-        return np.concatenate([a.ravel() for a in grads])
+        """Cotangent w.r.t. the flat parameters, in ConvParams.flatten() order."""
+        dz = self._preact_cotangents(cot)
+        acts = (self.u, self.h, self.h)
+        grads_k = [conv_grad_kernel(a, d, k.shape[2], k.shape[3])
+                   for a, d, k in zip(acts, dz, self.kernels)]
+        return _flat(grads_k, [conv_grad_bias(d) for d in dz])
 
 
 def make_gated_cell(
@@ -225,17 +188,12 @@ def make_gated_cell(
             return np.zeros(shape)
         return rng.standard_normal(shape) * init_scale
 
-    return GatedConvCell(
-        k_in=w((channels, 3, kernel, kernel)),
-        b_in=w((channels,)),
-        k_gate=w((1, channels, kernel, kernel)),
-        b_gate=w((1,)),
-        k_cand=w((1, channels, kernel, kernel)),
-        b_cand=w((1,)),
-        gamma=gamma,
-        sn_shape=sn_shape,
-        sn_seed=seed,
-    )
+    shapes = [(channels, 3, kernel, kernel), (1, channels, kernel, kernel),
+              (1, channels, kernel, kernel)]
+    layers = [(w(s), w(s[:1])) for s in shapes]  # kernel, then bias: the draw order
+    kernels, biases = (list(t) for t in zip(*layers))
+    params = ConvParams(kernels, biases, sn_shape=sn_shape, sn_seed=seed)
+    return GatedConvCell(params, gamma)
 
 
 @dataclass
@@ -391,31 +349,8 @@ def pnp_gap_solve(
 
 
 def save_cell(prefix: str, cell: GatedConvCell) -> None:
-    """Write <prefix>.vsci (flat theta) and <prefix>.meta (architecture)."""
-    tensorio.write_tensor(prefix + ".vsci", cell.flatten())
-    meta = {
-        "kind": "gated_cell",
-        "channels": cell.k_in.shape[0],
-        "kernel": cell.k_in.shape[2],
-        "gamma": repr(cell.gamma),
-        "sn_h": cell.sn_shape[0],
-        "sn_w": cell.sn_shape[1],
-        "sn_seed": cell.sn_seed,
-    }
-    tensorio.write_kv(prefix + ".meta", meta)
+    _save_checkpoint(prefix, cell)
 
 
 def load_cell(prefix: str) -> GatedConvCell:
-    meta = tensorio.read_kv(prefix + ".meta")
-    if meta.get("kind") != "gated_cell":
-        raise ValueError(f"{prefix}.meta: not a gated_cell checkpoint")
-    cell = make_gated_cell(
-        seed=int(meta["sn_seed"]),
-        channels=int(meta["channels"]),
-        kernel=int(meta["kernel"]),
-        gamma=float(meta["gamma"]),
-        init_scale=0.0,
-        sn_shape=(int(meta["sn_h"]), int(meta["sn_w"])),
-    )
-    cell.unflatten(tensorio.read_tensor(prefix + ".vsci"))
-    return cell
+    return _load_checkpoint(prefix, GatedConvCell)

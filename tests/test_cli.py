@@ -2,12 +2,15 @@
 
 import os
 
+import numpy as np
 import pytest
 
 import vsci.training
+from vsci import tensorio
 from vsci.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_IO, EXIT_OK, main
 from vsci.denoisers import make_conv_residual, save_denoiser
 from vsci.errors import DivergedError
+from vsci.maps import make_gated_cell, save_cell
 
 
 @pytest.fixture
@@ -86,6 +89,58 @@ def test_unnormalized_checkpoint_diverges_exits_4(scene, tmp_path):
                                            init="random", noise_scale=50))
     out = str(tmp_path / "x.vsci")
     assert _reconstruct(scene, out, "--method", "de-gap", "--checkpoint", ckpt) == EXIT_DIVERGED
+    assert not os.path.exists(out)
+
+
+def _drop_sn_seed(prefix):
+    meta = tensorio.read_kv(prefix + ".meta")
+    del meta["sn_seed"]
+    tensorio.write_kv(prefix + ".meta", meta)
+
+
+def _malformed_shape(prefix):
+    meta = tensorio.read_kv(prefix + ".meta")
+    meta["kernels"] = "4x3"
+    tensorio.write_kv(prefix + ".meta", meta)
+
+
+def _two_output_last_layer(prefix):
+    # theta gets the entries the wider layer needs, so only the model's own
+    # channel check can reject the checkpoint
+    meta = tensorio.read_kv(prefix + ".meta")
+    *first, last = meta["kernels"].split()
+    _, rest = last.split("x", 1)
+    meta["kernels"] = " ".join(first + ["2x" + rest])
+    tensorio.write_kv(prefix + ".meta", meta)
+    extra = np.zeros(int(np.prod([int(n) for n in rest.split("x")])) + 1)
+    theta = tensorio.read_tensor(prefix + ".vsci")
+    tensorio.write_tensor(prefix + ".vsci", np.concatenate([theta, extra]))
+
+
+def _nan_theta(prefix):
+    theta = tensorio.read_tensor(prefix + ".vsci")
+    theta[0] = float("nan")
+    tensorio.write_tensor(prefix + ".vsci", theta)
+
+
+def _short_theta(prefix):
+    tensorio.write_tensor(prefix + ".vsci", tensorio.read_tensor(prefix + ".vsci")[:-1])
+
+
+@pytest.mark.parametrize("method", ["de-gap", "de-rnn"])
+@pytest.mark.parametrize("spoil", [_drop_sn_seed, _malformed_shape, _two_output_last_layer,
+                                   _nan_theta, _short_theta, "other_kind"])
+def test_bad_checkpoint_exits_2_and_writes_nothing(scene, tmp_path, method, spoil):
+    gap, rnn = str(tmp_path / "gap"), str(tmp_path / "rnn")
+    save_denoiser(gap, make_conv_residual(1, channels=4, n_layers=2, gamma=0.3))
+    save_cell(rnn, make_gated_cell(2, channels=4, init_scale=0.1))
+    own, other = (gap, rnn) if method == "de-gap" else (rnn, gap)
+    if spoil == "other_kind":
+        own = other
+    else:
+        spoil(own)
+    out = str(tmp_path / "x.vsci")
+    assert _reconstruct(scene, out, "--method", method, "--checkpoint", own) == EXIT_CONFIG
     assert not os.path.exists(out)
 
 

@@ -201,18 +201,18 @@ class TestConvResidual:
         x = _cube((5, 5, 2), 5)
         v = _cube((5, 5, 2), 6)
         analytic = d.grad_params(x, v)
-        theta = d.get_theta()
+        theta = d.params.flatten()
         h = 1e-5
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             tp = theta.copy(); tp[i] += h
-            d.set_theta(tp)
+            d.params.unflatten(tp)
             up = float(np.sum(d.denoise(x) * v))
             tm = theta.copy(); tm[i] -= h
-            d.set_theta(tm)
+            d.params.unflatten(tm)
             um = float(np.sum(d.denoise(x) * v))
             fd[i] = (up - um) / (2 * h)
-        d.set_theta(theta)
+        d.params.unflatten(theta)
         err = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-8)
         assert err.max() <= 1e-6
 
@@ -220,7 +220,7 @@ class TestConvResidual:
         d = make_conv_residual(0, channels=4, n_layers=2)
         x = _cube((5, 5, 2), 0)
         np.testing.assert_array_equal(
-            d.grad_params(x, np.zeros_like(x)), np.zeros(d.n_params())
+            d.grad_params(x, np.zeros_like(x)), np.zeros(d.params.n_params())
         )
 
     def test_last_bias_grad_is_gamma_times_sum(self):
@@ -232,9 +232,9 @@ class TestConvResidual:
 
     def test_flatten_unflatten_identity(self):
         d = make_conv_residual(3, channels=6, n_layers=3, init="random")
-        theta = d.get_theta()
-        d.set_theta(theta)
-        np.testing.assert_array_equal(d.get_theta(), theta)
+        theta = d.params.flatten()
+        d.params.unflatten(theta)
+        np.testing.assert_array_equal(d.params.flatten(), theta)
 
 
 class TestTiledForward:
@@ -309,12 +309,12 @@ class TestLinearize:
 
         monkeypatch.setattr(vsci.denoisers, "conv_forward", counted)
         lin = d.linearize(_cube((5, 5, 2), 0))
-        assert len(calls) == d.params.n_layers
+        assert len(calls) == len(d.params.kernels)
         for seed in range(10):
             v = _cube((5, 5, 2), seed + 1)
             lin.vjp_input(v)
             lin.grad_params(v)
-        assert len(calls) == d.params.n_layers
+        assert len(calls) == len(d.params.kernels)
 
     def test_set_theta_after_linearize_leaves_it_unchanged(self):
         d = make_conv_residual(14, channels=4, n_layers=2, init="random",
@@ -322,9 +322,9 @@ class TestLinearize:
         x, v = _cube((5, 5, 2), 0), _cube((5, 5, 2), 1)
         lin = d.linearize(x)
         before = lin.vjp_input(v), lin.grad_params(v)
-        d.set_theta(3.0 * d.get_theta() + 0.1)
+        d.params.unflatten(3.0 * d.params.flatten() + 0.1)
         spectral_normalize(d.params, 5)
-        d.params.gamma = 0.4
+        d.gamma = 0.4
         after = lin.vjp_input(v), lin.grad_params(v)
         np.testing.assert_array_equal(after[0], before[0])
         np.testing.assert_array_equal(after[1], before[1])
@@ -403,7 +403,7 @@ class TestResidualLipschitz:
         base = make_conv_residual(9, channels=4, n_layers=2, init="random",
                                   noise_scale=0.3, gamma=0.1)
         eps1 = estimate_residual_lipschitz(base, 0, 16, (6, 6, 2))
-        base.params.gamma = 0.2
+        base.gamma = 0.2
         eps2 = estimate_residual_lipschitz(base, 0, 16, (6, 6, 2))
         assert abs(eps2 - 2.0 * eps1) <= 1e-9 * eps2
 
@@ -415,7 +415,7 @@ class TestCheckpoint:
         prefix = str(tmp_path / "ckpt")
         save_denoiser(prefix, d)
         d2 = load_denoiser(prefix)
-        np.testing.assert_array_equal(d2.get_theta(), d.get_theta())
-        assert d2.params.gamma == d.params.gamma
+        np.testing.assert_array_equal(d2.params.flatten(), d.params.flatten())
+        assert d2.gamma == d.gamma
         x = _cube((6, 6, 3), 0)
         np.testing.assert_array_equal(d2.denoise(x), d.denoise(x))

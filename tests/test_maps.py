@@ -136,20 +136,20 @@ class TestDeRnn:
         x = rng.random(cube.shape)
         v = rng.standard_normal(cube.shape)
         analytic = fmap.grad_params(x, v)
-        theta = cell.flatten()
+        theta = cell.params.flatten()
         h = 1e-6
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             for sign, store in ((+1, 0), (-1, 1)):
                 t = theta.copy()
                 t[i] += sign * h
-                cell.unflatten(t)
+                cell.params.unflatten(t)
                 val = float(np.sum(fmap.apply(x) * v))
                 if sign > 0:
                     up = val
                 else:
                     fd[i] = (up - val) / (2 * h)
-        cell.unflatten(theta)
+        cell.params.unflatten(theta)
         err = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-8)
         assert err.max() <= 1e-5
 
@@ -158,7 +158,7 @@ class TestDeRnn:
         prefix = str(tmp_path / "cell")
         save_cell(prefix, cell)
         back = load_cell(prefix)
-        np.testing.assert_array_equal(back.flatten(), cell.flatten())
+        np.testing.assert_array_equal(back.params.flatten(), cell.params.flatten())
         assert back.gamma == cell.gamma
 
 
@@ -254,8 +254,8 @@ class TestLinearize:
         v = rng.standard_normal(shape)
         lin = fmap.linearize(x)
         before = lin.vjp_input(v), lin.grad_params(v)
-        fmap.cell.unflatten(3.0 * fmap.cell.flatten() + 0.1)
-        fmap.cell.spectral_normalize(5)
+        fmap.cell.params.unflatten(3.0 * fmap.cell.params.flatten() + 0.1)
+        vsci.denoisers.spectral_normalize(fmap.cell.params, 5)
         fmap.cell.gamma = 0.2
         after = lin.vjp_input(v), lin.grad_params(v)
         np.testing.assert_array_equal(after[0], before[0])

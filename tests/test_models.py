@@ -1,0 +1,89 @@
+"""The shared parameter container behind DeGapModel and DeRnnModel, and its
+one checkpoint format."""
+
+import copy
+
+import numpy as np
+import pytest
+
+from helpers import random_mask
+from vsci.denoisers import (
+    load_denoiser,
+    make_conv_residual,
+    save_denoiser,
+    spectral_normalize,
+)
+from vsci.maps import DeRnnMap, load_cell, make_gated_cell, save_cell
+from vsci.models import DeRnnModel
+from vsci.sci import forward
+
+
+def _rnn_model(seed=0):
+    return DeRnnModel(cell=make_gated_cell(seed, channels=4, init_scale=0.3, gamma=0.2))
+
+
+class TestDeRnnModel:
+    def test_get_set_params_roundtrip_is_bitwise(self):
+        model = _rnn_model()
+        theta = np.random.default_rng(1).standard_normal(model.n_params())
+        model.set_params(theta)
+        np.testing.assert_array_equal(model.get_params(), theta)
+        kernels = [k.copy() for k in model.cell.params.kernels]
+        model.set_params(model.get_params())
+        for a, b in zip(model.cell.params.kernels, kernels):
+            np.testing.assert_array_equal(a, b)
+
+    def test_n_params_is_the_cells(self):
+        model = _rnn_model()
+        assert model.n_params() == model.cell.params.n_params()
+        # input 4x3x3x3 + 4, gate 1x4x3x3 + 1, candidate 1x4x3x3 + 1
+        assert model.n_params() == (108 + 4) + (36 + 1) + (36 + 1)
+
+    def test_spectral_normalize_matches_the_module_function(self):
+        model = _rnn_model(3)
+        model.set_params(10.0 * model.get_params())
+        expected = spectral_normalize(copy.deepcopy(model.cell.params), 7)
+        model.spectral_normalize(7)
+        for a, b in zip(model.cell.params.kernels, expected.kernels):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(model.cell.params.sn_u, expected.sn_u):
+            np.testing.assert_array_equal(a, b)
+
+    def test_grad_params_follows_the_container_order(self):
+        # Perturb only the gate kernel's slot of theta, written through the
+        # container; the directional derivative must be <grad, direction>.
+        mask = random_mask(4, 5, 5, 2)
+        rng = np.random.default_rng(5)
+        y = forward(mask, rng.random((5, 5, 2)))
+        model = _rnn_model(6)
+        fmap = DeRnnMap(cell=model.cell, mask=mask, y=y)
+        x, v = rng.random((5, 5, 2)), rng.standard_normal((5, 5, 2))
+        grad = fmap.linearize(x).grad_params(v)
+        slot = copy.deepcopy(model.cell.params)
+        slot.unflatten(np.zeros(model.n_params()))
+        slot.kernels[1] = rng.standard_normal(slot.kernels[1].shape)
+        direction = slot.flatten()
+        theta, h = model.get_params(), 1e-6
+        values = []
+        for sign in (1, -1):
+            model.set_params(theta + sign * h * direction)
+            values.append(float(np.sum(fmap.apply(x) * v)))
+        fd = (values[0] - values[1]) / (2 * h)
+        assert abs(grad @ direction - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("save, load, make", [
+    (save_denoiser, load_denoiser,
+     lambda: make_conv_residual(7, channels=4, n_layers=3, init="random", gamma=0.25)),
+    (save_cell, load_cell, lambda: make_gated_cell(8, channels=4, init_scale=0.2, gamma=0.15)),
+], ids=["conv_residual", "gated_cell"])
+def test_checkpoint_roundtrip_keeps_the_payload_bytes(tmp_path, save, load, make):
+    owner = make()
+    save(str(tmp_path / "a"), owner)
+    back = load(str(tmp_path / "a"))
+    save(str(tmp_path / "b"), back)
+    for ext in (".vsci", ".meta"):
+        assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
+    assert back.gamma == owner.gamma
+    for a, b in zip(back.params.sn_u, owner.params.sn_u):
+        np.testing.assert_array_equal(a, b)
