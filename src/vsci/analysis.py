@@ -60,10 +60,6 @@ class SpectrumReport:
     idempotence_defect: float     # Frobenius norm of P^2 - P
     n_live_pixels: int            # pixels with nonzero mask energy
 
-    @property
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
-
 
 def projection_spectrum(mask: SensingMask) -> SpectrumReport:
     """Densify P = Phi^T (Phi Phi^T)^{-1} Phi and return its eigenvalues.

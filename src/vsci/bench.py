@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,16 +112,6 @@ def _run_method(method: MethodSpec, mask, y, cube, bench: BenchSpec):
     )
 
 
-def _write_trace_csv(path: str, trace, timing: str) -> None:
-    lines = ["iter,psnr,residual,time_ms"]
-    for i in range(len(trace.residuals)):
-        p = f"{trace.psnrs[i]:.17g}" if i < len(trace.psnrs) else ""
-        t = 0.0 if timing == "none" else trace.times[i] * 1e3
-        lines.append(f"{i + 1},{p},{trace.residuals[i]:.17g},{t:.6f}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _unique_labels(methods) -> list:
     """Each method's label; a repeat gets the first free suffix _2, _3, ... in spec order."""
     labels = []
@@ -166,7 +156,9 @@ def run_trajectory_bench(bench: BenchSpec):
                 x_hat = None
             wall = 0.0 if bench.timing == "none" else time.perf_counter() - t0
             if trace is not None:
-                _write_trace_csv(os.path.join(bench.outdir, f"trace_{tag}.csv"), trace, bench.timing)
+                if bench.timing == "none":
+                    trace = replace(trace, times=[0.0] * len(trace.times))
+                trace.to_csv(os.path.join(bench.outdir, f"trace_{tag}.csv"))
             if diverged or trace is None or not trace.psnrs:
                 rows.append({
                     "scene": _scene_tag(scene), "method": label,

@@ -66,8 +66,7 @@ def load_mask(prefix: str) -> SensingMask:
         meta = tensorio.read_kv(prefix + ".meta")
         policy = meta.get("policy", "reject")
         tau = float(meta.get("floor_tau", "1e-6"))
-    q = np.einsum("hwb,hwb->hw", frames, frames)
-    return SensingMask(frames=frames, q_diag=q, policy=policy, floor_tau=tau)
+    return SensingMask(frames=frames, policy=policy, floor_tau=tau)
 
 
 def _pick(args, cfg: dict, flag: str, key: str):

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import memtrack
 from .errors import DivergedError, ShapeMismatchError, SingularAlphaError
 from .metrics import psnr
 
@@ -158,8 +157,16 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
     G[j] = f(x) - x, the residual column, and Y[j] = (1 - delta) x +
     delta f(x), the damped image. A persistent m x m Gram matrix of G gets
     its row and column j from one G @ G[j] product, and the next iterate is
-    the single product alpha @ Y, which is the mix above. Memory is two rings
-    plus the current iterate and image, whatever the iteration count.
+    the single product alpha @ Y, which is the mix above.
+
+    Memory contract: a solve holds the iterate x, its image f(x) and the next
+    mix, plus, for memory m >= 2, the two (m, N) rings and the m x m Gram
+    matrix, all allocated before the first iteration. No array grows with
+    the iteration count; the trace adds a few scalars per iteration. The
+    tests measure this with tracemalloc at 20 and 200 iterations: a solve's
+    peak stays under a fixed multiple of the iterate's bytes, and the peak
+    of a training gradient (forward and backward solves) grows by less than
+    one iterate.
 
     No aliasing: the engine never writes into an array it passed to f or got
     back from f, and x_hat is never a view of the ring.
@@ -181,16 +188,16 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
     trace = IterationTrace()
     s = cfg.anderson_memory
     delta = cfg.anderson_damping
-    x = memtrack.track(np.array(x0, dtype=np.float64))
+    x = np.array(x0, dtype=np.float64)
     shape = x.shape
     if s > 1:
-        g_ring = memtrack.track(np.empty((s, x.size)), count=s)
-        y_ring = memtrack.track(np.empty((s, x.size)), count=s)
+        g_ring = np.empty((s, x.size))
+        y_ring = np.empty((s, x.size))
         gram = np.zeros((s, s))
     best = np.inf
     for k in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
-        fx = memtrack.track(f(x))
+        fx = f(x)
         dt = time.perf_counter() - t0
         _check_shape(fx, shape, k)
         _check_finite(fx, trace, k)
@@ -212,7 +219,7 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
             if cfg.record_trace:
                 trace.alpha_errors.append(0.0)
                 trace.fallbacks.append(False)
-            x = memtrack.track((1.0 - delta) * x + delta * fx)
+            x = (1.0 - delta) * x + delta * fx
             continue
         y = y_ring[j].reshape(shape)  # the damped Picard step, (1 - delta) x + delta f(x)
         np.multiply(x, 1.0 - delta, out=y)
@@ -223,12 +230,12 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
             if cfg.record_trace:
                 trace.alpha_errors.append(abs(float(alpha.sum()) - 1.0))
                 trace.fallbacks.append(False)
-            x = memtrack.track((alpha @ y_ring[:m]).reshape(shape))
+            x = (alpha @ y_ring[:m]).reshape(shape)
         except SingularAlphaError:
             if cfg.record_trace:
                 trace.alpha_errors.append(0.0)
                 trace.fallbacks.append(True)
-            x = memtrack.track(y.copy())
+            x = y.copy()
     return SolveResult(x_hat=x, converged=False, iterations=cfg.max_iter, trace=trace)
 
 

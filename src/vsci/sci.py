@@ -44,28 +44,20 @@ class SensingMask:
     """Per-frame modulation masks plus the precomputed diagonal Gram entries.
 
     frames        (H, W, B) nonnegative mask values (typically {0, 1})
-    q_diag        (H, W) with q_diag = sum_b frames[..., b]**2
-    policy        "reject": constructing a mask with any q_diag == 0 fails;
+    q_diag        (H, W) sum_b frames[..., b]**2, derived from frames
+    policy        "reject": mask_generate and projections raise DeadPixelError
+                  where q_diag == 0;
                   "floor": divisions use max(q_diag, floor_tau) instead
     floor_tau     divisor floor used under the "floor" policy
     """
 
     frames: np.ndarray
-    q_diag: np.ndarray
     policy: str = POLICY_REJECT
     floor_tau: float = DEFAULT_FLOOR_TAU
+    q_diag: np.ndarray = field(init=False)
 
-    @property
-    def height(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[2]
+    def __post_init__(self):
+        self.q_diag = np.einsum("hwb,hwb->hw", self.frames, self.frames)
 
     def effective_q(self) -> np.ndarray:
         """Divisor actually used in projections, honoring the dead-pixel policy."""
@@ -128,8 +120,7 @@ def mask_generate(
         frames = (rng.random((h, w, b)) < p).astype(np.float64)
     else:
         raise ValueError(f"unknown mask kind {kind!r}")
-    q_diag = np.einsum("hwb,hwb->hw", frames, frames)
-    mask = SensingMask(frames=frames, q_diag=q_diag, policy=policy, floor_tau=floor_tau)
+    mask = SensingMask(frames=frames, policy=policy, floor_tau=floor_tau)
     if policy == POLICY_REJECT:
         mask.effective_q()  # raises DeadPixelError if any pixel is dead
     elif policy != POLICY_FLOOR:

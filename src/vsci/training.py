@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import memtrack
 from .errors import DivergedError, ShapeMismatchError, TrainingAbortedError
 from .fixed_point import FixedPointConfig, SolveResult, anderson_solve
 from .metrics import psnr
@@ -89,10 +88,10 @@ def neumann_backward(vjp_at_xhat, g: np.ndarray, order: int) -> np.ndarray:
     if order < 0:
         raise ValueError("order must be >= 0")
     g = np.asarray(g, dtype=np.float64)
-    acc = memtrack.track(g.copy())
+    acc = g.copy()
     term = g
     for _ in range(order):
-        term = memtrack.track(vjp_at_xhat(term))
+        term = vjp_at_xhat(term)
         acc += term
     return acc
 
@@ -120,8 +119,8 @@ def loss_gradient(model, sample, cfg: TrainConfig) -> LossGradResult:
     mask, y, x_star = sample
     fmap = model.make_map(mask, y)
     fwd = anderson_solve(fmap.apply, init_estimate(mask, y), cfg.forward)
-    x_hat = memtrack.track(fwd.x_hat)
-    g = memtrack.track(x_hat - x_star)
+    x_hat = fwd.x_hat
+    g = x_hat - x_star
     loss = mse_loss(x_hat, x_star)
     lin = fmap.linearize(x_hat)
     if cfg.backward_mode == "neumann":
@@ -129,9 +128,9 @@ def loss_gradient(model, sample, cfg: TrainConfig) -> LossGradResult:
         backward_converged = True
     else:
         bwd = backward_fixed_point(lin.vjp_input, g, cfg.backward_config())
-        a = memtrack.track(bwd.x_hat)
+        a = bwd.x_hat
         backward_converged = bwd.converged
-    grad = memtrack.track(lin.grad_params(a))
+    grad = lin.grad_params(a)
     return LossGradResult(
         grad=grad,
         loss=loss,
@@ -166,10 +165,10 @@ class TrainResult:
     log: list
 
     def log_to_csv(self, path: str) -> None:
-        lines = ["epoch,mean_loss,val_psnr,skipped"]
+        lines = ["epoch,mean_loss,val_psnr,skipped,approximate"]
         for row in self.log:
             vp = f"{row.val_psnr:.17g}" if np.isfinite(row.val_psnr) else ""
-            lines.append(f"{row.epoch},{row.mean_loss:.17g},{vp},{row.skipped}")
+            lines.append(f"{row.epoch},{row.mean_loss:.17g},{vp},{row.skipped},{row.approximate}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -260,12 +259,6 @@ class GradCheckReport:
     finite_diff: np.ndarray
     rel_errors: np.ndarray
     max_rel_error: float
-
-    def to_kv(self) -> dict:
-        return {
-            "n_probes": len(self.indices),
-            "max_rel_error": repr(self.max_rel_error),
-        }
 
 
 def finite_diff_gradcheck(

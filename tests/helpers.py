@@ -65,8 +65,7 @@ def random_mask(seed, h, w, b, p=0.5):
     while dead.any():
         frames[dead] = (rng.random((int(dead.sum()), b)) < p).astype(float)
         dead = frames.sum(axis=2) == 0
-    q = np.einsum("hwb,hwb->hw", frames, frames)
-    return SensingMask(frames=frames, q_diag=q)
+    return SensingMask(frames=frames)
 
 
 def numeric_cell_count(n: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import vsci.cli
 import vsci.training
 from vsci import tensorio
 from vsci.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_IO, EXIT_OK, main
@@ -158,6 +159,27 @@ def test_training_abort_exits_4_and_writes_no_checkpoint(tmp_path, monkeypatch, 
     assert os.listdir(tmp_path) == []
 
 
+def test_train_log_records_approximate_gradients(tmp_path, monkeypatch):
+    results = []
+
+    def train_and_keep(*args, **kwargs):
+        results.append(vsci.training.train(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(vsci.cli, "train", train_and_keep)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("solver.tol = 0\nsolver.max_iter = 3\n", encoding="utf-8")  # every solve capped
+    log = tmp_path / "log.csv"
+    assert main(["train", "--config", str(cfg), "--height", "8", "--width", "8", "--frames", "2",
+                 "--train-scenes", "2", "--val-scenes", "0", "--epochs", "2", "--lr", "0",
+                 "--out-prefix", str(tmp_path / "model"), "--log", str(log)]) == EXIT_OK
+    header, *rows = log.read_text(encoding="utf-8").splitlines()
+    assert header == "epoch,mean_loss,val_psnr,skipped,approximate"
+    column = [int(row.split(",")[4]) for row in rows]
+    assert column == [epoch.approximate for epoch in results[0].log]
+    assert all(n > 0 for n in column)
+
+
 def test_gradcheck_over_threshold_exits_5():
     assert main(["gradcheck", "--probes", "2", "--threshold", "0"]) == EXIT_GRADCHECK
 
@@ -174,3 +196,8 @@ def test_bench_timing_none_is_bitwise_reproducible(tmp_path):
         with open(os.path.join(dirs[0], name), "rb") as fa, \
                 open(os.path.join(dirs[1], name), "rb") as fb:
             assert fa.read() == fb.read(), name
+        if name.startswith("trace_"):
+            with open(os.path.join(dirs[0], name), encoding="utf-8") as fh:
+                header, *rows = fh.read().splitlines()
+            assert header == "iter,residual,rel_residual,psnr,time_ms"
+            assert rows and all(row.split(",")[4] == "0.000000" for row in rows), name

@@ -5,7 +5,6 @@ import pytest
 
 import vsci.fixed_point
 from helpers import traced_peak
-from vsci import memtrack
 from vsci.errors import DivergedError, ShapeMismatchError, SingularAlphaError
 from vsci.fixed_point import (
     FixedPointConfig,
@@ -300,25 +299,11 @@ class TestAnderson:
         # history-rebuilding loop read 17x (m=3) and 27x (m=5) the cube
         b = np.random.default_rng(16).random((64, 64, 8))
         x0 = np.zeros_like(b)
-        cfg = FixedPointConfig(tol=0.0, max_iter=20, anderson_memory=memory)
-        peak = traced_peak(anderson_solve, lambda x: 0.5 * x + b, x0, cfg)
         bound = 4.5 if memory == 1 else 2 * memory + 4
-        assert peak <= bound * b.nbytes
-
-    def test_live_count_includes_every_ring_slot(self):
-        # each (m, N) ring counts as m iterate-sized buffers, so two more
-        # memory slots show as four more live buffers at the peak
-        peaks = []
-        for memory in (3, 5):
-            cfg = FixedPointConfig(tol=0.0, max_iter=12, anderson_memory=memory)
-            memtrack.reset()
-            memtrack.enable()
-            try:
-                anderson_solve(lambda x: 0.5 * x + 1.0, np.zeros(16), cfg)
-            finally:
-                memtrack.disable()
-            peaks.append(memtrack.peak())
-        assert peaks[1] - peaks[0] == 4
+        for max_iter in (20, 200):
+            cfg = FixedPointConfig(tol=0.0, max_iter=max_iter, anderson_memory=memory)
+            peak = traced_peak(anderson_solve, lambda x: 0.5 * x + b, x0, cfg)
+            assert peak <= bound * b.nbytes, max_iter
 
 
 class TestShapeGuard:

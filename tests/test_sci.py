@@ -73,7 +73,7 @@ class TestForwardAdjoint:
 
         frames = np.zeros((1, 1, 2))
         frames[0, 0, 0] = 1.0
-        mask = SensingMask(frames=frames, q_diag=np.ones((1, 1)))
+        mask = SensingMask(frames=frames)
         x = np.zeros((1, 1, 2))
         x[0, 0, 0], x[0, 0, 1] = 0.3, 0.9
         np.testing.assert_allclose(forward(mask, x).data, [[0.3]])
@@ -95,7 +95,7 @@ class TestForwardAdjoint:
 
         frames = np.zeros((1, 1, 2))
         frames[0, 0, 0] = 1.0
-        mask = SensingMask(frames=frames, q_diag=np.ones((1, 1)))
+        mask = SensingMask(frames=frames)
         cube = adjoint(mask, np.array([[1.0]]))
         np.testing.assert_array_equal(cube[:, :, 0], [[1.0]])
         np.testing.assert_array_equal(cube[:, :, 1], [[0.0]])
@@ -199,8 +199,7 @@ class TestGapProject:
 
         frames = np.ones((2, 2, 2))
         frames[0, 0, :] = 0.0
-        q = np.einsum("hwb,hwb->hw", frames, frames)
-        m = SensingMask(frames=frames, q_diag=q, policy="reject")
+        m = SensingMask(frames=frames, policy="reject")
         with pytest.raises(DeadPixelError):
             gap_project(m, np.zeros((2, 2)), np.zeros((2, 2, 2)))
 
@@ -209,8 +208,7 @@ class TestGapProject:
 
         frames = np.ones((2, 2, 2))
         frames[0, 0, :] = 0.0
-        q = np.einsum("hwb,hwb->hw", frames, frames)
-        m = SensingMask(frames=frames, q_diag=q, policy="floor")
+        m = SensingMask(frames=frames, policy="floor")
         rng = np.random.default_rng(0)
         v = rng.random((2, 2, 2))
         y = rng.random((2, 2))
