@@ -145,14 +145,6 @@ def _tv_grad(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def _tv_grad_adjoint(px: np.ndarray, py: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = grad^T p on one frame, for duals zero-padded to (H, W+1) and (H+1, W)."""
-    np.subtract(px[:, :-1], px[:, 1:], out=out)
-    out -= py[1:]
-    out += py[:-1]
-    return out
-
-
 def tv_denoise(x: np.ndarray, lam: float, iters: int) -> np.ndarray:
     """Anisotropic TV proximal step, approximately argmin_z 1/2||z-x||^2 + lam*TV(z).
 
@@ -161,11 +153,20 @@ def tv_denoise(x: np.ndarray, lam: float, iters: int) -> np.ndarray:
         z = x - grad^T p,   p <- clip(p + tau * grad z, -lam, lam).
     lam = 0 returns a copy of x; iters must be >= 1.
 
-    Each (H, W) frame runs all its iterations as one contiguous block, so its
-    state stays cache-resident, and every update is in place. The duals are
-    zero-padded, px to (H, W+1) and py to (H+1, W), where grad z is 0. The
-    per-element arithmetic is exactly that of the step above on the whole
-    cube, so the result is bitwise independent of this blocking.
+    Each (H, W) frame runs all its iterations as one block on buffers
+    allocated once, so its state stays cache-resident, and every update is
+    in place. The frame and both duals are stored flat in row-major order,
+    so that every pass is over one contiguous 1-D slice:
+      - px holds a leading 0, then H rows of W. Slot W-1 of each row is the
+        far-edge slot, where the x-gradient is 0. The gradient pass
+        z[1:] - z[:-1] runs across row ends, so the update writes a
+        cross-row difference there; that column is reset to 0 after each
+        clip, before any read. The x-adjoint is then px[:-1] - px[1:].
+      - py holds H+1 rows of W; rows 0 and H stay 0. Its adjoint is
+        py[:-W] - py[W:], and its update runs on py[W:H*W].
+    Every element sees the same operations in the same order as the step
+    above on the whole cube, so the result is bitwise independent of this
+    layout and blocking.
     """
     if not lam >= 0:
         raise ValueError(f"tv strength must be >= 0, got {lam}")
@@ -176,31 +177,41 @@ def tv_denoise(x: np.ndarray, lam: float, iters: int) -> np.ndarray:
         return x.copy()
     tau = 0.125  # 1 / ||grad^T grad|| for 2D forward differences; a power of 2
     h, w, b = x.shape
+    n = h * w
     out = np.empty((h, w, b))
-    xf = np.empty((h, w))
-    z = np.empty((h, w))
-    g = np.empty(h * w)
-    gx = g[: h * (w - 1)].reshape(h, w - 1)
-    gy = g[: (h - 1) * w].reshape(h - 1, w)
-    px = np.empty((h, w + 1))
-    py = np.empty((h + 1, w))
-    pxi = px[:, 1:-1]
-    pyi = py[1:-1]
+    xf = np.empty(n)
+    z = np.empty(n)
+    g = np.empty(n)
+    gx = g[: n - 1]
+    gy = g[: n - w]
+    px = np.empty(n + 1)
+    py = np.empty(n + w)
+    pxi = px[1:n]
+    edge = px[1:].reshape(h, w)[:, -1:]
+    pyi = py[w:n]
+
+    def adjoint(a):  # a = grad^T p
+        np.subtract(px[:-1], px[1:], out=a)
+        a -= py[w:]
+        a += py[:-w]
+        return a
+
     for k in range(b):
-        xf[...] = x[:, :, k]
+        xf.reshape(h, w)[...] = x[:, :, k]
         px.fill(0.0)
         py.fill(0.0)
         for _ in range(iters):
-            np.subtract(xf, _tv_grad_adjoint(px, py, out=z), out=z)
-            np.subtract(z[:, 1:], z[:, :-1], out=gx)
+            np.subtract(xf, adjoint(z), out=z)
+            np.subtract(z[1:], z[:-1], out=gx)
             gx *= tau
             pxi += gx
             np.clip(pxi, -lam, lam, out=pxi)
-            np.subtract(z[1:], z[:-1], out=gy)
+            edge.fill(0.0)
+            np.subtract(z[w:], z[:-w], out=gy)
             gy *= tau
             pyi += gy
             np.clip(pyi, -lam, lam, out=pyi)
-        np.subtract(xf, _tv_grad_adjoint(px, py, out=z), out=out[:, :, k])
+        np.subtract(xf.reshape(h, w), adjoint(z).reshape(h, w), out=out[:, :, k])
     return out
 
 

@@ -149,8 +149,9 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
         x_{k+1} = (1 - delta) sum_i alpha_i x_i + delta sum_i alpha_i f(x_i).
     With memory 1, alpha is exactly [1], so the step is computed directly as
     damped Picard, (1 - delta) x + delta f(x), with no mixing solve and no
-    history. A singular mixing system falls back to that damped Picard step
-    for one iteration (recorded in trace.fallbacks).
+    history; undamped (delta = 1) the next iterate is f(x) itself. A
+    singular mixing system falls back to that damped Picard step for one
+    iteration (recorded in trace.fallbacks).
 
     Ring layout (memory m >= 2): iteration k writes ring slot
     j = (k - 1) mod m of two preallocated (m, N) buffers, N = x.size:
@@ -169,7 +170,10 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
     one iterate.
 
     No aliasing: the engine never writes into an array it passed to f or got
-    back from f, and x_hat is never a view of the ring.
+    back from f, and x_hat is never a view of the ring. Undamped memory 1
+    passes f's output back to f and may return it as x_hat, so f must not
+    write into an array it returned earlier; every map in this package
+    returns a fresh array that it never writes to again.
 
     Tolerance (memory >= 2): the columns sit in ring order rather than by
     age and the mix is one reassociated sum, so results agree with an Anderson
@@ -178,7 +182,9 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
     1e-10 (with a floor of 1e-12 of the first residual, once residuals reach
     the rounding level). Rounding grows with the map's sensitivity: on
     256x256x8 DE-GAP with K=20 x_hat moves by up to 1.5e-8 (max |x| = 2.1).
-    Memory 1 is bitwise the damped Picard loop.
+    Memory 1 is bitwise the damped Picard loop. Undamped, it takes f(x)
+    where the formula computes 0 * x + 1 * f(x): values are equal, and only
+    a -0.0 in f(x) keeps its sign where the formula gives +0.0.
 
     f is called exactly once per iteration, in order, on the iterate whose
     residual it measures; stateful step closures (the PnP baselines) rely
@@ -219,7 +225,7 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
             if cfg.record_trace:
                 trace.alpha_errors.append(0.0)
                 trace.fallbacks.append(False)
-            x = (1.0 - delta) * x + delta * fx
+            x = fx if delta == 1.0 else (1.0 - delta) * x + delta * fx
             continue
         y = y_ring[j].reshape(shape)  # the damped Picard step, (1 - delta) x + delta f(x)
         np.multiply(x, 1.0 - delta, out=y)

@@ -55,18 +55,31 @@ class SensingMask:
     policy: str = POLICY_REJECT
     floor_tau: float = DEFAULT_FLOOR_TAU
     q_diag: np.ndarray = field(init=False)
+    _q_eff: np.ndarray = field(init=False, repr=False, compare=False)
+    _dead: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.q_diag = np.einsum("hwb,hwb->hw", self.frames, self.frames)
+        self._dead = None
+        if self.policy == POLICY_FLOOR:
+            self._q_eff = np.maximum(self.q_diag, self.floor_tau)
+        else:
+            self._q_eff = self.q_diag.view()
+            dead = np.flatnonzero(self.q_diag <= 0.0)
+            if dead.size:
+                self._dead = int(dead[0])
+        self._q_eff.flags.writeable = False
 
     def effective_q(self) -> np.ndarray:
-        """Divisor actually used in projections, honoring the dead-pixel policy."""
-        if self.policy == POLICY_FLOOR:
-            return np.maximum(self.q_diag, self.floor_tau)
-        dead = np.flatnonzero(self.q_diag <= 0.0)
-        if dead.size:
-            raise DeadPixelError(int(dead[0]))
-        return self.q_diag
+        """Divisor actually used in projections, honoring the dead-pixel policy.
+
+        Both the divisor and the first dead pixel are fixed by the mask, so
+        __post_init__ finds them once; this returns that read-only divisor,
+        or, under "reject", raises DeadPixelError naming the first dead pixel.
+        """
+        if self._dead is not None:
+            raise DeadPixelError(self._dead)
+        return self._q_eff
 
     def live_pixels(self) -> np.ndarray:
         """Boolean (H, W) map of pixels with nonzero mask energy."""

@@ -92,8 +92,9 @@ class TestTv:
         assert not np.shares_memory(out, x)
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 9, 2), (9, 1, 2), (3, 5, 1),
-                                       (17, 23, 3), (64, 64, 8)])
-    @pytest.mark.parametrize("lam", [0.01, 0.05, 0.5])
+                                       (17, 23, 3), (64, 64, 8),
+                                       (2, 300, 1), (300, 2, 1), (3, 0, 2)])
+    @pytest.mark.parametrize("lam", [1e-4, 0.01, 0.05, 0.5])
     @pytest.mark.parametrize("iters", [1, 2, 30])
     def test_bitwise_equal_to_whole_cube_oracle(self, shape, lam, iters):
         x = _cube(shape, 5)

@@ -190,6 +190,23 @@ class TestAnderson:
         assert np.array_equal(res.x_hat, x)
         assert res.trace.alpha_errors == [0.0] * 50 and not any(res.trace.fallbacks)
 
+    def test_memory_one_undamped_equals_picard(self):
+        # undamped, the engine takes f(x) itself; the formula's 0 * x + 1 * f(x)
+        # differs from it at most in the sign of a zero, which array_equal ignores
+        a, b = contraction_16(7, 0.9)
+        cfg = FixedPointConfig(tol=0.0, max_iter=50, anderson_memory=1,
+                               anderson_damping=1.0)
+        res = anderson_solve(affine_map(a, b), np.zeros(16), cfg)
+        x = np.zeros(16)
+        manual = []
+        for _ in range(50):
+            fx = a @ x + b
+            manual.append(np.linalg.norm(fx - x))
+            x = (1.0 - 1.0) * x + 1.0 * fx
+        assert res.trace.residuals == manual
+        assert np.array_equal(res.x_hat, x)
+        assert res.trace.alpha_errors == [0.0] * 50 and not any(res.trace.fallbacks)
+
     def test_same_fixed_point_as_picard_and_not_slower(self):
         a, b = contraction_16(8, 0.8)
         f = affine_map(a, b)

@@ -66,6 +66,16 @@ class TestMaskGenerate:
         m = mask_generate(0, 8, 8, 1, kind="bernoulli", p=0.5, policy="floor")
         assert (m.effective_q() >= m.floor_tau).all()
 
+    @pytest.mark.parametrize("policy", ["reject", "floor"])
+    def test_effective_q_built_once_and_read_only(self, policy):
+        m = mask_generate(3, 6, 6, 4, p=0.9, policy=policy)
+        q = m.effective_q()
+        assert m.effective_q() is q
+        np.testing.assert_array_equal(q, np.maximum(m.q_diag, m.floor_tau)
+                                      if policy == "floor" else m.q_diag)
+        with pytest.raises(ValueError):
+            q[0, 0] = 1.0
+
 
 class TestForwardAdjoint:
     def test_forward_masks_select_frames(self):

@@ -280,13 +280,21 @@ class TestMemoryContract:
         # cube per extra iteration; clean runs differ by about 0.01 cube
         mask, y, cube = desk_sample(8, 64, 64, 4)
         model = desk_model(seed=9)
-        peaks = []
-        for budget in (20, 200):
+
+        def budget_cfg(budget):
             cfg = tight_train_cfg(backward_mode=backward_mode, backward_tol=1e-300,
                                   backward_max_iter=budget, neumann_order=budget)
             cfg.forward.tol = 0.0  # force the full iteration budget
             cfg.forward.max_iter = budget
-            peaks.append(traced_peak(loss_gradient, model, (mask, y, cube), cfg))
+            return cfg
+
+        # one untraced call at the larger budget first: in a fresh process the
+        # interpreter's free lists of small objects (which a full gc.collect()
+        # empties) grow over the first few hundred iterations, and that growth
+        # would otherwise land in the K=200 peak only
+        loss_gradient(model, (mask, y, cube), budget_cfg(200))
+        peaks = [traced_peak(loss_gradient, model, (mask, y, cube), budget_cfg(budget))
+                 for budget in (20, 200)]
         assert peaks[1] <= peaks[0] + cube.nbytes
 
 
