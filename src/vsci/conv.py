@@ -8,117 +8,233 @@ identities are exercised by tests:
     <conv(x, K), v> == <x, conv_adjoint_input(v, K)>
     <conv(x, K), v> == <K, conv_grad_kernel(x, v)>  (bias handled separately)
 
-Every kernel works on the kh*kw shifted views of the zero-padded input, one
-per kernel tap. ``conv_forward`` picks its path from the kernel's shape, so
-that it shifts kh*kw*min(C_in, C_out) planes and no more:
+Every kernel runs on a ``Grid``: the frames stored zero-bordered and
+row-flattened, as one (positions, C) buffer. With P >= k // 2 for every
+kernel side k, each row is W + P positions wide (W data columns, then P zero
+columns that also border the next row on its left), each frame's rows are
+followed by P zero rows that also border the next frame from above, P zero
+rows lead the first frame, and P positions of slack lie at each end. Output
+position p then reads tap (i, j) at p + (i - kh // 2) * (W + P) + (j - kw // 2),
+so every tap of a whole block of rows, across all its frames, is one
+contiguous slice of the buffer. Outputs are computed at every position of
+the rows' span, pad columns and the zero rows between frames included; the
+values there are not part of the result.
 
-- C_in == 1: im2col. The kh*kw shifted frames are copied into one column
-  buffer and contracted with the kernel in a single GEMM.
+``conv_forward`` picks its path from the kernel's shape, so that it shifts
+kh*kw*min(C_in, C_out) planes and no more:
+
+- C_in == 1: im2col. The kh*kw tap slices are copied into one tap-major
+  column buffer, with a row of ones when there is a bias, and contracted
+  with the kernel (and the bias) in a single GEMM.
 - 1 < C_in, C_out < C_in (a narrowing layer): one GEMM on the padded input,
-  ``(kh*kw*C_out, C_in) @ (C_in, F*Hp*Wp)``, gives one C_out-channel plane
-  per tap; the kh*kw planes, each shifted by its tap, are then summed. The
+  ``(kh*kw*C_out, C_in) @ (C_in, n)``, gives one C_out-channel plane per
+  tap; the kh*kw planes, each read at its tap's offset, are then summed. The
   sum over taps and channels is reassociated, so results differ from the
   per-tap path by rounding only.
-- otherwise (C_out >= C_in > 1): one ``(F, H, W, C_in) @ (C_in, C_out)``
-  matmul per tap, accumulated into one preallocated output.
+- otherwise (C_out >= C_in > 1): one ``(n, C_in) @ (C_in, C_out)`` GEMM per
+  tap on its contiguous slice, accumulated into the output.
 
 ``conv_adjoint_input`` is a forward conv with the flipped, transposed kernel,
-so it takes the same rule with C_in and C_out swapped.
+so it takes the same rule with C_in and C_out swapped. ``conv_grad_kernel``
+is one ``(C_out, n) @ (n, C_in)`` GEMM per tap, with the cotangent on a grid
+of the same shape, whose zero border cancels the span's extra positions.
+
+A conv stack can keep its activations on grids from layer to layer: given a
+window of rows of a grid and an ``out`` grid of the same geometry,
+``conv_forward`` writes those rows of ``out`` and reads the rows around them
+from the input grid, zero rows at a frame's edge and data rows elsewhere.
 
 The per-tap loop is kept for C_out >= C_in because there the one-GEMM path
 would shift the wider side and hold kh*kw output-sized planes. Measured with
-one BLAS thread, per tap against one GEMM: DE-RNN's 3->8 input layer on an
-(8, 256, 256) cube 171 vs 231 ms, with peak allocation 2.4x vs 11.5x the
-output; an 8->8 3x3 layer on a 36x256 denoiser tile 2.1 vs 2.6 ms; and
-``vsci reconstruct --method de-rnn`` at 256x256x8, 20 iterations, 8.1-8.6 vs
-10.2-11.1 s. im2col is slower still for C_in > 1 (8->8 on the tile: 5.1 ms).
+one BLAS thread on a 2-vCPU x86-64 VM, per tap against one GEMM: DE-RNN's
+3->8 input layer on an (8, 256, 256) cube 127 vs 276 ms, and an 8->8 3x3
+layer on a 34x256 tile 1.4 vs 2.0 ms. ``vsci reconstruct --method de-rnn``
+at 256x256x8 with 20 iterations takes about 6 s (5.8-7.9 s over two runs).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
 
-def _pad(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Zero-pad the spatial axes of x by half the (odd) kernel size."""
+@dataclass(frozen=True)
+class Grid:
+    """Frames on a zero-bordered, row-flattened buffer (see the module doc).
+
+    buf is (positions, C). The grid holds `frames` frames of `height` rows
+    by `width` columns with border P = `pad`; [lo, hi) is a window of rows,
+    the same in every frame, that a conv writes (as ``out``) or computes
+    (as its input). Only the data columns of the window's rows are values
+    of the frames; the border stays zero wherever a conv may read it.
+    """
+
+    buf: np.ndarray
+    frames: int
+    height: int
+    width: int
+    pad: int
+    lo: int
+    hi: int
+
+    @classmethod
+    def zeros(cls, frames: int, height: int, width: int, channels: int, pad: int) -> "Grid":
+        wp = width + pad
+        n = 2 * pad + pad * wp + frames * (height + pad) * wp
+        return cls(np.zeros((n, channels)), frames, height, width, pad, 0, height)
+
+    @classmethod
+    def of(cls, x: np.ndarray, pad: int) -> "Grid":
+        """A grid holding the (F, H, W, C) array x; its window is every row."""
+        f, h, w, c = x.shape
+        g = cls.zeros(f, h, w, c, pad)
+        g.view()[...] = x
+        return g
+
+    @property
+    def wp(self) -> int:
+        """Positions per row: the data columns, then the pad zero columns."""
+        return self.width + self.pad
+
+    @property
+    def shape(self) -> tuple:
+        """(frames, window rows, width, channels): the array the window holds."""
+        return (self.frames, self.hi - self.lo, self.width, self.buf.shape[1])
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.shape))
+
+    def rows(self, lo: int, hi: int) -> "Grid":
+        return Grid(self.buf, self.frames, self.height, self.width, self.pad, lo, hi)
+
+    def span(self) -> tuple[int, int]:
+        """(first position, count) of the window's rows, from the first
+        frame's row lo to the last frame's row hi - 1, whole rows."""
+        start = self.pad + (self.pad + self.lo) * self.wp
+        return start, ((self.frames - 1) * (self.height + self.pad) + self.hi - self.lo) * self.wp
+
+    def region(self) -> np.ndarray:
+        """The span's (count, C) block of buf, a view."""
+        start, n = self.span()
+        return self.buf[start : start + n]
+
+    def _frames4(self) -> np.ndarray:
+        """(frames, height + pad, width + pad, C) view from the first data row."""
+        start, rows = self.pad + self.pad * self.wp, self.height + self.pad
+        return self.buf[start : start + self.frames * rows * self.wp].reshape(
+            self.frames, rows, self.wp, -1)
+
+    def view(self) -> np.ndarray:
+        """The window's values, an (F, hi - lo, W, C) view of buf."""
+        return self._frames4()[:, self.lo : self.hi, : self.width]
+
+    def clear_border(self) -> None:
+        """Zero the span outside the window's data: the pad columns and the
+        rows between frames, where a conv wrote values that are not part of
+        its result."""
+        f4 = self._frames4()
+        f4[:, self.lo : self.hi, self.width :] = 0.0
+        f4[:-1, self.hi :] = 0.0
+        f4[1:, : self.lo] = 0.0
+
+
+def _tap_offsets(kh: int, kw: int, g: Grid) -> list[int]:
+    """Position offset of each kernel tap on g, tap-major (i, then j)."""
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {kh}x{kw}")
-    f, h, w, c = x.shape
-    ph, pw = kh // 2, kw // 2
-    xp = np.zeros((f, h + 2 * ph, w + 2 * pw, c))
-    xp[:, ph : ph + h, pw : pw + w] = x
-    return xp
+    if max(kh, kw) // 2 > g.pad:
+        raise ValueError(f"a {kh}x{kw} kernel needs a wider border than the grid's {g.pad}")
+    return [(i - kh // 2) * g.wp + (j - kw // 2) for i in range(kh) for j in range(kw)]
 
 
-def _taps(x: np.ndarray, kh: int, kw: int) -> list[tuple[int, int, np.ndarray]]:
-    """Zero-pad x spatially; return (i, j, view) per kernel tap.
-
-    ``view[f, r, c] = x_padded[f, r + i, c + j]`` has the shape of x.
-    """
-    _, h, w, _ = x.shape
-    xp = _pad(x, kh, kw)
-    return [(i, j, xp[:, i : i + h, j : j + w]) for i in range(kh) for j in range(kw)]
-
-
-def _narrowing_forward(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """conv_forward without bias for C_out < C_in: one GEMM, then shifted adds."""
+def _conv(src: Grid, kernel: np.ndarray, bias, out_buf: np.ndarray) -> None:
+    """Write the conv of src's window into the same span of out_buf."""
     c_out, c_in, kh, kw = kernel.shape
-    f, h, w, _ = x.shape
-    xp = _pad(x, kh, kw)
-    hp, wp = xp.shape[1:3]
-    k2 = kernel.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
-    planes = (k2 @ xp.reshape(-1, c_in).T).reshape(kh, kw, c_out, f, hp, wp)
-    out = np.zeros((c_out, f, h, w))
-    for i in range(kh):
-        for j in range(kw):
-            out += planes[i, j, :, :, i : i + h, j : j + w]
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    offs = _tap_offsets(kh, kw, src)
+    start, n = src.span()
+    x = src.buf
+    out = out_buf[start : start + n]
+    if c_in == 1:
+        k2 = kernel.reshape(c_out, kh * kw).T
+        cols = np.empty((kh * kw + (bias is not None), n))
+        for t, o in enumerate(offs):
+            cols[t] = x[start + o : start + o + n, 0]
+        if bias is not None:
+            cols[-1] = 1.0
+            k2 = np.vstack([k2, bias])
+        np.matmul(cols.T, k2, out=out)
+    elif c_out < c_in:
+        k2 = kernel.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
+        first = start + offs[0]
+        planes = k2 @ x[first : start + offs[-1] + n].T
+        acc = out.T  # (C_out, n); contiguous when C_out == 1
+        for t, o in enumerate(offs):
+            p = planes[t * c_out : (t + 1) * c_out, start + o - first :][:, :n]
+            if t == 0:
+                np.copyto(acc, p)
+            else:
+                acc += p
+        if bias is not None:
+            acc += bias[:, None]
+    else:
+        tmp = np.empty((n, c_out))
+        for t, o in enumerate(offs):
+            k = kernel[:, :, t // kw, t % kw].T
+            xs = x[start + o : start + o + n]
+            if t == 0:
+                np.matmul(xs, k, out=out)
+            else:
+                out += np.matmul(xs, k, out=tmp)
+        if bias is not None:
+            out += bias
 
 
-def conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Same-size cross-correlation: (F, H, W, Cin) -> (F, H, W, Cout)."""
+def conv_forward(x, kernel: np.ndarray, bias: np.ndarray | None = None, out: Grid | None = None):
+    """Same-size cross-correlation: (F, H, W, Cin) -> (F, H, W, Cout).
+
+    x is an array, or a window of rows of a Grid. For a grid, the result is
+    written into the same window of ``out``, a grid of the same frames,
+    height, width and border with Cout channels, and that window of out is
+    returned. Only out's window rows hold the result; its pad columns, and
+    any rows between frames in the window's span, hold other values until
+    ``out.clear_border()``.
+    """
     c_out, c_in, kh, kw = kernel.shape
     if x.shape[-1] != c_in:
         raise ValueError(f"input has {x.shape[-1]} channels, kernel expects {c_in}")
-    out_shape = x.shape[:-1] + (c_out,)
-    if c_in == 1:
-        cols = np.stack([xs[..., 0] for _, _, xs in _taps(x, kh, kw)])  # (kh*kw, F, H, W)
-        out = cols.reshape(kh * kw, -1).T @ kernel.reshape(c_out, kh * kw).T
-        out = out.reshape(out_shape)
-    elif c_out < c_in:
-        out = _narrowing_forward(x, kernel)
-    else:
-        out = np.zeros(out_shape)
-        tmp = np.empty(out_shape)
-        for i, j, xs in _taps(x, kh, kw):
-            out += np.matmul(xs, kernel[:, :, i, j].T, out=tmp)
-    if bias is not None:
-        # one bias row per image row gives a long inner loop, not one of C_out
-        # elements; out is C-contiguous on every path, so the reshape is a view
-        rows = out.reshape(-1, out.shape[2] * c_out)
-        rows += np.tile(bias, out.shape[2])
-    return out
+    if isinstance(x, Grid):
+        _conv(x, kernel, bias, out.buf)
+        return out.rows(x.lo, x.hi)
+    g = Grid.of(x, max(kh, kw) // 2)
+    out_buf = np.empty((g.buf.shape[0], c_out))
+    _conv(g, kernel, bias, out_buf)
+    return np.ascontiguousarray(replace(g, buf=out_buf).view())
 
 
-def conv_adjoint_input(v: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def conv_adjoint_input(v, kernel: np.ndarray, out: Grid | None = None):
     """Adjoint of conv_forward in its input: (F, H, W, Cout) -> (F, H, W, Cin).
 
     Equals a same-size cross-correlation of v with the kernel flipped
-    spatially and transposed in its channel axes.
+    spatially and transposed in its channel axes; v and out are as in
+    conv_forward.
     """
     kt = np.flip(kernel, axis=(2, 3)).transpose(1, 0, 2, 3)  # (Cin, Cout, kh, kw)
-    return conv_forward(v, np.ascontiguousarray(kt))
+    return conv_forward(v, np.ascontiguousarray(kt), out=out)
 
 
 def conv_grad_kernel(x: np.ndarray, v: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Adjoint of conv_forward in its kernel: returns (Cout, Cin, kh, kw)."""
     c_in, c_out = x.shape[-1], v.shape[-1]
-    vt = v.reshape(-1, c_out).T
-    xs_buf = np.empty(x.shape)
+    pad = max(kh, kw) // 2
+    g = Grid.of(x, pad)
+    offs = _tap_offsets(kh, kw, g)
+    start, n = g.span()
+    vt = Grid.of(v, pad).region().T  # zero outside the frames' data
     grad = np.empty((c_out, c_in, kh, kw))
-    for i, j, xs in _taps(x, kh, kw):
-        np.copyto(xs_buf, xs)
-        grad[:, :, i, j] = vt @ xs_buf.reshape(-1, c_in)
+    for t, o in enumerate(offs):
+        grad[:, :, t // kw, t % kw] = vt @ g.buf[start + o : start + o + n]
     return grad
 
 
@@ -137,24 +253,28 @@ def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def softplus(z: np.ndarray) -> np.ndarray:
-    """Numerically stable log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|))."""
-    out = _exp_neg_abs(z)
-    np.log1p(out, out=out)
-    out += np.maximum(z, 0.0)
+def softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|)).
+
+    out may be z itself, for an in-place update.
+    """
+    e = _exp_neg_abs(z)
+    np.log1p(e, out=e)
+    out = np.maximum(z, 0.0, out=out)
+    out += e
     return out
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function (= derivative of softplus).
 
     Branch-free on e = exp(-|z|): 1 / (1 + e) for z >= 0, e / (1 + e) below.
+    out may be z itself, for an in-place update.
     """
     e = _exp_neg_abs(z)
-    out = np.where(z >= 0, 1.0, e)
+    num = np.where(z >= 0, 1.0, e)
     e += 1.0
-    out /= e
-    return out
+    return np.divide(num, e, out=out)
 
 
 def conv_operator_sigma(

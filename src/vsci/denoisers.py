@@ -15,25 +15,42 @@ flat theta order, spectral normalization and one checkpoint format:
 every kernel's shape (C_out x C_in x kh x kw) and sn_h, sn_w, sn_seed.
 
 The conv stack runs over row tiles so that its activations stay in cache.
-A tile is a block of rows of one frame, extended by a halo of sum(k // 2)
-rows on each side (k the kernel height of each layer) and clipped to the
-frame; every layer runs on the whole extended block, and only the tile's
-own rows are kept. Rows a cut inside the frame makes wrong lie within the
-halo, and at the frame border conv_forward's own zero padding is exact, so
-the result equals the untiled stack bit for bit. An input whose widest
-activation fits the budget TILE_ELEMS runs as one tile over all frames, as
-at desk scale; otherwise frames that fit are grouped whole, and larger
-frames are cut into row blocks. denoise and linearize share this forward.
+A tile is a block of rows of one frame, or a block of whole frames (see
+_tiles). Its activations chain from layer to layer on zero-bordered grids
+(vsci.conv.Grid), one per layer input plus one for the output, allocated
+once per call and reused by every tile:
+  - the tile loads its rows, plus a halo of sum(k // 2) rows on each side
+    clipped to the frame (k the kernel height of each layer), straight from
+    the (H, W, B) cube into the first grid;
+  - layer l computes only the rows that the layers after it still read: the
+    tile's rows plus a halo of the later layers' sum(k // 2), so the halo
+    shrinks by layer l's k // 2 at each layer;
+  - softplus runs in place on each hidden output, whose pad columns and
+    rows between frames are then zeroed, so that it is the next layer's
+    zero-bordered input;
+  - the tile writes its own rows of x + gamma * r(x) straight into the
+    output cube.
+Every row a layer computes reads only rows its input holds: data rows of
+that grid, or the grid's zero rows at a frame edge, where they equal
+conv_forward's zero padding. A tile whose rows reach the bottom of a frame
+first zeroes the grid rows below them, which an earlier tile may have
+written. So the result equals the untiled stack bit for bit. An input whose
+widest activation fits the budget TILE_ELEMS runs as one tile over all
+frames, as at desk scale; otherwise frames that fit are grouped whole, and
+larger frames are cut into row blocks. denoise and linearize share this
+forward, and the linearization's VJPs chain their cotangents through grids
+the same way, whole frames at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensorio
 from .conv import (
+    Grid,
     conv_adjoint_input,
     conv_forward,
     conv_grad_bias,
@@ -328,28 +345,43 @@ class ConvResidualLinearization:
     slopes: tuple   # softplus'(preact) = sigmoid(preact) per hidden layer
     shape: tuple    # (H, W, B) of the input cube
 
+    def _cotangent_grid(self, v: np.ndarray) -> Grid:
+        """The cotangent v of the (H, W, B) output cube on a one-channel grid."""
+        h, w, nb = self.shape
+        g = Grid.zeros(nb, h, w, 1, max(max(k.shape[2:]) // 2 for k in self.kernels))
+        g.view()[..., 0] = v.transpose(2, 0, 1)
+        return g
+
+    def _adjoint(self, l: int, g: Grid) -> Grid:
+        """From the cotangent of layer l's output on g, that of its input (for
+        l > 0, of the previous layer's preactivation) on a new grid."""
+        k = self.kernels[l]
+        t = conv_adjoint_input(g, k, out=Grid.zeros(g.frames, g.height, g.width, k.shape[1], g.pad))
+        if l > 0:
+            view = t.view()
+            view *= self.slopes[l - 1]
+            t.clear_border()
+        return t
+
     def vjp_input(self, v: np.ndarray) -> np.ndarray:
         v = _check_cotangent(v, self.shape)
-        w = _as_frames(v)
+        g = self._cotangent_grid(v)
         for l in range(len(self.kernels) - 1, -1, -1):
-            w = conv_adjoint_input(w, self.kernels[l])
-            if l > 0:
-                w = w * self.slopes[l - 1]
-        return v + self.gamma * _as_cube(w)
+            g = self._adjoint(l, g)
+        return v + self.gamma * g.view()[..., 0].transpose(1, 2, 0)
 
     def grad_params(self, v: np.ndarray) -> np.ndarray:
         v = _check_cotangent(v, self.shape)
         n = len(self.kernels)
         grads_k = [None] * n
         grads_b = [None] * n
-        w = _as_frames(v)
+        g = self._cotangent_grid(v)
         for l in range(n - 1, -1, -1):
-            k = self.kernels[l]
+            k, w = self.kernels[l], g.view()
             grads_k[l] = conv_grad_kernel(self.acts[l], w, k.shape[2], k.shape[3])
             grads_b[l] = conv_grad_bias(w)
             if l > 0:
-                w = conv_adjoint_input(w, k)
-                w = w * self.slopes[l - 1]
+                g = self._adjoint(l, g)
         return self.gamma * _flat(grads_k, grads_b)
 
 
@@ -367,11 +399,15 @@ def _tiles(nb: int, h: int, row_elems: int):
     TILE_ELEMS, tiles are blocks of as many whole frames as fit, so an input
     that fits runs as one tile. Otherwise each frame is cut into blocks of
     TILE_ELEMS // row_elems rows (at least one); the last may be shorter.
+    Row blocks are the outer loop: the tiles of one block of rows, one per
+    frame, run back to back, so the rows of the (H, W, B) cube that they
+    load and write (all B frames share each cache line) stay in cache. At
+    256x256x8 that made one denoise ~9% faster than frame-major order.
     """
     rows = min(h, max(1, TILE_ELEMS // row_elems))
     frames = max(1, TILE_ELEMS // (h * row_elems)) if rows == h else 1
-    for f0 in range(0, nb, frames):
-        for r0 in range(0, h, rows):
+    for r0 in range(0, h, rows):
+        for f0 in range(0, nb, frames):
             yield f0, min(nb, f0 + frames), r0, min(h, r0 + rows)
 
 
@@ -394,49 +430,63 @@ class ConvResidualDenoiser(Denoiser):
             if a.shape[0] != b.shape[1]:
                 raise ValueError("channel chain mismatch between consecutive layers")
 
-    def _residual_forward(self, frames: np.ndarray, keep: bool):
-        """r(frames) through the conv stack, one tile at a time (see _tiles).
+    def _forward(self, x: np.ndarray, keep: bool):
+        """x + gamma * r(x) through the conv stack, one tile at a time (see _tiles).
 
-        Each tile runs the whole stack on its rows plus a halo of
-        sum(kh // 2) rows per side, clipped to the frame, and writes out only
-        its own rows; the module docstring says why that is exact.
-        Returns (r, acts, slopes). With keep=True, acts holds the input to
+        The module docstring describes the tile loop and why it is exact.
+        Returns (out, acts, slopes). With keep=True, acts holds the input to
         each layer and slopes softplus' of each hidden preactivation, as
-        full-size arrays for ConvResidualLinearization; otherwise both are
-        None.
+        full-size (B, H, W, C) arrays for ConvResidualLinearization;
+        otherwise both are None.
         """
         kernels, biases = self.params.kernels, self.params.biases
-        nb, h, w, _ = frames.shape
-        halo = sum(k.shape[2] // 2 for k in kernels)
-        r = np.empty(frames.shape)
+        h, w, nb = x.shape
+        chans = [1] + [k.shape[0] for k in kernels]
+        halo = [0]  # halo[l]: rows each side of a tile that layer l's input needs
+        for k in kernels[::-1]:
+            halo.insert(0, halo[0] + k.shape[2] // 2)
+        pad = max(max(k.shape[2:]) // 2 for k in kernels)
+        tiles = list(_tiles(nb, h, w * max(chans[1:])))
+        frames = tiles[0][1] - tiles[0][0]
+        height = max(min(h, r1 + halo[0]) - max(0, r0 - halo[0]) for _, _, r0, r1 in tiles)
+        grids = [Grid.zeros(frames, height, w, c, pad) for c in chans]
+        out = np.empty(x.shape)
         acts = slopes = None
         if keep:
-            acts = [frames] + [np.empty((nb, h, w, k.shape[0])) for k in kernels[:-1]]
+            acts = [_as_frames(x)] + [np.empty((nb, h, w, c)) for c in chans[1:-1]]
             slopes = [np.empty_like(a) for a in acts[1:]]
         last = len(kernels) - 1
-        for f0, f1, r0, r1 in _tiles(nb, h, w * max(k.shape[0] for k in kernels)):
-            a, b = max(0, r0 - halo), min(h, r1 + halo)
-            own = slice(r0 - a, r1 - a)  # the tile's rows within its haloed block
-            t = frames[f0:f1, a:b]
+        for f0, f1, r0, r1 in tiles:
+            top = max(0, r0 - halo[0])  # the frame row at the grids' row 0
+            gs = grids if f1 - f0 == frames else [replace(g, frames=f1 - f0) for g in grids]
+            if r1 + halo[0] >= h:  # the zero rows below the frame may hold an earlier tile's rows
+                for g in gs:
+                    g.rows(h - top, h - top + pad).view()[...] = 0.0
+            t = gs[0].rows(0, min(h, r1 + halo[0]) - top)
+            t.view()[..., 0] = x[top : top + t.hi, :, f0:f1].transpose(2, 0, 1)
+            own = (r0 - top, r1 - top)
             for l, (k, bias) in enumerate(zip(kernels, biases)):
-                z = conv_forward(t, k, bias)
+                lo, hi = max(0, r0 - halo[l + 1]) - top, min(h, r1 + halo[l + 1]) - top
+                t = conv_forward(t.rows(lo, hi), k, bias, out=gs[l + 1])
                 if l == last:
-                    r[f0:f1, r0:r1] = z[:, own]
                     break
-                t = softplus(z)
                 if keep:
-                    acts[l + 1][f0:f1, r0:r1] = t[:, own]
-                    slopes[l][f0:f1, r0:r1] = sigmoid(z[:, own])
-        return r, acts, slopes
+                    sigmoid(t.rows(*own).view(), out=slopes[l][f0:f1, r0:r1])
+                z = t.region()
+                softplus(z, out=z)
+                t.clear_border()
+                if keep:
+                    acts[l + 1][f0:f1, r0:r1] = t.rows(*own).view()
+            r = t.rows(*own).view()[..., 0].transpose(1, 2, 0)
+            np.add(x[r0:r1, :, f0:f1], self.gamma * r, out=out[r0:r1, :, f0:f1])
+        return out, acts, slopes
 
     def denoise(self, x):
-        x = self._check(x)
-        r, _, _ = self._residual_forward(_as_frames(x), keep=False)
-        return x + self.gamma * _as_cube(r)
+        return self._forward(self._check(x), keep=False)[0]
 
     def linearize(self, x):
         x = self._check(x)
-        _, acts, slopes = self._residual_forward(_as_frames(x), keep=True)
+        _, acts, slopes = self._forward(x, keep=True)
         return ConvResidualLinearization(
             kernels=tuple(self.params.kernels),
             gamma=self.gamma,

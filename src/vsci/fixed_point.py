@@ -182,9 +182,11 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
     1e-10 (with a floor of 1e-12 of the first residual, once residuals reach
     the rounding level). Rounding grows with the map's sensitivity: on
     256x256x8 DE-GAP with K=20 x_hat moves by up to 1.5e-8 (max |x| = 2.1).
-    Memory 1 is bitwise the damped Picard loop. Undamped, it takes f(x)
-    where the formula computes 0 * x + 1 * f(x): values are equal, and only
-    a -0.0 in f(x) keeps its sign where the formula gives +0.0.
+    Memory 1 is bitwise the damped Picard loop. Undamped, every memory
+    takes f(x) itself where the formula computes 0 * x + 1 * f(x) (memory
+    1 as the next iterate, memory >= 2 as the ring slot Y[j]): values are
+    equal, and only a -0.0 in f(x) keeps its sign where the formula gives
+    +0.0.
 
     f is called exactly once per iteration, in order, on the iterate whose
     residual it measures; stateful step closures (the PnP baselines) rely
@@ -228,8 +230,11 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
             x = fx if delta == 1.0 else (1.0 - delta) * x + delta * fx
             continue
         y = y_ring[j].reshape(shape)  # the damped Picard step, (1 - delta) x + delta f(x)
-        np.multiply(x, 1.0 - delta, out=y)
-        y += delta * fx
+        if delta == 1.0:
+            np.copyto(y, fx)
+        else:
+            np.multiply(x, 1.0 - delta, out=y)
+            y += delta * fx
         gram[j, :m] = gram[:m, j] = g_ring[:m] @ g
         try:
             alpha = solve_alpha(gram[:m, :m], cfg.anderson_reg)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import signal, special
 
 from vsci.conv import (
+    Grid,
     conv_adjoint_input,
     conv_forward,
     conv_grad_bias,
@@ -83,13 +84,11 @@ CHANNELS = [(1, 1), (8, 1), (1, 8), (8, 8), (4, 3), (2, 8)]  # (C_out, C_in): ev
 KERNELS = [(1, 1), (3, 3), (5, 5), (3, 5)]
 
 
-@pytest.mark.parametrize("kh, kw", KERNELS)
-@pytest.mark.parametrize("c_out, c_in", CHANNELS)
-def test_conv_matches_scipy_oracle(c_out, c_in, kh, kw):
-    x = _rand((2, 7, 6, c_in), 11)
+def _check_against_scipy(shape, c_out, c_in, kh, kw):
+    x = _rand(shape + (c_in,), 11)
     k = _rand((c_out, c_in, kh, kw), 12)
     b = _rand((c_out,), 13)
-    v = _rand((2, 7, 6, c_out), 14)
+    v = _rand(shape + (c_out,), 14)
     xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
     fwd = np.zeros_like(v) + b
     adj = np.zeros_like(x)
@@ -106,6 +105,33 @@ def test_conv_matches_scipy_oracle(c_out, c_in, kh, kw):
     np.testing.assert_allclose(conv_forward(x, k, b), fwd, **tol)
     np.testing.assert_allclose(conv_adjoint_input(v, k), adj, **tol)
     np.testing.assert_allclose(conv_grad_kernel(x, v, kh, kw), gk, **tol)
+
+
+@pytest.mark.parametrize("kh, kw", KERNELS)
+@pytest.mark.parametrize("c_out, c_in", CHANNELS)
+def test_conv_matches_scipy_oracle(c_out, c_in, kh, kw):
+    _check_against_scipy((2, 7, 6), c_out, c_in, kh, kw)
+
+
+# Frames share the zero rows between them: three frames put one between two
+# borders, and frames of 1 or 2 rows are shorter than a 5-tap kernel's reach.
+@pytest.mark.parametrize("shape", [(3, 5, 4), (4, 1, 3), (3, 2, 1)],
+                         ids=["3x5x4", "4x1x3", "3x2x1"])
+@pytest.mark.parametrize("kh, kw", [(3, 3), (5, 5), (5, 3)])
+@pytest.mark.parametrize("c_out, c_in", CHANNELS)
+def test_conv_matches_scipy_oracle_on_many_frames(c_out, c_in, kh, kw, shape):
+    _check_against_scipy(shape, c_out, c_in, kh, kw)
+
+
+def test_grid_window_reads_its_neighbour_rows():
+    # rows 2..4 of a grid, computed alone, equal those rows of the whole conv
+    x, k = _rand((2, 7, 6, 3), 15), _rand((4, 3, 3, 5), 16)
+    src, out = Grid.of(x, 2), Grid.zeros(2, 7, 6, 4, 2)
+    window = conv_forward(src.rows(2, 5), k, np.ones(4), out=out)
+    assert window.shape == (2, 3, 6, 4)
+    np.testing.assert_array_equal(window.view(), conv_forward(x, k, np.ones(4))[:, 2:5])
+    with pytest.raises(ValueError, match="border"):
+        conv_forward(Grid.of(x, 1), k, out=out)
 
 
 @pytest.mark.parametrize("kh, kw", [(2, 2), (3, 2), (2, 3), (4, 4)])

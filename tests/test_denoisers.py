@@ -6,8 +6,9 @@ import pytest
 
 import vsci.denoisers
 from helpers import traced_peak
-from vsci.conv import dense_conv_matrix
+from vsci.conv import conv_forward, dense_conv_matrix, softplus
 from vsci.denoisers import (
+    ConvParams,
     ConvResidualDenoiser,
     IdentityDenoiser,
     ScaleShiftDenoiser,
@@ -238,7 +239,51 @@ class TestConvResidual:
         np.testing.assert_array_equal(d.params.flatten(), theta)
 
 
+def _with_biases(d, seed):
+    """d with random nonzero biases on every layer (make_conv_residual sets 0)."""
+    rng = np.random.default_rng(seed)
+    d.params.biases = [0.3 * rng.standard_normal(b.shape) for b in d.params.biases]
+    return d
+
+
+def _mixed_stack(seed):
+    """A hand-built 1 -> 4 -> 1 stack: a 5x5 layer, then a 3x3 layer, with biases."""
+    rng = np.random.default_rng(seed)
+    kernels = [0.3 * rng.standard_normal((4, 1, 5, 5)), 0.3 * rng.standard_normal((1, 4, 3, 3))]
+    biases = [0.3 * rng.standard_normal(4), 0.3 * rng.standard_normal(1)]
+    return ConvResidualDenoiser(ConvParams(kernels, biases), gamma=0.4)
+
+
+def _layer_by_layer(d, x):
+    """x + gamma * r(x), each layer one untiled conv_forward on all frames."""
+    t = x.transpose(2, 0, 1)[..., None]
+    last = len(d.params.kernels) - 1
+    for l, (k, b) in enumerate(zip(d.params.kernels, d.params.biases)):
+        t = conv_forward(t, k, b)
+        if l < last:
+            t = softplus(t)
+    return x + d.gamma * t[..., 0].transpose(1, 2, 0)
+
+
 class TestTiledForward:
+    def _assert_tiles_equal_one_tile(self, monkeypatch, d, x, budget):
+        one_out, one_lin = d.denoise(x), d.linearize(x)
+        np.testing.assert_allclose(one_out, _layer_by_layer(d, x), rtol=1e-12, atol=1e-12)
+        calls = []
+        conv_forward = vsci.denoisers.conv_forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return conv_forward(*args, **kwargs)
+
+        monkeypatch.setattr(vsci.denoisers, "conv_forward", counted)
+        monkeypatch.setattr(vsci.denoisers, "TILE_ELEMS", budget)
+        out, lin = d.denoise(x), d.linearize(x)
+        assert len(calls) > 2 * len(d.params.kernels)  # the input was split
+        assert np.array_equal(out, one_out)
+        for a, b in zip(lin.acts + lin.slopes, one_lin.acts + one_lin.slopes):
+            assert np.array_equal(a, b)
+
     # (shape, TILE_ELEMS) for 4 channels, where one activation row holds 4W
     # elements: H=13 in 4-row tiles ends in a one-row tile; B=1 in 3-row
     # tiles; 1-row tiles narrower than the halo; blocks of two whole frames.
@@ -251,24 +296,20 @@ class TestTiledForward:
     @pytest.mark.parametrize("kernel", [3, 5])
     @pytest.mark.parametrize("n_layers", [2, 3])
     def test_tiles_equal_one_tile(self, monkeypatch, n_layers, kernel, shape, budget):
-        d = make_conv_residual(21, channels=4, n_layers=n_layers, kernel=kernel,
-                               init="random", noise_scale=0.3, gamma=0.4)
-        x = _cube(shape, 22)
-        one_out, one_lin = d.denoise(x), d.linearize(x)
-        calls = []
-        conv_forward = vsci.denoisers.conv_forward
+        d = _with_biases(make_conv_residual(21, channels=4, n_layers=n_layers, kernel=kernel,
+                                            init="random", noise_scale=0.3, gamma=0.4), 23)
+        self._assert_tiles_equal_one_tile(monkeypatch, d, _cube(shape, 22), budget)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return conv_forward(*args, **kwargs)
-
-        monkeypatch.setattr(vsci.denoisers, "conv_forward", counted)
-        monkeypatch.setattr(vsci.denoisers, "TILE_ELEMS", budget)
-        out, lin = d.denoise(x), d.linearize(x)
-        assert len(calls) > 2 * n_layers  # the input was split
-        assert np.array_equal(out, one_out)
-        for a, b in zip(lin.acts + lin.slopes, one_lin.acts + one_lin.slopes):
-            assert np.array_equal(a, b)
+    # the mixed stack's halo is 2 + 1 rows: blocks of two and of three whole
+    # frames (the last block shorter), 4-row tiles, and 1-row tiles
+    @pytest.mark.parametrize("shape, budget", [
+        ((7, 6, 5), 2 * 7 * 6 * 4),
+        ((4, 3, 7), 3 * 4 * 3 * 4),
+        ((11, 5, 2), 4 * 5 * 4),
+        ((6, 4, 3), 1 * 4 * 4),
+    ], ids=["frames2", "frames3", "rows4", "rows1"])
+    def test_mixed_kernel_sizes_tiles_equal_one_tile(self, monkeypatch, shape, budget):
+        self._assert_tiles_equal_one_tile(monkeypatch, _mixed_stack(24), _cube(shape, 25), budget)
 
     def test_denoise_peak_allocation_within_four_cubes(self):
         # full-size temporaries per layer put the traced peak at 27x the cube

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 
 import numpy as np
@@ -262,6 +263,31 @@ class TestAnderson:
         np.testing.assert_allclose(res.x_hat, x_last, rtol=1e-10,
                                    atol=1e-12 * np.abs(x_last).max())
         assert res.trace.fallbacks == fallbacks
+
+    @pytest.mark.parametrize("memory", [2, 3])
+    def test_undamped_ring_slot_equals_formula_loop(self, memory):
+        # undamped, the ring slot Y[j] takes f(x) itself; this loop runs the
+        # same ring, Gram and mix arithmetic but writes the formula
+        # (1 - 1) * x + 1 * f(x) there. Values agree bitwise; array_equal
+        # ignores the sign of a zero
+        f, x0 = _oracle_maps()["cube"]
+        cfg = FixedPointConfig(tol=0.0, max_iter=30, anderson_memory=memory,
+                               anderson_damping=1.0)
+        res = anderson_solve(f, x0, cfg)
+        x = x0.copy()
+        g_ring, y_ring = np.empty((memory, x.size)), np.empty((memory, x.size))
+        gram = np.zeros((memory, memory))
+        residuals = []
+        for k in range(1, cfg.max_iter + 1):
+            fx = f(x)
+            j, m = (k - 1) % memory, min(k, memory)
+            g_ring[j] = (fx - x).ravel()
+            residuals.append(math.sqrt(g_ring[j].dot(g_ring[j])))
+            y_ring[j] = ((1.0 - 1.0) * x + 1.0 * fx).ravel()
+            gram[j, :m] = gram[:m, j] = g_ring[:m] @ g_ring[j]
+            x = (solve_alpha(gram[:m, :m], cfg.anderson_reg) @ y_ring[:m]).reshape(x.shape)
+        assert res.trace.residuals == residuals
+        assert np.array_equal(res.x_hat, x)
 
     @pytest.mark.parametrize("damping", [1.0, 0.6])
     def test_singular_mix_falls_back_to_damped_picard(self, monkeypatch, damping):
