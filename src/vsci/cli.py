@@ -194,7 +194,6 @@ def _train_cfg(args, cfg: dict) -> TrainConfig:
         lr_decay=cfg["train.lr_decay"],
         lr_decay_every=cfg["train.lr_decay_every"],
         momentum=_pick(args, cfg, "momentum", "train.momentum"),
-        clip_norm=_pick(args, cfg, "clip_norm", "train.clip_norm"),
         backward_mode=_pick(args, cfg, "backward_mode", "train.backward_mode"),
         neumann_order=cfg["train.neumann_order"],
         backward_tol=cfg["train.backward_tol"],
@@ -407,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--momentum", type=float)
-    p.add_argument("--clip-norm", type=float, help="gradient-norm clipping threshold (0 = off)")
     p.add_argument("--backward-mode", choices=["fixed_point", "neumann"])
     p.add_argument("--seed", type=int)
     p.add_argument("--out-prefix", required=True)

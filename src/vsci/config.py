@@ -23,7 +23,6 @@ KNOWN_KEYS = {
     "train.lr_decay": (float, 0.1, "fractional decay applied every lr_decay_every epochs"),
     "train.lr_decay_every": (int, 10, "epochs between decays"),
     "train.momentum": (float, 0.0, "SGD momentum"),
-    "train.clip_norm": (float, 0.0, "gradient-norm clipping threshold (0 = off)"),
     "train.backward_mode": (str, "fixed_point", "fixed_point | neumann"),
     "train.neumann_order": (int, 8, "series order for neumann backward"),
     "train.backward_tol": (float, 1e-8, "adjoint solve tolerance"),

@@ -113,6 +113,8 @@ class Grid:
         """(first position, count) of the window's rows, from the first
         frame's row lo to the last frame's row hi - 1, whole rows."""
         start = self.pad + (self.pad + self.lo) * self.wp
+        if self.frames == 0:
+            return start, 0
         return start, ((self.frames - 1) * (self.height + self.pad) + self.hi - self.lo) * self.wp
 
     def region(self) -> np.ndarray:
@@ -124,7 +126,7 @@ class Grid:
         """(frames, height + pad, width + pad, C) view from the first data row."""
         start, rows = self.pad + self.pad * self.wp, self.height + self.pad
         return self.buf[start : start + self.frames * rows * self.wp].reshape(
-            self.frames, rows, self.wp, -1)
+            self.frames, rows, self.wp, self.buf.shape[1])
 
     def view(self) -> np.ndarray:
         """The window's values, an (F, hi - lo, W, C) view of buf."""

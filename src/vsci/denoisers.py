@@ -442,6 +442,13 @@ class ConvResidualDenoiser(Denoiser):
         kernels, biases = self.params.kernels, self.params.biases
         h, w, nb = x.shape
         chans = [1] + [k.shape[0] for k in kernels]
+        out = np.empty(x.shape)
+        acts = slopes = None
+        if keep:
+            acts = [_as_frames(x)] + [np.empty((nb, h, w, c)) for c in chans[1:-1]]
+            slopes = [np.empty_like(a) for a in acts[1:]]
+        if x.size == 0:  # no rows to tile
+            return out, acts, slopes
         halo = [0]  # halo[l]: rows each side of a tile that layer l's input needs
         for k in kernels[::-1]:
             halo.insert(0, halo[0] + k.shape[2] // 2)
@@ -450,11 +457,6 @@ class ConvResidualDenoiser(Denoiser):
         frames = tiles[0][1] - tiles[0][0]
         height = max(min(h, r1 + halo[0]) - max(0, r0 - halo[0]) for _, _, r0, r1 in tiles)
         grids = [Grid.zeros(frames, height, w, c, pad) for c in chans]
-        out = np.empty(x.shape)
-        acts = slopes = None
-        if keep:
-            acts = [_as_frames(x)] + [np.empty((nb, h, w, c)) for c in chans[1:-1]]
-            slopes = [np.empty_like(a) for a in acts[1:]]
         last = len(kernels) - 1
         for f0, f1, r0, r1 in tiles:
             top = max(0, r0 - halo[0])  # the frame row at the grids' row 0

@@ -40,8 +40,7 @@ def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0):
     if peak <= 0:
         raise ValueError("peak must be > 0")
     x, ref = _check_pair(x, ref)
-    err = (x - ref).reshape(-1, x.shape[-1])  # (H*W, B): one row per pixel
-    mse = np.einsum("ij,ij->j", err, err) / err.shape[0]
+    mse = np.mean((x - ref) ** 2, axis=(0, 1))
     vals = np.full(mse.shape, PSNR_CAP_DB)
     nz = mse > 0
     vals[nz] = np.minimum(PSNR_CAP_DB, 10.0 * np.log10(peak * peak / mse[nz]))

@@ -51,8 +51,6 @@ class TrainConfig:
             raise ValueError(f"unknown backward mode {self.backward_mode!r}")
         if self.neumann_order < 0:
             raise ValueError("neumann_order must be >= 0")
-        if not self.clip_norm >= 0:
-            raise ValueError(f"clip_norm must be >= 0 (0 = off), got {self.clip_norm}")
 
     def backward_config(self) -> FixedPointConfig:
         return replace(

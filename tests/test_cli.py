@@ -180,37 +180,6 @@ def test_train_log_records_approximate_gradients(tmp_path, monkeypatch):
     assert all(n > 0 for n in column)
 
 
-_TRAIN_ARGS = ["train", "--height", "8", "--width", "8", "--frames", "2", "--train-scenes", "1",
-               "--val-scenes", "0", "--epochs", "1"]
-
-
-@pytest.mark.parametrize("flag, config, expected", [
-    ([], "", 0.0),
-    (["--clip-norm", "0.5"], "", 0.5),
-    ([], "train.clip_norm = 0.25\n", 0.25),
-    (["--clip-norm", "0.5"], "train.clip_norm = 0.25\n", 0.5),
-], ids=["default-off", "flag", "config", "flag-over-config"])
-def test_clip_norm_reaches_train(tmp_path, monkeypatch, flag, config, expected):
-    seen = []
-
-    def train_and_keep(model, dataset, cfg, **kwargs):
-        seen.append(cfg.clip_norm)
-        return vsci.training.train(model, dataset, cfg, **kwargs)
-
-    monkeypatch.setattr(vsci.cli, "train", train_and_keep)
-    run_cfg = tmp_path / "run.cfg"
-    run_cfg.write_text("solver.max_iter = 3\n" + config, encoding="utf-8")
-    assert main([*_TRAIN_ARGS, "--config", str(run_cfg), *flag,
-                 "--out-prefix", str(tmp_path / "model")]) == EXIT_OK
-    assert seen == [expected]
-
-
-def test_negative_clip_norm_exits_2_and_writes_nothing(tmp_path):
-    assert main([*_TRAIN_ARGS, "--clip-norm", "-1", "--out-prefix", str(tmp_path / "model")]) \
-        == EXIT_CONFIG
-    assert os.listdir(tmp_path) == []
-
-
 def test_gradcheck_over_threshold_exits_5():
     assert main(["gradcheck", "--probes", "2", "--threshold", "0"]) == EXIT_GRADCHECK
 

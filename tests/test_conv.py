@@ -115,8 +115,9 @@ def test_conv_matches_scipy_oracle(c_out, c_in, kh, kw):
 
 # Frames share the zero rows between them: three frames put one between two
 # borders, and frames of 1 or 2 rows are shorter than a 5-tap kernel's reach.
-@pytest.mark.parametrize("shape", [(3, 5, 4), (4, 1, 3), (3, 2, 1)],
-                         ids=["3x5x4", "4x1x3", "3x2x1"])
+# No frames at all give empty outputs and a zero kernel gradient.
+@pytest.mark.parametrize("shape", [(3, 5, 4), (4, 1, 3), (3, 2, 1), (0, 5, 4)],
+                         ids=["3x5x4", "4x1x3", "3x2x1", "0x5x4"])
 @pytest.mark.parametrize("kh, kw", [(3, 3), (5, 5), (5, 3)])
 @pytest.mark.parametrize("c_out, c_in", CHANNELS)
 def test_conv_matches_scipy_oracle_on_many_frames(c_out, c_in, kh, kw, shape):

@@ -311,6 +311,14 @@ class TestTiledForward:
     def test_mixed_kernel_sizes_tiles_equal_one_tile(self, monkeypatch, shape, budget):
         self._assert_tiles_equal_one_tile(monkeypatch, _mixed_stack(24), _cube(shape, 25), budget)
 
+    @pytest.mark.parametrize("shape", [(5, 6, 0), (0, 6, 2), (5, 0, 2)], ids=["b0", "h0", "w0"])
+    def test_empty_cube_has_no_tiles(self, shape):
+        d, x = _mixed_stack(26), np.zeros(shape)
+        assert d.denoise(x).shape == shape
+        lin = d.linearize(x)
+        assert lin.vjp_input(x).shape == shape
+        assert np.array_equal(lin.grad_params(x), np.zeros(d.params.n_params()))
+
     def test_denoise_peak_allocation_within_four_cubes(self):
         # full-size temporaries per layer put the traced peak at 27x the cube
         d = make_conv_residual(0, channels=8, n_layers=2, gamma=0.3)
