@@ -18,7 +18,6 @@ from .denoisers import (
     IdentityDenoiser,
     ScaleShiftDenoiser,
     TvDenoiser,
-    estimate_residual_lipschitz,
     make_conv_residual,
     spectral_normalize,
     tv_denoise,
@@ -54,7 +53,6 @@ from .training import (
 from .analysis import (
     LipschitzReport,
     estimate_map_lipschitz,
-    gap_lipschitz_bound,
     projection_spectrum,
 )
 from .metrics import psnr, ssim

@@ -1,13 +1,13 @@
-"""Convergence diagnostics: Jacobian norm estimates, projector spectrum, and
-the composite Lipschitz bound (1 + eps) * max_i |1 - lambda_i|.
+"""Convergence diagnostics: the measurement projector's spectrum and a
+sampled Jacobian norm of an iteration map.
 
-Sampled estimates (sigma_hat, eps_hat) are lower bounds of
-the true quantities; certified upper bounds come from dense layer norms.
-Both sides are reported so neither is overclaimed. Note the structural fact
-surfaced by projector_spectrum: the measurement projector has eigenvalues
-{0, 1}, so whenever any eigenvalue is 0 the composite bound is 1 + eps and
-cannot certify contraction on its own; the report carries an explicit flag
-instead of hiding it.
+The projector P = Phi^T (Phi Phi^T)^{-1} Phi is never formed. Phi Phi^T is
+diagonal, so P splits into one rank-one B x B block per pixel, and its
+spectrum and idempotence defect follow from the mask in O(HW).
+
+sigma_hat, the power-iteration estimate of ||df/dx|| at one point, is a
+sampled lower bound on the map's Lipschitz constant: sigma_hat < 1 does not
+certify that the map is a contraction.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
-from .sci import SensingMask, dense_sensing_matrix
-
-MAX_DENSE_DIM = 4096
+from .sci import SensingMask
 
 
 def estimate_map_lipschitz(map_obj, x_point: np.ndarray, n_iters: int = 20, seed: int = 0) -> float:
@@ -62,54 +60,36 @@ class SpectrumReport:
 
 
 def projection_spectrum(mask: SensingMask) -> SpectrumReport:
-    """Densify P = Phi^T (Phi Phi^T)^{-1} Phi and return its eigenvalues.
+    """Eigenvalues and idempotence defect of P = Phi^T (Phi Phi^T)^{-1} Phi.
 
-    Only for instances with n*B <= 4096. Dead pixels (under the floor
-    policy) contribute zero rows/columns, hence extra zero eigenvalues.
+    Pixel i's block of P is m m^T / q_eff[i], with m its B mask values: one
+    eigenvalue lambda_i = q[i] / q_eff[i] and B - 1 zeros. lambda_i is 1 on
+    a live pixel, below 1 where the floor policy raises q to floor_tau, and
+    0 on a dead pixel. Each block satisfies P_i^2 = lambda_i P_i and
+    ||P_i||_F = lambda_i, so ||P^2 - P||_F = sqrt(sum (lambda_i^2 - lambda_i)^2).
     """
-    h, w, b = mask.frames.shape
-    if h * w * b > MAX_DENSE_DIM:
-        raise ValueError(f"instance too large to densify: n*B = {h * w * b}")
-    phi = dense_sensing_matrix(mask)
-    q = mask.effective_q().ravel()
-    p = phi.T @ (phi / q[:, None])
-    eigs = np.linalg.eigvalsh(p)[::-1]
-    defect = float(np.linalg.norm(p @ p - p))
+    lam = (mask.q_diag / mask.effective_q()).ravel()
+    eigs = np.zeros(mask.frames.size)
+    eigs[: lam.size] = np.sort(lam)[::-1]
     return SpectrumReport(
         eigenvalues=eigs,
-        idempotence_defect=defect,
+        idempotence_defect=float(np.linalg.norm(lam * lam - lam)),
         n_live_pixels=int(np.count_nonzero(mask.q_diag > 0)),
     )
-
-
-def gap_lipschitz_bound(epsilon: float, eigenvalues) -> float:
-    """Composite bound (1 + epsilon) * max_i |1 - lambda_i| on the map norm."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    if eigenvalues.size == 0:
-        raise ValueError("eigenvalue list is empty")
-    return (1.0 + epsilon) * float(np.max(np.abs(1.0 - eigenvalues)))
 
 
 @dataclass
 class LipschitzReport:
     sigma_hat: float                 # sampled ||df/dx|| at a point
-    epsilon_hat: float               # sampled Lipschitz of D - I
-    composite_bound: float           # (1 + eps) * max|1 - lambda|
     contraction_flag: bool           # sigma_hat < 1
-    bound_certifies_contraction: bool  # composite_bound < 1 (usually false)
-    idempotence_defect: float = float("nan")
-    n_unit_eigenvalues: int = 0
-    n_zero_eigenvalues: int = 0
+    idempotence_defect: float
+    n_unit_eigenvalues: int
+    n_zero_eigenvalues: int
 
     def to_kv(self) -> dict:
         return {
             "sigma_hat": repr(self.sigma_hat),
-            "epsilon_hat": repr(self.epsilon_hat),
-            "composite_bound": repr(self.composite_bound),
             "contraction_flag": self.contraction_flag,
-            "bound_certifies_contraction": self.bound_certifies_contraction,
             "idempotence_defect": repr(self.idempotence_defect),
             "n_unit_eigenvalues": self.n_unit_eigenvalues,
             "n_zero_eigenvalues": self.n_zero_eigenvalues,
@@ -121,18 +101,13 @@ class LipschitzReport:
 
 def build_report(
     sigma_hat: float,
-    epsilon_hat: float,
     spectrum: SpectrumReport,
     eig_tol: float = 1e-8,
 ) -> LipschitzReport:
-    bound = gap_lipschitz_bound(epsilon_hat, spectrum.eigenvalues)
     eigs = spectrum.eigenvalues
     return LipschitzReport(
         sigma_hat=sigma_hat,
-        epsilon_hat=epsilon_hat,
-        composite_bound=bound,
         contraction_flag=sigma_hat < 1.0,
-        bound_certifies_contraction=bound < 1.0,
         idempotence_defect=spectrum.idempotence_defect,
         n_unit_eigenvalues=int(np.sum(np.abs(eigs - 1.0) <= eig_tol)),
         n_zero_eigenvalues=int(np.sum(np.abs(eigs) <= eig_tol)),

@@ -576,30 +576,6 @@ def make_conv_residual(
     return ConvResidualDenoiser(params, gamma)
 
 
-def estimate_residual_lipschitz(
-    d: Denoiser, seed: int, n_pairs: int, shape: tuple
-) -> float:
-    """Sampled lower bound on the Lipschitz constant of D - I.
-
-    Maximum of ||(D-I)(x) - (D-I)(x')|| / ||x - x'|| over n_pairs random
-    pairs drawn uniformly from [0, 1]^shape.
-    """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(n_pairs):
-        x = rng.random(shape)
-        xp = rng.random(shape)
-        dx = np.linalg.norm(x - xp)
-        if dx == 0:
-            continue
-        rx = d.denoise(x) - x
-        rxp = d.denoise(xp) - xp
-        best = max(best, float(np.linalg.norm(rx - rxp) / dx))
-    return best
-
-
 def _save_checkpoint(prefix: str, owner) -> None:
     """Write <prefix>.vsci (flat theta) and <prefix>.meta for an owner of a
     ConvParams at .params: its kind and gamma, every kernel's shape, and the

@@ -47,8 +47,10 @@ class SensingMask:
     q_diag        (H, W) sum_b frames[..., b]**2, derived from frames
     policy        "reject": mask_generate and projections raise DeadPixelError
                   where q_diag == 0;
-                  "floor": divisions use max(q_diag, floor_tau) instead
-    floor_tau     divisor floor used under the "floor" policy
+                  "floor": divisions use max(q_diag, floor_tau) instead;
+                  any other value raises ValueError
+    floor_tau     divisor floor used under the "floor" policy, where it must
+                  be finite and > 0
     """
 
     frames: np.ndarray
@@ -59,6 +61,10 @@ class SensingMask:
     _dead: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.policy not in (POLICY_REJECT, POLICY_FLOOR):
+            raise ValueError(f"unknown dead-pixel policy {self.policy!r}")
+        if self.policy == POLICY_FLOOR and not 0 < self.floor_tau < np.inf:
+            raise ValueError(f"floor_tau must be finite and > 0, got {self.floor_tau!r}")
         self.q_diag = np.einsum("hwb,hwb->hw", self.frames, self.frames)
         self._dead = None
         if self.policy == POLICY_FLOOR:
@@ -134,10 +140,7 @@ def mask_generate(
     else:
         raise ValueError(f"unknown mask kind {kind!r}")
     mask = SensingMask(frames=frames, policy=policy, floor_tau=floor_tau)
-    if policy == POLICY_REJECT:
-        mask.effective_q()  # raises DeadPixelError if any pixel is dead
-    elif policy != POLICY_FLOOR:
-        raise ValueError(f"unknown dead-pixel policy {policy!r}")
+    mask.effective_q()  # under "reject", raises DeadPixelError if any pixel is dead
     return mask
 
 
@@ -213,18 +216,3 @@ def project_null(mask: SensingMask, w: np.ndarray) -> np.ndarray:
     q = mask.effective_q()
     s = np.einsum("hwb,hwb->hw", mask.frames, w) / q
     return w - mask.frames * s[:, :, None]
-
-
-def dense_sensing_matrix(mask: SensingMask) -> np.ndarray:
-    """Materialize the (n, n*B) sensing matrix of concatenated diagonals.
-
-    Vectorization convention: frame-major stacking of row-major-flattened
-    frames, i.e. x_vec = concat(x[..., 0].ravel(), ..., x[..., B-1].ravel()).
-    Intended for small diagnostic instances only.
-    """
-    h, w, b = mask.frames.shape
-    n = h * w
-    phi = np.zeros((n, n * b))
-    for k in range(b):
-        phi[:, k * n : (k + 1) * n] = np.diag(mask.frames[:, :, k].ravel())
-    return phi

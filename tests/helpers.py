@@ -50,9 +50,28 @@ def dense_gap_project(mask, y_data: np.ndarray, v_cube: np.ndarray) -> np.ndarra
 
 
 def dense_projector(mask) -> np.ndarray:
-    """P = Phi^T (Phi Phi^T)^{-1} Phi."""
+    """P = Phi^T (Phi Phi^T)^{-1} Phi; under the floor policy the Gram
+    diagonal is first raised to at least floor_tau."""
     phi = dense_phi(mask)
-    return phi.T @ np.linalg.inv(phi @ phi.T) @ phi
+    gram = phi @ phi.T
+    if mask.policy == "floor":
+        np.fill_diagonal(gram, np.maximum(np.diag(gram), mask.floor_tau))
+    return phi.T @ np.linalg.inv(gram) @ phi
+
+
+def sampled_residual_lipschitz(d, seed: int, n_pairs: int, shape: tuple) -> float:
+    """Sampled lower bound on the Lipschitz constant of D - I: the largest
+    ||(D-I)(x) - (D-I)(x')|| / ||x - x'|| over n_pairs pairs drawn uniformly
+    from [0, 1]^shape."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(n_pairs):
+        x = rng.random(shape)
+        xp = rng.random(shape)
+        rx = d.denoise(x) - x
+        rxp = d.denoise(xp) - xp
+        best = max(best, float(np.linalg.norm(rx - rxp) / np.linalg.norm(x - xp)))
+    return best
 
 
 def random_mask(seed, h, w, b, p=0.5):

@@ -84,6 +84,28 @@ def test_missing_measurement_exits_3(scene, tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("tau", ["0", "-1e-6", "nan", "inf"])
+def test_bad_floor_tau_mask_exits_2_and_writes_nothing(tmp_path, tau):
+    assert main(["mask", "--seed", "0", "--height", "4", "--width", "4", "--frames", "2",
+                 "--policy", "floor", f"--tau={tau}", "--out", str(tmp_path / "m")]) == EXIT_CONFIG
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("key, value", [("floor_tau", "0"), ("floor_tau", "nan"),
+                                        ("policy", "clamp")])
+def test_bad_mask_meta_exits_2_and_writes_nothing(scene, tmp_path, key, value):
+    meta = tensorio.read_kv(scene["mask"] + ".meta")
+    meta[key] = value
+    tensorio.write_kv(scene["mask"] + ".meta", meta)
+    out = str(tmp_path / "x.vsci")
+    assert _reconstruct(scene, out, "--max-iter", "3", "--method", "pnp-gap") == EXIT_CONFIG
+    assert main(["simulate", "--height", "16", "--width", "16", "--frames", "4",
+                 "--mask", scene["mask"], "--out-cube", out,
+                 "--out-meas", str(tmp_path / "y2.vsci")]) == EXIT_CONFIG
+    assert not os.path.exists(out)
+    assert not os.path.exists(tmp_path / "y2.vsci")
+
+
 def test_unnormalized_checkpoint_diverges_exits_4(scene, tmp_path):
     ckpt = str(tmp_path / "wild")
     save_denoiser(ckpt, make_conv_residual(1, channels=4, n_layers=2, gamma=0.9,
@@ -182,6 +204,32 @@ def test_train_log_records_approximate_gradients(tmp_path, monkeypatch):
 
 def test_gradcheck_over_threshold_exits_5():
     assert main(["gradcheck", "--probes", "2", "--threshold", "0"]) == EXIT_GRADCHECK
+
+
+def test_spectrum_at_64x64x8_prints_what_it_writes(tmp_path, capsys):
+    out = str(tmp_path / "spectrum.kv")
+    assert main(["spectrum", "--height", "64", "--width", "64", "--frames", "8",
+                 "--out", out]) == EXIT_OK
+    printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    assert printed == tensorio.read_kv(out)
+    assert list(printed) == ["sigma_hat", "contraction_flag", "idempotence_defect",
+                             "n_unit_eigenvalues", "n_zero_eigenvalues"]
+    # floor policy, default tau: live pixels give 1 and dead pixels 0
+    assert int(printed["n_unit_eigenvalues"]) + int(printed["n_zero_eigenvalues"]) == 64 * 64 * 8
+
+
+def test_spectrum_pairs_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--pairs", "4"])
+    assert exc.value.code == 2
+
+
+def test_spectrum_reject_policy_on_dead_pixel_exits_2(tmp_path):
+    out = str(tmp_path / "spectrum.kv")
+    # B = 2 at p = 0.2 leaves a dead pixel with overwhelming probability
+    assert main(["spectrum", "--height", "8", "--width", "8", "--frames", "2", "--p", "0.2",
+                 "--policy", "reject", "--out", out]) == EXIT_CONFIG
+    assert not os.path.exists(out)
 
 
 def test_bench_timing_none_is_bitwise_reproducible(tmp_path):

@@ -7,6 +7,7 @@ from helpers import dense_gap_project, dense_phi, random_mask, unvec, vec
 from vsci.errors import DeadPixelError, ShapeMismatchError
 from vsci.sci import (
     Measurement,
+    SensingMask,
     add_noise,
     adjoint,
     forward,
@@ -75,6 +76,19 @@ class TestMaskGenerate:
                                       if policy == "floor" else m.q_diag)
         with pytest.raises(ValueError):
             q[0, 0] = 1.0
+
+
+class TestSensingMaskFields:
+    def test_unknown_policy_raises(self):
+        with pytest.raises(ValueError, match="policy"):
+            SensingMask(frames=np.ones((2, 2, 2)), policy="clamp")
+        with pytest.raises(ValueError, match="policy"):
+            mask_generate(0, 2, 2, 2, policy="clamp")
+
+    @pytest.mark.parametrize("tau", [0.0, -1e-6, np.nan, np.inf])
+    def test_floor_tau_must_be_finite_and_positive(self, tau):
+        with pytest.raises(ValueError, match="floor_tau"):
+            SensingMask(frames=np.ones((2, 2, 2)), policy="floor", floor_tau=tau)
 
 
 class TestForwardAdjoint:
