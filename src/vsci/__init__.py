@@ -15,10 +15,12 @@ from .tensorio import read_tensor, write_tensor
 from .denoisers import (
     ConvParams,
     ConvResidualDenoiser,
+    GatedConvCell,
     IdentityDenoiser,
     ScaleShiftDenoiser,
     TvDenoiser,
     make_conv_residual,
+    make_gated_cell,
     spectral_normalize,
     tv_denoise,
 )
@@ -33,14 +35,11 @@ from .fixed_point import (
 from .maps import (
     AdmmState,
     DeGapMap,
-    DeRnnMap,
-    GatedConvCell,
-    make_gated_cell,
     pnp_admm_solve,
     pnp_admm_step,
     pnp_gap_solve,
 )
-from .models import DeGapModel, DeRnnModel
+from .models import DeGapModel
 from .training import (
     TrainConfig,
     backward_fixed_point,

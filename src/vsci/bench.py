@@ -18,11 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .denoisers import IdentityDenoiser, TvDenoiser, load_denoiser
+from .denoisers import ConvResidualDenoiser, IdentityDenoiser, TvDenoiser, load_denoiser
 from .errors import DivergedError
 from .fixed_point import FixedPointConfig, solve
-from .maps import DeGapMap, DeRnnMap, load_cell, make_gated_cell, pnp_admm_solve, pnp_gap_solve
+from .maps import DeGapMap, pnp_admm_solve, pnp_gap_solve
 from .metrics import ssim
+from .models import equilibrium_denoiser
 from .sci import add_noise, forward, init_estimate, mask_generate
 from .synth import SyntheticScene, synth_video
 
@@ -34,7 +35,7 @@ class MethodSpec:
     name        pnp_gap | de_gap | de_rnn | admm
     schedule    TV strengths per iteration for pnp_gap (cycled)
     checkpoint  parameter file prefix for de_gap / de_rnn; None = untrained
-                (identity denoiser / identity cell)
+                (for both, the identity denoiser)
     rho         ADMM penalty
     denoiser    "identity" or "tv:<lam>" for admm
     """
@@ -88,18 +89,14 @@ def _make_denoiser(spec: str, tv_iters: int):
         return IdentityDenoiser()
     if spec.startswith("tv:"):
         return TvDenoiser(lam=float(spec.split(":", 1)[1]), iters=tv_iters)
-    return load_denoiser(spec)
+    return load_denoiser(spec, ConvResidualDenoiser)
 
 
 def _run_method(method: MethodSpec, mask, y, cube, bench: BenchSpec):
     cfg = FixedPointConfig(tol=bench.tol, max_iter=bench.max_iter)
-    if method.name == "de_gap":
-        den = load_denoiser(method.checkpoint) if method.checkpoint else IdentityDenoiser()
+    if method.name in ("de_gap", "de_rnn"):
+        den = equilibrium_denoiser(method.name, method.checkpoint)
         fmap = DeGapMap(denoiser=den, mask=mask, y=y)
-        return solve(fmap.apply, init_estimate(mask, y), cfg, method=bench.solver, psnr_ref=cube)
-    if method.name == "de_rnn":
-        cell = load_cell(method.checkpoint) if method.checkpoint else make_gated_cell(0)
-        fmap = DeRnnMap(cell=cell, mask=mask, y=y)
         return solve(fmap.apply, init_estimate(mask, y), cfg, method=bench.solver, psnr_ref=cube)
     if method.name == "pnp_gap":
         return pnp_gap_solve(

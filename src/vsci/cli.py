@@ -21,6 +21,8 @@ from . import tensorio
 from .analysis import build_report, estimate_map_lipschitz, projection_spectrum
 from .bench import BenchSpec, MethodSpec, run_trajectory_bench
 from .denoisers import (
+    ConvResidualDenoiser,
+    GatedConvCell,
     IdentityDenoiser,
     TvDenoiser,
     load_denoiser,
@@ -29,9 +31,9 @@ from .denoisers import (
 )
 from .errors import ConfigError, DivergedError, TensorFileError, TrainingAbortedError, VsciError
 from .fixed_point import FixedPointConfig, solve
-from .maps import DeGapMap, DeRnnMap, load_cell, make_gated_cell, pnp_admm_solve, pnp_gap_solve
+from .maps import DeGapMap, pnp_admm_solve, pnp_gap_solve
 from .metrics import psnr, ssim
-from .models import DeGapModel
+from .models import DeGapModel, equilibrium_denoiser
 from .sci import (
     Measurement,
     SensingMask,
@@ -130,14 +132,9 @@ def _reconstruct(args, cfg):
     y = Measurement(data=tensorio.read_tensor(args.measurement), noise_sigma=0.0)
     solver_cfg = _solver_cfg(args, cfg)
     gt = tensorio.read_tensor(args.gt) if args.gt else None
-    if args.method == "de-gap":
-        den = load_denoiser(args.checkpoint) if args.checkpoint else IdentityDenoiser()
+    if args.method in ("de-gap", "de-rnn"):
+        den = equilibrium_denoiser(args.method.replace("-", "_"), args.checkpoint)
         fmap = DeGapMap(denoiser=den, mask=mask, y=y)
-        result = solve(fmap.apply, init_estimate(mask, y), solver_cfg,
-                       method=args.solver, psnr_ref=gt)
-    elif args.method == "de-rnn":
-        cell = load_cell(args.checkpoint) if args.checkpoint else make_gated_cell(0)
-        fmap = DeRnnMap(cell=cell, mask=mask, y=y)
         result = solve(fmap.apply, init_estimate(mask, y), solver_cfg,
                        method=args.solver, psnr_ref=gt)
     elif args.method == "pnp-gap":
@@ -251,7 +248,8 @@ def cmd_spectrum(args) -> int:
     mask = mask_generate(args.mask_seed, args.height, args.width, args.frames,
                          kind=args.kind, p=args.p, policy=args.policy)
     spectrum = projection_spectrum(mask)
-    den = load_denoiser(args.checkpoint) if args.checkpoint else IdentityDenoiser()
+    den = (load_denoiser(args.checkpoint, ConvResidualDenoiser, GatedConvCell)
+           if args.checkpoint else IdentityDenoiser())
     scene = SyntheticScene(kind="moving_square", seed=0, h=args.height,
                            w=args.width, b=args.frames)
     cube = synth_video(scene)
@@ -421,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("spectrum", help="closed-form projector spectrum + sampled "
-                       "Jacobian norm of the DE-GAP map")
+                       "Jacobian norm of the DE-GAP or DE-RNN map")
     p.add_argument("--mask-seed", type=int, default=0)
     p.add_argument("--height", type=int, default=6)
     p.add_argument("--width", type=int, default=6)

@@ -46,10 +46,8 @@ from the input grid, zero rows at a frame's edge and data rows elsewhere.
 
 The per-tap loop is kept for C_out >= C_in because there the one-GEMM path
 would shift the wider side and hold kh*kw output-sized planes. Measured with
-one BLAS thread on a 2-vCPU x86-64 VM, per tap against one GEMM: DE-RNN's
-3->8 input layer on an (8, 256, 256) cube 127 vs 276 ms, and an 8->8 3x3
-layer on a 34x256 tile 1.4 vs 2.0 ms. ``vsci reconstruct --method de-rnn``
-at 256x256x8 with 20 iterations takes about 6 s (5.8-7.9 s over two runs).
+one BLAS thread on a 2-vCPU x86-64 VM, per tap against one GEMM: an 8->8 3x3
+layer on a 34x256 tile 1.4 vs 2.0 ms.
 """
 
 from __future__ import annotations
@@ -315,18 +313,3 @@ def conv_operator_sigma(
             sigma = min(sigma + d2 * r / (1.0 - r), 1.5 * sigma)
     return sigma, u_cur[0]
 
-
-def dense_conv_matrix(kernel: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Materialize the zero-padded conv operator as a dense matrix.
-
-    Maps (h*w*Cin,) -> (h*w*Cout,) for diagnostic SVD checks on small shapes.
-    """
-    c_out, c_in, _, _ = kernel.shape
-    n_in = h * w * c_in
-    cols = []
-    for j in range(n_in):
-        e = np.zeros(n_in)
-        e[j] = 1.0
-        out = conv_forward(e.reshape(1, h, w, c_in), kernel)
-        cols.append(out.ravel())
-    return np.stack(cols, axis=1)

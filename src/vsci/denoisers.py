@@ -1,22 +1,26 @@
 """Denoising operators with value, input-VJP, and parameter-VJP.
 
-Four kinds: identity, scale_shift, tv (anisotropic, per frame), and the
-trainable conv_residual family D(x) = x + gamma * r(x), where r is a small
-stack of zero-padded 3x3 conv layers with softplus between them, applied to
-each frame independently (weights shared across frames, so one parameter set
-serves any number of frames). The residual form makes the Lipschitz constant
-of D - I directly controllable through gamma and per-layer spectral norms.
+Five kinds: identity, scale_shift, tv (anisotropic, per frame), and two
+trainable residual families D(x) = x + gamma * r(x), applied to each frame
+independently (weights shared across frames, so one parameter set serves
+any number of frames):
+  - conv_residual, DE-GAP's denoiser: r is a small stack of zero-padded 3x3
+    conv layers with softplus between them;
+  - gated_cell, DE-RNN's denoiser: r is a gated conv cell,
+    sigmoid(conv(h)) * tanh(conv(h)) with h = softplus(conv(x)).
+The residual form makes the Lipschitz constant of D - I directly
+controllable through gamma and per-layer spectral norms.
 
 A conv stack's weights live in ConvParams: kernels, biases and the power-
-iteration vectors that spectral_normalize refines. The conv_residual
-denoiser and the DE-RNN gated cell (maps) each hold one, so they share the
-flat theta order, spectral normalization and one checkpoint format:
-<prefix>.vsci holds theta, and <prefix>.meta the owner's kind and gamma,
-every kernel's shape (C_out x C_in x kh x kw) and sn_h, sn_w, sn_seed.
+iteration vectors that spectral_normalize refines. Both trainable kinds hold
+one, so they share the flat theta order, spectral normalization and one
+checkpoint format (save_denoiser/load_denoiser): <prefix>.vsci holds theta,
+and <prefix>.meta the denoiser's kind and gamma, every kernel's shape
+(C_out x C_in x kh x kw) and sn_h, sn_w, sn_seed.
 
-The conv stack runs over row tiles so that its activations stay in cache.
-A tile is a block of rows of one frame, or a block of whole frames (see
-_tiles). Its activations chain from layer to layer on zero-bordered grids
+The conv_residual stack runs over row tiles so that its activations stay in
+cache. A tile is a block of rows of one frame, or a block of whole frames
+(see _tiles). Its activations chain from layer to layer on zero-bordered grids
 (vsci.conv.Grid), one per layer input plus one for the output, allocated
 once per call and reused by every tile:
   - the tile loads its rows, plus a halo of sum(k // 2) rows on each side
@@ -153,15 +157,6 @@ class ScaleShiftDenoiser(Denoiser):
         return self.a
 
 
-def _tv_grad(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences per frame on an (H, W, B) stack; zero at the far edge."""
-    gx = np.zeros_like(z)
-    gy = np.zeros_like(z)
-    gx[:, :-1] = z[:, 1:] - z[:, :-1]
-    gy[:-1] = z[1:] - z[:-1]
-    return gx, gy
-
-
 def tv_denoise(x: np.ndarray, lam: float, iters: int) -> np.ndarray:
     """Anisotropic TV proximal step, approximately argmin_z 1/2||z-x||^2 + lam*TV(z).
 
@@ -230,12 +225,6 @@ def tv_denoise(x: np.ndarray, lam: float, iters: int) -> np.ndarray:
             np.clip(pyi, -lam, lam, out=pyi)
         np.subtract(xf.reshape(h, w), adjoint(z).reshape(h, w), out=out[:, :, k])
     return out
-
-
-def tv_energy(z: np.ndarray, x: np.ndarray, lam: float) -> float:
-    """Objective 1/2||z-x||^2 + lam * TV_aniso(z) for diagnostics and tests."""
-    gx, gy = _tv_grad(np.asarray(z, dtype=np.float64))
-    return 0.5 * float(np.sum((z - x) ** 2)) + lam * float(np.abs(gx).sum() + np.abs(gy).sum())
 
 
 @dataclass
@@ -576,15 +565,115 @@ def make_conv_residual(
     return ConvResidualDenoiser(params, gamma)
 
 
-def _save_checkpoint(prefix: str, owner) -> None:
-    """Write <prefix>.vsci (flat theta) and <prefix>.meta for an owner of a
-    ConvParams at .params: its kind and gamma, every kernel's shape, and the
-    power-iteration probe shape and seed."""
-    p = owner.params
+@dataclass(frozen=True)
+class GatedCellLinearization:
+    """The gated cell frozen at one input: kernels, gamma and the forward
+    activations, read when it was built."""
+
+    kernels: tuple       # input, gate and candidate kernels
+    gamma: float
+    u: np.ndarray        # (B, H, W, 1) input frames
+    slope_h: np.ndarray  # softplus'(z_h) = sigmoid(z_h)
+    h: np.ndarray
+    g: np.ndarray
+    c: np.ndarray
+    shape: tuple         # (H, W, B) of the input cube
+
+    def _preact_cotangents(self, v: np.ndarray):
+        """Cotangents of the hidden, gate and candidate pre-activations."""
+        cot = _as_frames(v)
+        _, k_gate, k_cand = self.kernels
+        dz_g = cot * self.c * self.g * (1.0 - self.g)
+        dz_c = cot * self.g * (1.0 - self.c * self.c)
+        dh = conv_adjoint_input(dz_g, k_gate) + conv_adjoint_input(dz_c, k_cand)
+        return dh * self.slope_h, dz_g, dz_c
+
+    def vjp_input(self, v: np.ndarray) -> np.ndarray:
+        v = _check_cotangent(v, self.shape)
+        dz_h, _, _ = self._preact_cotangents(v)
+        return v + self.gamma * _as_cube(conv_adjoint_input(dz_h, self.kernels[0]))
+
+    def grad_params(self, v: np.ndarray) -> np.ndarray:
+        dz = self._preact_cotangents(_check_cotangent(v, self.shape))
+        acts = (self.u, self.h, self.h)
+        grads_k = [conv_grad_kernel(a, d, k.shape[2], k.shape[3])
+                   for a, d, k in zip(acts, dz, self.kernels)]
+        return self.gamma * _flat(grads_k, [conv_grad_bias(d) for d in dz])
+
+
+@dataclass
+class GatedConvCell(Denoiser):
+    """D(u) = u + gamma * gate * cand, the DE-RNN denoiser, per frame:
+
+    hidden = softplus(conv(u))        1 -> C channels
+    gate   = sigmoid(conv(hidden))    C -> 1
+    cand   = tanh(conv(hidden))       C -> 1
+
+    params holds the input, gate and candidate layers, in that order. Since
+    |gate * cand| < 1, D moves no pixel by gamma or more. With all-zero
+    parameters the candidate branch vanishes and D is exactly the identity.
+    """
+
+    params: ConvParams
+    gamma: float = 0.1
+    kind = "gated_cell"
+    trainable = True
+
+    def __post_init__(self):
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
+        ch = [k.shape[:2] for k in self.params.kernels]  # (C_out, C_in) per layer
+        if len(ch) != 3 or ch[0][1] != 1 or ch[1:] != [(1, ch[0][0])] * 2:
+            raise ValueError("cell layers must map 1 -> C channels, then C -> 1 twice")
+
+    def _forward(self, x: np.ndarray):
+        (k_in, k_gate, k_cand), (b_in, b_gate, b_cand) = self.params.kernels, self.params.biases
+        u = _as_frames(x)
+        z_h = conv_forward(u, k_in, b_in)
+        h = softplus(z_h)
+        g = sigmoid(conv_forward(h, k_gate, b_gate))
+        c = np.tanh(conv_forward(h, k_cand, b_cand))
+        return x + self.gamma * _as_cube(g * c), (u, z_h, h, g, c)
+
+    def denoise(self, x):
+        return self._forward(self._check(x))[0]
+
+    def linearize(self, x):
+        x = self._check(x)
+        _, (u, z_h, h, g, c) = self._forward(x)
+        return GatedCellLinearization(kernels=tuple(self.params.kernels), gamma=self.gamma,
+                                      u=u, slope_h=sigmoid(z_h), h=h, g=g, c=c, shape=x.shape)
+
+
+def make_gated_cell(
+    seed: int, channels: int = 8, kernel: int = 3, gamma: float = 0.1,
+    init_scale: float = 0.0, sn_shape: tuple = (16, 16),
+) -> GatedConvCell:
+    """Build a gated cell; init_scale 0 gives the exact identity denoiser."""
+    rng = np.random.default_rng(seed)
+
+    def w(shape):
+        if init_scale == 0.0:
+            return np.zeros(shape)
+        return rng.standard_normal(shape) * init_scale
+
+    shapes = [(channels, 1, kernel, kernel), (1, channels, kernel, kernel),
+              (1, channels, kernel, kernel)]
+    layers = [(w(s), w(s[:1])) for s in shapes]  # kernel, then bias: the draw order
+    kernels, biases = (list(t) for t in zip(*layers))
+    params = ConvParams(kernels, biases, sn_shape=sn_shape, sn_seed=seed)
+    return GatedConvCell(params, gamma)
+
+
+def save_denoiser(prefix: str, d) -> None:
+    """Write <prefix>.vsci (flat theta) and <prefix>.meta for a denoiser that
+    holds a ConvParams at .params: its kind and gamma, every kernel's shape,
+    and the power-iteration probe shape and seed."""
+    p = d.params
     tensorio.write_tensor(prefix + ".vsci", p.flatten())
     meta = {
-        "kind": owner.kind,
-        "gamma": repr(owner.gamma),
+        "kind": d.kind,
+        "gamma": repr(d.gamma),
         "kernels": " ".join("x".join(str(n) for n in k.shape) for k in p.kernels),
         "sn_h": p.sn_shape[0],
         "sn_w": p.sn_shape[1],
@@ -593,33 +682,28 @@ def _save_checkpoint(prefix: str, owner) -> None:
     tensorio.write_kv(prefix + ".meta", meta)
 
 
-def _load_checkpoint(prefix: str, cls):
-    """Rebuild a cls(params, gamma) written by _save_checkpoint.
+def load_denoiser(prefix: str, *classes):
+    """Rebuild a denoiser written by save_denoiser, as the one of `classes`
+    whose kind the checkpoint names.
 
-    A missing or malformed key, another kind, a theta that does not fit the
-    kernel shapes or is not finite, or a gamma cls rejects raises ConfigError.
+    A missing or malformed key, a kind none of `classes` has, a theta that
+    does not fit the kernel shapes or is not finite, or layers or a gamma
+    the class rejects raises ConfigError.
     """
     meta = tensorio.read_kv(prefix + ".meta")
     theta = tensorio.read_tensor(prefix + ".vsci")
+    by_kind = {c.kind: c for c in classes}
     try:
-        if meta["kind"] != cls.kind:
-            raise ValueError(f"a {meta['kind']} checkpoint, not {cls.kind}")
+        if meta["kind"] not in by_kind:
+            raise ValueError(f"a {meta['kind']} checkpoint, not {' or '.join(by_kind)}")
         shapes = [tuple(int(n) for n in s.split("x")) for s in meta["kernels"].split()]
         sn_shape = (int(meta["sn_h"]), int(meta["sn_w"]))
         if not shapes or min(sn_shape) < 1 or any(len(s) != 4 or min(s) < 1 for s in shapes):
             raise ValueError("kernels must be 4-d shapes and sn_h/sn_w sizes, all positive")
         kernels, biases = _split(theta, shapes)
         params = ConvParams(kernels, biases, sn_shape=sn_shape, sn_seed=int(meta["sn_seed"]))
-        return cls(params, float(meta["gamma"]))
+        return by_kind[meta["kind"]](params, float(meta["gamma"]))
     except KeyError as exc:
         raise ConfigError(f"{prefix}.meta: missing key {exc}") from None
     except (ValueError, ShapeMismatchError) as exc:
         raise ConfigError(f"{prefix}: {exc}") from None
-
-
-def save_denoiser(prefix: str, d: ConvResidualDenoiser) -> None:
-    _save_checkpoint(prefix, d)
-
-
-def load_denoiser(prefix: str) -> ConvResidualDenoiser:
-    return _load_checkpoint(prefix, ConvResidualDenoiser)

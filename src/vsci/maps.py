@@ -2,17 +2,17 @@
 
 DeGapMap:  f(x) = D(x + Phi^T (Phi Phi^T)^{-1} (y - Phi x))   (denoise the
            Euclidean projection onto the measurement-consistent set)
-DeRnnMap:  f(x) = x + gamma * cell(x, Phi^T y, Phi^T (y - Phi x)) with a
-           small gated convolutional cell
 plus classical plug-and-play baselines (GAP with per-iteration TV strength,
 ADMM with a pluggable denoiser) used for stability comparisons. The baselines
 run as step closures through the one fixed-point engine (fixed_point.solve,
 Picard case), so every method shares its stopping rule, trace and
 divergence guard.
 
-The gated cell keeps its three conv layers in a denoisers.ConvParams, so its
-flat parameters, spectral normalization and checkpoint format are those of
-the conv_residual denoiser.
+Both equilibrium models are a DeGapMap: DE-GAP with the conv_residual
+denoiser, DE-RNN with the gated cell (denoisers.GatedConvCell). An output
+is D(u) for a measurement-consistent u, so Phi f(x) - y = Phi (D(u) - u).
+The gated cell moves no value by gamma or more, which bounds every output's
+|Phi f(x) - y| at a pixel by gamma times the sum of its mask values.
 
 Maps are immutable after construction; apply/vjp calls are pure. linearize(x)
 runs the forward once at x and returns a frozen snapshot whose vjp_input(v)
@@ -26,30 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import (
-    conv_adjoint_input,
-    conv_forward,
-    conv_grad_bias,
-    conv_grad_kernel,
-    sigmoid,
-    softplus,
-)
-from .denoisers import (
-    ConvParams,
-    Denoiser,
-    _as_cube,
-    _as_frames,
-    _flat,
-    _load_checkpoint,
-    _save_checkpoint,
-    tv_denoise,
-)
+from .denoisers import Denoiser, tv_denoise
 from .errors import ShapeMismatchError
 from .fixed_point import FixedPointConfig, SolveResult, solve
 from .sci import (
     Measurement,
     SensingMask,
-    adjoint,
     forward,
     gap_project,
     init_estimate,
@@ -100,165 +82,6 @@ class DeGapLinearization:
 
     def grad_params(self, v: np.ndarray) -> np.ndarray:
         return self.denoiser.grad_params(v)
-
-
-@dataclass
-class GatedConvCell:
-    """Gated convolutional refinement over (x, Phi^T y, Phi^T(y - Phi x)).
-
-    hidden = softplus(conv(u))        u: 3 input channels per frame
-    gate   = sigmoid(conv(hidden))
-    cand   = tanh(conv(hidden))
-    out    = gate * cand              one channel per frame
-
-    params holds the input, gate and candidate layers, in that order. With
-    all-zero parameters the candidate branch vanishes, so the enclosing
-    residual map is exactly the identity.
-    """
-
-    params: ConvParams
-    gamma: float = 0.1
-    kind = "gated_cell"
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        ch = [k.shape[:2] for k in self.params.kernels]  # (C_out, C_in) per layer
-        if len(ch) != 3 or ch[0][1] != 3 or ch[1:] != [(1, ch[0][0])] * 2:
-            raise ValueError("cell layers must map 3 -> C channels, then C -> 1 twice")
-
-    def _forward(self, u: np.ndarray):
-        (k_in, k_gate, k_cand), (b_in, b_gate, b_cand) = self.params.kernels, self.params.biases
-        z_h = conv_forward(u, k_in, b_in)
-        h = softplus(z_h)
-        g = sigmoid(conv_forward(h, k_gate, b_gate))
-        c = np.tanh(conv_forward(h, k_cand, b_cand))
-        return g * c, (z_h, h, g, c)
-
-    def linearize(self, u: np.ndarray) -> "GatedCellLinearization":
-        """Run the cell once on the stacked inputs u, keeping what its VJPs need."""
-        _, (z_h, h, g, c) = self._forward(u)
-        return GatedCellLinearization(
-            kernels=tuple(self.params.kernels), u=u, slope_h=sigmoid(z_h), h=h, g=g, c=c,
-        )
-
-
-@dataclass(frozen=True)
-class GatedCellLinearization:
-    """GatedConvCell frozen at one input: its kernels and forward activations."""
-
-    kernels: tuple       # input, gate and candidate kernels
-    u: np.ndarray        # (B, H, W, 3) stacked input channels
-    slope_h: np.ndarray  # softplus'(z_h) = sigmoid(z_h)
-    h: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
-
-    def _preact_cotangents(self, cot):
-        """Cotangents of the hidden, gate and candidate pre-activations."""
-        _, k_gate, k_cand = self.kernels
-        dz_g = cot * self.c * self.g * (1.0 - self.g)
-        dz_c = cot * self.g * (1.0 - self.c * self.c)
-        dh = conv_adjoint_input(dz_g, k_gate) + conv_adjoint_input(dz_c, k_cand)
-        return dh * self.slope_h, dz_g, dz_c
-
-    def vjp_input(self, cot: np.ndarray) -> np.ndarray:
-        """Cotangent w.r.t. the stacked input channels."""
-        dz_h, _, _ = self._preact_cotangents(cot)
-        return conv_adjoint_input(dz_h, self.kernels[0])
-
-    def grad_params(self, cot: np.ndarray) -> np.ndarray:
-        """Cotangent w.r.t. the flat parameters, in ConvParams.flatten() order."""
-        dz = self._preact_cotangents(cot)
-        acts = (self.u, self.h, self.h)
-        grads_k = [conv_grad_kernel(a, d, k.shape[2], k.shape[3])
-                   for a, d, k in zip(acts, dz, self.kernels)]
-        return _flat(grads_k, [conv_grad_bias(d) for d in dz])
-
-
-def make_gated_cell(
-    seed: int, channels: int = 8, kernel: int = 3, gamma: float = 0.1,
-    init_scale: float = 0.0, sn_shape: tuple = (16, 16),
-) -> GatedConvCell:
-    """Build a gated cell; init_scale 0 gives the exact identity map."""
-    rng = np.random.default_rng(seed)
-
-    def w(shape):
-        if init_scale == 0.0:
-            return np.zeros(shape)
-        return rng.standard_normal(shape) * init_scale
-
-    shapes = [(channels, 3, kernel, kernel), (1, channels, kernel, kernel),
-              (1, channels, kernel, kernel)]
-    layers = [(w(s), w(s[:1])) for s in shapes]  # kernel, then bias: the draw order
-    kernels, biases = (list(t) for t in zip(*layers))
-    params = ConvParams(kernels, biases, sn_shape=sn_shape, sn_seed=seed)
-    return GatedConvCell(params, gamma)
-
-
-@dataclass
-class DeRnnMap:
-    """Recurrent refinement map f(x) = x + gamma * cell(x, Phi^T y, Phi^T(y - Phi x))."""
-
-    cell: GatedConvCell
-    mask: SensingMask
-    y: Measurement
-
-    def __post_init__(self):
-        if _meas_data(self.y).shape != self.mask.q_diag.shape:
-            raise ShapeMismatchError("measurement does not match mask")
-        self._phi_t_y = adjoint(self.mask, self.y)
-
-    def _inputs(self, x: np.ndarray) -> np.ndarray:
-        res = adjoint(self.mask, _meas_data(self.y) - forward(self.mask, x).data)
-        # (B, H, W, 3): current estimate, backprojected data, backprojected residual
-        return np.concatenate(
-            [_as_frames(x), _as_frames(self._phi_t_y), _as_frames(res)], axis=3
-        )
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.cell.gamma == 0.0:
-            return np.asarray(x, dtype=np.float64).copy()
-        out, _ = self.cell._forward(self._inputs(x))
-        return x + self.cell.gamma * _as_cube(out)
-
-    def linearize(self, x: np.ndarray) -> "DeRnnLinearization":
-        """Build the cell inputs at x and run the cell once on them."""
-        return DeRnnLinearization(
-            mask=self.mask, gamma=self.cell.gamma,
-            cell=self.cell.linearize(self._inputs(x)),
-        )
-
-    def vjp_input(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.linearize(x).vjp_input(v)
-
-    def grad_params(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.linearize(x).grad_params(v)
-
-
-@dataclass(frozen=True)
-class DeRnnLinearization:
-    """DeRnnMap frozen at one x; gamma == 0 makes the map the identity."""
-
-    mask: SensingMask
-    gamma: float
-    cell: GatedCellLinearization
-
-    def vjp_input(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if self.gamma == 0.0:
-            return v.copy()
-        du = self.cell.vjp_input(_as_frames(v))
-        d_direct = _as_cube(du[..., 0:1])
-        d_res = _as_cube(du[..., 2:3])
-        # residual input contributes through -Phi^T Phi
-        return v + self.gamma * (
-            d_direct - adjoint(self.mask, forward(self.mask, d_res).data)
-        )
-
-    def grad_params(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        return self.gamma * self.cell.grad_params(_as_frames(v))
 
 
 @dataclass
@@ -347,10 +170,3 @@ def pnp_gap_solve(
     cfg = FixedPointConfig(tol=tol, max_iter=max_iter)
     return solve(step, init_estimate(mask, y), cfg, method="picard", psnr_ref=psnr_ref)
 
-
-def save_cell(prefix: str, cell: GatedConvCell) -> None:
-    _save_checkpoint(prefix, cell)
-
-
-def load_cell(prefix: str) -> GatedConvCell:
-    return _load_checkpoint(prefix, GatedConvCell)

@@ -1,52 +1,48 @@
-"""Trainable model wrappers: shared parameters, per-sample iteration maps."""
+"""The trainable model: shared parameters, one iteration map per sample."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import denoisers
-from .denoisers import ConvParams, ConvResidualDenoiser
-from .maps import DeGapMap, DeRnnMap, GatedConvCell
+from .denoisers import ConvResidualDenoiser, GatedConvCell, IdentityDenoiser, make_gated_cell
+from .maps import DeGapMap
+
+# method -> (the denoiser class its checkpoints hold, its untrained default)
+_EQUILIBRIUM = {
+    "de_gap": (ConvResidualDenoiser, IdentityDenoiser),
+    "de_rnn": (GatedConvCell, lambda: make_gated_cell(0)),
+}
 
 
-class _ConvModel:
-    """The flat-parameter calls of a model whose one field owns a ConvParams
-    at .params (the DE-GAP denoiser or the DE-RNN cell)."""
-
-    @property
-    def _params(self) -> ConvParams:
-        return getattr(self, fields(self)[0].name).params
-
-    def get_params(self) -> np.ndarray:
-        return self._params.flatten()
-
-    def set_params(self, theta: np.ndarray) -> None:
-        self._params.unflatten(theta)
-
-    def n_params(self) -> int:
-        return self._params.n_params()
-
-    def spectral_normalize(self, n_iters: int) -> None:
-        denoisers.spectral_normalize(self._params, n_iters)
+def equilibrium_denoiser(method: str, checkpoint: str | None):
+    """The denoiser of DE-GAP ("de_gap") or DE-RNN ("de_rnn"): loaded from
+    the checkpoint prefix when given, else the untrained default, which for
+    both is the identity."""
+    cls, untrained = _EQUILIBRIUM[method]
+    return denoisers.load_denoiser(checkpoint, cls) if checkpoint else untrained()
 
 
 @dataclass
-class DeGapModel(_ConvModel):
-    """Projection-then-denoise model whose parameters live in the denoiser."""
+class DeGapModel:
+    """Projection-then-denoise model whose parameters live in the denoiser's
+    ConvParams: a conv_residual denoiser for DE-GAP, a gated cell for DE-RNN."""
 
-    denoiser: ConvResidualDenoiser
+    denoiser: ConvResidualDenoiser | GatedConvCell
+
+    def get_params(self) -> np.ndarray:
+        return self.denoiser.params.flatten()
+
+    def set_params(self, theta: np.ndarray) -> None:
+        self.denoiser.params.unflatten(theta)
+
+    def n_params(self) -> int:
+        return self.denoiser.params.n_params()
+
+    def spectral_normalize(self, n_iters: int) -> None:
+        denoisers.spectral_normalize(self.denoiser.params, n_iters)
 
     def make_map(self, mask, y) -> DeGapMap:
         return DeGapMap(denoiser=self.denoiser, mask=mask, y=y)
-
-
-@dataclass
-class DeRnnModel(_ConvModel):
-    """Gated-cell refinement model; parameters live in the cell."""
-
-    cell: GatedConvCell
-
-    def make_map(self, mask, y) -> DeRnnMap:
-        return DeRnnMap(cell=self.cell, mask=mask, y=y)

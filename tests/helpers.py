@@ -1,8 +1,9 @@
 """Independent dense-matrix oracles and measurement helpers for the test suite.
 
 The oracles build the sensing operator explicitly as an n x nB matrix of
-concatenated diagonals and work with plain linear algebra, staying
-independent of the elementwise code paths they check.
+concatenated diagonals, a conv layer as the dense matrix of its columns, and
+the TV objective from plain differences, staying independent of the code
+paths they check.
 """
 
 import tracemalloc
@@ -57,6 +58,36 @@ def dense_projector(mask) -> np.ndarray:
     if mask.policy == "floor":
         np.fill_diagonal(gram, np.maximum(np.diag(gram), mask.floor_tau))
     return phi.T @ np.linalg.inv(gram) @ phi
+
+
+def dense_conv_matrix(kernel: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The zero-padded conv operator as a dense (h*w*C_out, h*w*C_in) matrix,
+    one conv_forward per basis vector, for SVD checks on small shapes."""
+    from vsci.conv import conv_forward
+
+    c_in = kernel.shape[1]
+    n_in = h * w * c_in
+    cols = []
+    for j in range(n_in):
+        e = np.zeros(n_in)
+        e[j] = 1.0
+        cols.append(conv_forward(e.reshape(1, h, w, c_in), kernel).ravel())
+    return np.stack(cols, axis=1)
+
+
+def _tv_grad(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences per frame on an (H, W, B) stack; zero at the far edge."""
+    gx = np.zeros_like(z)
+    gy = np.zeros_like(z)
+    gx[:, :-1] = z[:, 1:] - z[:, :-1]
+    gy[:-1] = z[1:] - z[:-1]
+    return gx, gy
+
+
+def tv_energy(z: np.ndarray, x: np.ndarray, lam: float) -> float:
+    """Objective 1/2||z-x||^2 + lam * TV_aniso(z) of the TV prox."""
+    gx, gy = _tv_grad(np.asarray(z, dtype=np.float64))
+    return 0.5 * float(np.sum((z - x) ** 2)) + lam * float(np.abs(gx).sum() + np.abs(gy).sum())
 
 
 def sampled_residual_lipschitz(d, seed: int, n_pairs: int, shape: tuple) -> float:

@@ -9,9 +9,8 @@ import vsci.cli
 import vsci.training
 from vsci import tensorio
 from vsci.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_IO, EXIT_OK, main
-from vsci.denoisers import make_conv_residual, save_denoiser
+from vsci.denoisers import make_conv_residual, make_gated_cell, save_denoiser
 from vsci.errors import DivergedError
-from vsci.maps import make_gated_cell, save_cell
 
 
 @pytest.fixture
@@ -150,13 +149,26 @@ def _short_theta(prefix):
     tensorio.write_tensor(prefix + ".vsci", tensorio.read_tensor(prefix + ".vsci")[:-1])
 
 
+def _three_channel_input(prefix):
+    # the gated cell's old layout, whose input layer read x, Phi^T y and
+    # Phi^T (y - Phi x); theta gets the entries that layer needs
+    meta = tensorio.read_kv(prefix + ".meta")
+    first, *rest = meta["kernels"].split()
+    c_out, _, kh, kw = (int(n) for n in first.split("x"))
+    meta["kernels"] = " ".join([f"{c_out}x3x{kh}x{kw}"] + rest)
+    tensorio.write_kv(prefix + ".meta", meta)
+    theta = tensorio.read_tensor(prefix + ".vsci")
+    tensorio.write_tensor(prefix + ".vsci", np.concatenate([np.zeros(2 * c_out * kh * kw), theta]))
+
+
 @pytest.mark.parametrize("method", ["de-gap", "de-rnn"])
 @pytest.mark.parametrize("spoil", [_drop_sn_seed, _malformed_shape, _two_output_last_layer,
-                                   _nan_theta, _short_theta, "other_kind"])
+                                   _nan_theta, _short_theta, _three_channel_input,
+                                   "other_kind"])
 def test_bad_checkpoint_exits_2_and_writes_nothing(scene, tmp_path, method, spoil):
     gap, rnn = str(tmp_path / "gap"), str(tmp_path / "rnn")
     save_denoiser(gap, make_conv_residual(1, channels=4, n_layers=2, gamma=0.3))
-    save_cell(rnn, make_gated_cell(2, channels=4, init_scale=0.1))
+    save_denoiser(rnn, make_gated_cell(2, channels=4, init_scale=0.1))
     own, other = (gap, rnn) if method == "de-gap" else (rnn, gap)
     if spoil == "other_kind":
         own = other
@@ -165,6 +177,17 @@ def test_bad_checkpoint_exits_2_and_writes_nothing(scene, tmp_path, method, spoi
     out = str(tmp_path / "x.vsci")
     assert _reconstruct(scene, out, "--method", method, "--checkpoint", own) == EXIT_CONFIG
     assert not os.path.exists(out)
+
+
+def test_untrained_de_rnn_equals_untrained_de_gap(scene, tmp_path, capsys):
+    x_hat = {}
+    for method in ("de-gap", "de-rnn"):
+        out = str(tmp_path / f"{method}.vsci")
+        assert _reconstruct(scene, out, "--method", method) == EXIT_OK
+        printed = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+        assert float(printed["measurement_consistency_inf"]) <= 1e-12
+        x_hat[method] = tensorio.read_tensor(out)
+    assert np.array_equal(x_hat["de-rnn"], x_hat["de-gap"])
 
 
 def test_training_abort_exits_4_and_writes_no_checkpoint(tmp_path, monkeypatch, capsys):
@@ -216,6 +239,18 @@ def test_spectrum_at_64x64x8_prints_what_it_writes(tmp_path, capsys):
                              "n_unit_eigenvalues", "n_zero_eigenvalues"]
     # floor policy, default tau: live pixels give 1 and dead pixels 0
     assert int(printed["n_unit_eigenvalues"]) + int(printed["n_zero_eigenvalues"]) == 64 * 64 * 8
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_conv_residual(3, channels=4, n_layers=2, gamma=0.3),
+    lambda: make_gated_cell(3, channels=4, init_scale=0.3, gamma=0.3),
+], ids=["conv_residual", "gated_cell"])
+def test_spectrum_reads_either_checkpoint_kind(tmp_path, capsys, make):
+    ckpt = str(tmp_path / "ckpt")
+    save_denoiser(ckpt, make())
+    assert main(["spectrum", "--checkpoint", ckpt]) == EXIT_OK
+    printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    assert 0.0 < float(printed["sigma_hat"]) < float("inf")
 
 
 def test_spectrum_pairs_flag_is_gone():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal, special
 
+from helpers import dense_conv_matrix
 from vsci.conv import (
     Grid,
     conv_adjoint_input,
@@ -11,7 +12,6 @@ from vsci.conv import (
     conv_grad_bias,
     conv_grad_kernel,
     conv_operator_sigma,
-    dense_conv_matrix,
     sigmoid,
     softplus,
 )

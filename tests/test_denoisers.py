@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import vsci.denoisers
-from helpers import sampled_residual_lipschitz, traced_peak
-from vsci.conv import conv_forward, dense_conv_matrix, softplus
+from helpers import dense_conv_matrix, sampled_residual_lipschitz, traced_peak, tv_energy
+from vsci.conv import conv_forward, softplus
 from vsci.denoisers import (
     ConvParams,
     ConvResidualDenoiser,
@@ -15,10 +15,10 @@ from vsci.denoisers import (
     TvDenoiser,
     load_denoiser,
     make_conv_residual,
+    make_gated_cell,
     save_denoiser,
     spectral_normalize,
     tv_denoise,
-    tv_energy,
 )
 from vsci.errors import UnsupportedDenoiserOpError
 
@@ -328,6 +328,7 @@ class TestTiledForward:
 class TestLinearize:
     @pytest.mark.parametrize("d", [
         make_conv_residual(12, channels=4, n_layers=3, init="random", gamma=0.3, noise_scale=0.3),
+        make_gated_cell(12, channels=4, init_scale=0.3, gamma=0.3),
         IdentityDenoiser(),
         ScaleShiftDenoiser(a=0.7, b=0.1),
     ], ids=lambda d: d.kind)
@@ -456,7 +457,7 @@ class TestCheckpoint:
                                gamma=0.15, noise_scale=0.2)
         prefix = str(tmp_path / "ckpt")
         save_denoiser(prefix, d)
-        d2 = load_denoiser(prefix)
+        d2 = load_denoiser(prefix, ConvResidualDenoiser)
         np.testing.assert_array_equal(d2.params.flatten(), d.params.flatten())
         assert d2.gamma == d.gamma
         x = _cube((6, 6, 3), 0)

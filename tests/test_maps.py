@@ -8,21 +8,25 @@ import vsci.denoisers
 import vsci.maps
 from helpers import dense_phi, random_mask, unvec, vec
 from vsci.cli import main
-from vsci.denoisers import IdentityDenoiser, ScaleShiftDenoiser, make_conv_residual
+from vsci.denoisers import (
+    GatedConvCell,
+    IdentityDenoiser,
+    ScaleShiftDenoiser,
+    load_denoiser,
+    make_conv_residual,
+    make_gated_cell,
+    save_denoiser,
+)
 from vsci.errors import DivergedError, UnsupportedDenoiserOpError
 from vsci.fixed_point import FixedPointConfig, solve
 from vsci.maps import (
     AdmmState,
     DeGapMap,
-    DeRnnMap,
-    load_cell,
-    make_gated_cell,
     pnp_admm_solve,
     pnp_admm_step,
     pnp_gap_solve,
-    save_cell,
 )
-from vsci.sci import Measurement, forward, gap_project, init_estimate
+from vsci.sci import Measurement, forward, gap_project, init_estimate, mask_generate
 
 
 def _instance(seed, h=4, w=4, b=3):
@@ -97,25 +101,31 @@ class TestDeGap:
 
 
 class TestDeRnn:
-    def test_zero_cell_is_identity_and_solver_exits_immediately(self):
+    """DE-RNN is a DeGapMap whose denoiser is the gated cell."""
+
+    def test_zero_cell_map_is_the_identity_denoiser_map(self):
         mask, cube, y = _instance(6)
-        fmap = DeRnnMap(cell=make_gated_cell(0), mask=mask, y=y)
+        fmap = DeGapMap(denoiser=make_gated_cell(0), mask=mask, y=y)
+        plain = DeGapMap(denoiser=IdentityDenoiser(), mask=mask, y=y)
         x = np.random.default_rng(0).random(cube.shape)
-        np.testing.assert_array_equal(fmap.apply(x), x)
-        res = solve(fmap.apply, init_estimate(mask, y), FixedPointConfig(), method="picard")
-        assert res.converged and res.iterations == 1
+        np.testing.assert_array_equal(fmap.apply(x), plain.apply(x))
+        cfg = FixedPointConfig(tol=1e-10)
+        res = solve(fmap.apply, init_estimate(mask, y), cfg, method="anderson")
+        ref = solve(plain.apply, init_estimate(mask, y), cfg, method="anderson")
+        assert res.converged and res.iterations == ref.iterations
+        np.testing.assert_array_equal(res.x_hat, ref.x_hat)
 
     def test_gamma_zero_identity_any_params(self):
         mask, cube, y = _instance(7)
         cell = make_gated_cell(1, init_scale=0.5, gamma=0.0)
-        fmap = DeRnnMap(cell=cell, mask=mask, y=y)
+        fmap = DeGapMap(denoiser=cell, mask=mask, y=y)
         x = np.random.default_rng(1).random(cube.shape)
-        np.testing.assert_array_equal(fmap.apply(x), x)
+        np.testing.assert_array_equal(fmap.apply(x), gap_project(mask, y, x))
 
     def test_vjp_input_matches_finite_differences(self):
         mask, cube, y = _instance(8, 4, 4, 2)
         cell = make_gated_cell(2, channels=4, init_scale=0.3, gamma=0.2)
-        fmap = DeRnnMap(cell=cell, mask=mask, y=y)
+        fmap = DeGapMap(denoiser=cell, mask=mask, y=y)
         rng = np.random.default_rng(4)
         x = rng.random(cube.shape)
         v = rng.standard_normal(cube.shape)
@@ -131,7 +141,7 @@ class TestDeRnn:
     def test_grad_params_matches_finite_differences(self):
         mask, cube, y = _instance(9, 4, 4, 2)
         cell = make_gated_cell(3, channels=2, init_scale=0.3, gamma=0.2)
-        fmap = DeRnnMap(cell=cell, mask=mask, y=y)
+        fmap = DeGapMap(denoiser=cell, mask=mask, y=y)
         rng = np.random.default_rng(5)
         x = rng.random(cube.shape)
         v = rng.standard_normal(cube.shape)
@@ -156,27 +166,41 @@ class TestDeRnn:
     def test_cell_checkpoint_roundtrip(self, tmp_path):
         cell = make_gated_cell(4, channels=4, init_scale=0.2, gamma=0.15)
         prefix = str(tmp_path / "cell")
-        save_cell(prefix, cell)
-        back = load_cell(prefix)
+        save_denoiser(prefix, cell)
+        back = load_denoiser(prefix, GatedConvCell)
         np.testing.assert_array_equal(back.params.flatten(), cell.params.flatten())
         assert back.gamma == cell.gamma
 
+    @pytest.mark.parametrize("gamma", [0.1, 0.5])
+    def test_consistency_error_bounded_by_gamma_times_mask_sum(self, gamma):
+        # |gate * cand| < 1, and the cell moves the projection by gamma times that
+        mask = mask_generate(3, 16, 16, 4, kind="bernoulli", p=0.5, policy="floor")
+        rng = np.random.default_rng(40)
+        y = forward(mask, rng.random((16, 16, 4)))
+        bound = gamma * mask.frames.sum(axis=2).max() + 1e-12
+        for seed in range(3):
+            cell = make_gated_cell(seed, init_scale=1.0, gamma=gamma)
+            fmap = DeGapMap(denoiser=cell, mask=mask, y=y)
+            outputs = [fmap.apply(scale * rng.standard_normal((16, 16, 4)))
+                       for scale in (0.1, 1.0, 100.0)]
+            x = init_estimate(mask, y)
+            for _ in range(20):  # along a Picard run
+                x = fmap.apply(x)
+                outputs.append(x)
+            for out in outputs:
+                assert np.max(np.abs(forward(mask, out).data - y.data)) <= bound
 
-def _degap_map(kind, seed=20):
+
+def _degap_map(kind, seed=20, gamma=0.1):
     mask, cube, y = _instance(seed, 5, 5, 2)
     den = {
         "conv_residual": lambda: make_conv_residual(0, channels=4, n_layers=3, init="random",
                                                     gamma=0.3, noise_scale=0.3),
+        "gated_cell": lambda: make_gated_cell(5, channels=4, init_scale=0.3, gamma=gamma),
         "identity": IdentityDenoiser,
         "scale_shift": lambda: ScaleShiftDenoiser(a=0.7, b=0.1),
     }[kind]()
     return DeGapMap(denoiser=den, mask=mask, y=y), cube.shape
-
-
-def _dernn_map(gamma, seed=21):
-    mask, cube, y = _instance(seed, 5, 5, 2)
-    cell = make_gated_cell(5, channels=4, init_scale=0.3, gamma=gamma)
-    return DeRnnMap(cell=cell, mask=mask, y=y), cube.shape
 
 
 def _count_calls(monkeypatch, module, name, counts):
@@ -213,7 +237,7 @@ class TestLinearize:
 
     @pytest.mark.parametrize("gamma", [0.1, 0.0])
     def test_dernn_linearization_equals_per_call_vjps(self, gamma):
-        fmap, shape = _dernn_map(gamma)
+        fmap, shape = _degap_map("gated_cell", gamma=gamma)
         self._assert_matches_per_call(fmap, shape, has_params=True)
 
     def test_degap_one_forward_serves_ten_vjps(self, monkeypatch):
@@ -233,30 +257,32 @@ class TestLinearize:
         assert counts == once
 
     def test_dernn_one_forward_serves_ten_vjps(self, monkeypatch):
-        fmap, shape = _dernn_map(0.1)
+        fmap, shape = _degap_map("gated_cell")
         counts = {}
-        for name in ("conv_forward", "sigmoid", "forward"):
-            _count_calls(monkeypatch, vsci.maps, name, counts)
+        for name in ("conv_forward", "softplus", "sigmoid"):
+            _count_calls(monkeypatch, vsci.denoisers, name, counts)
+        _count_calls(monkeypatch, vsci.maps, "gap_project", counts)
         rng = np.random.default_rng(32)
         lin = fmap.linearize(rng.random(shape))
-        assert counts == {"conv_forward": 3, "sigmoid": 2, "forward": 1}
+        once = dict(counts)
+        assert once == {"conv_forward": 3, "softplus": 1, "sigmoid": 2, "gap_project": 1}
         for _ in range(10):
             v = rng.standard_normal(shape)
             lin.vjp_input(v)
             lin.grad_params(v)
-        # each input VJP maps the residual channel back through Phi once
-        assert counts == {"conv_forward": 3, "sigmoid": 2, "forward": 11}
+        assert counts == once
 
     def test_dernn_unflatten_after_linearize_leaves_it_unchanged(self):
-        fmap, shape = _dernn_map(0.1)
+        fmap, shape = _degap_map("gated_cell")
         rng = np.random.default_rng(33)
         x = rng.random(shape)
         v = rng.standard_normal(shape)
         lin = fmap.linearize(x)
         before = lin.vjp_input(v), lin.grad_params(v)
-        fmap.cell.params.unflatten(3.0 * fmap.cell.params.flatten() + 0.1)
-        vsci.denoisers.spectral_normalize(fmap.cell.params, 5)
-        fmap.cell.gamma = 0.2
+        cell = fmap.denoiser
+        cell.params.unflatten(3.0 * cell.params.flatten() + 0.1)
+        vsci.denoisers.spectral_normalize(cell.params, 5)
+        cell.gamma = 0.2
         after = lin.vjp_input(v), lin.grad_params(v)
         np.testing.assert_array_equal(after[0], before[0])
         np.testing.assert_array_equal(after[1], before[1])
@@ -264,7 +290,7 @@ class TestLinearize:
 
     @pytest.mark.parametrize("make", [lambda: _degap_map("conv_residual"),
                                       lambda: _degap_map("identity"),
-                                      lambda: _dernn_map(0.1)],
+                                      lambda: _degap_map("gated_cell")],
                              ids=["degap_conv_residual", "degap_identity", "dernn"])
     def test_linearization_is_freed_without_the_cycle_collector(self, make):
         fmap, shape = make()
