@@ -228,9 +228,9 @@ def cmd_train(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = _load_run_config(args)
     tcfg = _train_cfg(args, cfg)
-    tcfg.forward.tol = args.solve_tol
-    tcfg.forward.max_iter = max(tcfg.forward.max_iter, 400)
-    tcfg.backward_tol = args.solve_tol
+    forward_cfg = replace(tcfg.forward, tol=args.solve_tol,
+                          max_iter=max(tcfg.forward.max_iter, 400))
+    tcfg = replace(tcfg, forward=forward_cfg, backward_tol=args.solve_tol)
     model = _desk_model(args)
     dataset = _make_dataset(args, 1, seed0=args.data_seed)
     report = finite_diff_gradcheck(model, dataset[0], h=args.h,

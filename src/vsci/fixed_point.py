@@ -37,7 +37,7 @@ class FixedPointConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        if self.tol < 0:
+        if not self.tol >= 0:  # also rejects NaN
             raise ValueError("tol must be >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -45,7 +45,7 @@ class FixedPointConfig:
             raise ValueError("anderson_memory must be >= 1")
         if not 0.0 < self.anderson_damping <= 1.0:
             raise ValueError("anderson_damping must be in (0, 1]")
-        if self.anderson_reg < 0:
+        if not self.anderson_reg >= 0:
             raise ValueError("anderson_reg must be >= 0")
 
 

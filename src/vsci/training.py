@@ -45,8 +45,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr < 0 or self.backward_tol <= 0 or self.backward_max_iter < 1:
+        if not self.lr >= 0 or not self.backward_tol > 0 or self.backward_max_iter < 1:
             raise ValueError("rates and counts must be positive")
+        if not 0.0 <= self.lr_decay <= 1.0:
+            raise ValueError(f"lr_decay must be in [0, 1], got {self.lr_decay}")
+        if self.lr_decay_every < 1:
+            raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
         if self.backward_mode not in ("fixed_point", "neumann"):
             raise ValueError(f"unknown backward mode {self.backward_mode!r}")
         if self.neumann_order < 0:

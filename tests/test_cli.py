@@ -75,6 +75,15 @@ def test_tv_iters_below_one_exits_2_and_writes_nothing(scene, tmp_path, method, 
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("extra", [("--tol", "nan"), ("--reg", "nan"), ("--tol", "-1")])
+@pytest.mark.parametrize("method", ["de-gap", "pnp-gap"])
+def test_bad_solver_setting_exits_2_and_writes_nothing(scene, tmp_path, method, extra):
+    out = str(tmp_path / "x.vsci")
+    assert _reconstruct(scene, out, "--max-iter", "3", "--method", method,
+                        *extra) == EXIT_CONFIG
+    assert not os.path.exists(out)
+
+
 def test_missing_measurement_exits_3(scene, tmp_path):
     out = str(tmp_path / "x.vsci")
     code = main(["reconstruct", "--mask", scene["mask"],
@@ -227,6 +236,23 @@ def test_train_log_records_approximate_gradients(tmp_path, monkeypatch):
 
 def test_gradcheck_over_threshold_exits_5():
     assert main(["gradcheck", "--probes", "2", "--threshold", "0"]) == EXIT_GRADCHECK
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_gradcheck_bad_solve_tol_exits_2(capsys, tol):
+    assert main(["gradcheck", "--solve-tol", tol, "--probes", "2"]) == EXIT_CONFIG
+    assert "gradcheck ok" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["train.lr_decay_every = 0", "train.lr_decay = 1.5"])
+def test_bad_lr_decay_exits_2_and_writes_no_checkpoint(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    prefix = str(tmp_path / "model")
+    assert main(["train", "--config", str(cfg), "--height", "8", "--width", "8",
+                 "--frames", "2", "--train-scenes", "1", "--val-scenes", "0",
+                 "--epochs", "2", "--out-prefix", prefix]) == EXIT_CONFIG
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 def test_spectrum_at_64x64x8_prints_what_it_writes(tmp_path, capsys):

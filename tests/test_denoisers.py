@@ -118,6 +118,20 @@ class TestTv:
         with pytest.raises(ValueError):
             TvDenoiser(lam=lam, iters=iters)
 
+    # tv_denoise asks for (n, n, n, n + 1, n + w); 391 = 17 x 23 frame
+    @pytest.mark.parametrize("sizes", [(391, 391, 391, 392, 414), (0, 1, 0, 7, 9), (0,), (8, 8)])
+    def test_line_aligned_buffers(self, sizes):
+        bufs = vsci.denoisers._line_aligned(*sizes)
+        assert [b.size for b in bufs] == list(sizes)
+        for i, b in enumerate(bufs):
+            # numpy gives an empty slice its base's address; it reads no memory
+            assert b.ctypes.data % 64 == 0 or b.size == 0
+            # writable and C-contiguous, so px[1:].reshape(h, w) is a view
+            assert b.dtype == np.float64 and b.flags.writeable and b.flags.c_contiguous
+            assert not any(np.shares_memory(b, c) for c in bufs[i + 1:])
+            b[...] = i
+        assert all((b == i).all() for i, b in enumerate(bufs))
+
     def test_peak_allocation_within_three_cubes(self):
         # every per-iteration update is in place; fresh per-iteration arrays
         # put the traced peak at 8x the cube

@@ -63,6 +63,18 @@ def _oracle_maps():
     }
 
 
+class TestConfig:
+    @pytest.mark.parametrize("value", [-1e-9, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["tol", "anderson_reg"])
+    def test_negative_or_nan_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FixedPointConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["tol", "anderson_reg"])
+    def test_zero_accepted(self, name):
+        assert getattr(FixedPointConfig(**{name: 0.0}), name) == 0.0
+
+
 class TestPicard:
     def test_half_map_converges_within_60(self):
         cfg = FixedPointConfig(tol=1e-6, max_iter=100)

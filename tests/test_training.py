@@ -298,6 +298,26 @@ class TestMemoryContract:
         assert peaks[1] <= peaks[0] + cube.nbytes
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("kw, match", [
+        (dict(lr_decay=1.5), "lr_decay"),
+        (dict(lr_decay=-0.1), "lr_decay"),
+        (dict(lr_decay=float("nan")), "lr_decay"),
+        (dict(lr_decay_every=0), "lr_decay_every"),
+        (dict(lr_decay_every=-1), "lr_decay_every"),
+        (dict(lr=float("nan")), "positive"),
+        (dict(backward_tol=float("nan")), "positive"),
+    ])
+    def test_out_of_range_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**kw)
+
+    @pytest.mark.parametrize("decay", [0.0, 1.0])
+    def test_decay_bounds_accepted(self, decay):
+        cfg = TrainConfig(lr_decay=decay, lr_decay_every=1)
+        assert (cfg.lr_decay, cfg.lr_decay_every) == (decay, 1)
+
+
 class TestTrainLoop:
     def test_zero_lr_keeps_params_and_log_constant(self):
         mask, y, cube = desk_sample(9)
