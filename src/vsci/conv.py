@@ -21,17 +21,19 @@ the rows' span, pad columns and the zero rows between frames included; the
 values there are not part of the result.
 
 ``conv_forward`` picks its path from the kernel's shape, so that it shifts
-kh*kw*min(C_in, C_out) planes and no more:
+kh*kw*min(C_in, C_out) planes (kh*kw*C_in for C_in <= 2) and no more:
 
-- C_in == 1: im2col. The kh*kw tap slices are copied into one tap-major
-  column buffer, with a row of ones when there is a bias, and contracted
-  with the kernel (and the bias) in a single GEMM.
-- 1 < C_in, C_out < C_in (a narrowing layer): one GEMM on the padded input,
+- C_in <= 2: im2col. The kh*kw*C_in tap slices, one per tap and input
+  channel, are copied into one tap-major column buffer, with a row of ones
+  when there is a bias, and contracted with the kernel (and the bias) in a
+  single GEMM.
+- 2 < C_in, C_out < C_in (a narrowing layer): one GEMM on the padded input,
   ``(kh*kw*C_out, C_in) @ (C_in, n)``, gives one C_out-channel plane per
-  tap; the kh*kw planes, each read at its tap's offset, are then summed. The
-  sum over taps and channels is reassociated, so results differ from the
-  per-tap path by rounding only.
-- otherwise (C_out >= C_in > 1): one ``(n, C_in) @ (C_in, C_out)`` GEMM per
+  tap; the kh*kw planes, each read at its tap's offset, are then summed
+  into a contiguous (C_out, n) accumulator (the output itself when C_out is
+  1). The sum over taps and channels is reassociated, so results differ
+  from the per-tap path by rounding only.
+- otherwise (C_out >= C_in > 2): one ``(n, C_in) @ (C_in, C_out)`` GEMM per
   tap on its contiguous slice, accumulated into the output.
 
 ``conv_adjoint_input`` is a forward conv with the flipped, transposed kernel,
@@ -47,7 +49,10 @@ from the input grid, zero rows at a frame's edge and data rows elsewhere.
 The per-tap loop is kept for C_out >= C_in because there the one-GEMM path
 would shift the wider side and hold kh*kw output-sized planes. Measured with
 one BLAS thread on a 2-vCPU x86-64 VM, per tap against one GEMM: an 8->8 3x3
-layer on a 34x256 tile 1.4 vs 2.0 ms.
+layer on a 34x256 tile 1.4 vs 2.0 ms. The gated cell's fused 8->2 layer and
+its 2->8 adjoint set the other two rules; on the same tile, 8->2 took 0.42
+ms with a contiguous accumulator against 0.58 ms accumulating into the
+strided output, and 2->8 took 0.41 ms by im2col against 1.05 ms per tap.
 """
 
 from __future__ import annotations
@@ -156,11 +161,11 @@ def _conv(src: Grid, kernel: np.ndarray, bias, out_buf: np.ndarray) -> None:
     start, n = src.span()
     x = src.buf
     out = out_buf[start : start + n]
-    if c_in == 1:
-        k2 = kernel.reshape(c_out, kh * kw).T
-        cols = np.empty((kh * kw + (bias is not None), n))
+    if c_in <= 2:
+        k2 = kernel.transpose(2, 3, 1, 0).reshape(kh * kw * c_in, c_out)
+        cols = np.empty((kh * kw * c_in + (bias is not None), n))
         for t, o in enumerate(offs):
-            cols[t] = x[start + o : start + o + n, 0]
+            cols[t * c_in : (t + 1) * c_in] = x[start + o : start + o + n].T
         if bias is not None:
             cols[-1] = 1.0
             k2 = np.vstack([k2, bias])
@@ -169,7 +174,7 @@ def _conv(src: Grid, kernel: np.ndarray, bias, out_buf: np.ndarray) -> None:
         k2 = kernel.transpose(2, 3, 0, 1).reshape(kh * kw * c_out, c_in)
         first = start + offs[0]
         planes = k2 @ x[first : start + offs[-1] + n].T
-        acc = out.T  # (C_out, n); contiguous when C_out == 1
+        acc = out.T if c_out == 1 else np.empty((c_out, n))  # contiguous
         for t, o in enumerate(offs):
             p = planes[t * c_out : (t + 1) * c_out, start + o - first :][:, :n]
             if t == 0:
@@ -178,6 +183,8 @@ def _conv(src: Grid, kernel: np.ndarray, bias, out_buf: np.ndarray) -> None:
                 acc += p
         if bias is not None:
             acc += bias[:, None]
+        if c_out > 1:
+            out.T[...] = acc
     else:
         tmp = np.empty((n, c_out))
         for t, o in enumerate(offs):

@@ -6,10 +6,13 @@ independently (weights shared across frames, so one parameter set serves
 any number of frames):
   - conv_residual, DE-GAP's denoiser: r is a small stack of zero-padded 3x3
     conv layers with softplus between them;
-  - gated_cell, DE-RNN's denoiser: r is a gated conv cell,
-    sigmoid(conv(h)) * tanh(conv(h)) with h = softplus(conv(x)).
-The residual form makes the Lipschitz constant of D - I directly
-controllable through gamma and per-layer spectral norms.
+  - gated_cell, DE-RNN's denoiser: r is a gated conv cell, a 2-layer stack
+    h = softplus(conv(x)), (a, b) = conv(h), with the gated head
+    r = sigmoid(a) * tanh(b).
+Both run one implementation: a conv stack with softplus between layers,
+then a head that maps the last layer's output to r, the identity for
+conv_residual. The residual form makes the Lipschitz constant of D - I
+directly controllable through gamma and per-layer spectral norms.
 
 A conv stack's weights live in ConvParams: kernels, biases and the power-
 iteration vectors that spectral_normalize refines. Both trainable kinds hold
@@ -18,9 +21,9 @@ checkpoint format (save_denoiser/load_denoiser): <prefix>.vsci holds theta,
 and <prefix>.meta the denoiser's kind and gamma, every kernel's shape
 (C_out x C_in x kh x kw) and sn_h, sn_w, sn_seed.
 
-The conv_residual stack runs over row tiles so that its activations stay in
-cache. A tile is a block of rows of one frame, or a block of whole frames
-(see _tiles). Its activations chain from layer to layer on zero-bordered grids
+Both stacks run over row tiles so that their activations stay in cache. A
+tile is a block of rows of one frame, or a block of whole frames (see
+_tiles). Its activations chain from layer to layer on zero-bordered grids
 (vsci.conv.Grid), one per layer input plus one for the output, allocated
 once per call and reused by every tile:
   - the tile loads its rows, plus a halo of sum(k // 2) rows on each side
@@ -32,7 +35,8 @@ once per call and reused by every tile:
   - softplus runs in place on each hidden output, whose pad columns and
     rows between frames are then zeroed, so that it is the next layer's
     zero-bordered input;
-  - the tile writes its own rows of x + gamma * r(x) straight into the
+  - the head maps the last layer's output at the tile's own rows to r,
+    and the tile writes those rows of x + gamma * r(x) straight into the
     output cube.
 Every row a layer computes reads only rows its input holds: data rows of
 that grid, or the grid's zero rows at a frame edge, where they equal
@@ -43,7 +47,9 @@ widest activation fits the budget TILE_ELEMS runs as one tile over all
 frames, as at desk scale; otherwise frames that fit are grouped whole, and
 larger frames are cut into row blocks. denoise and linearize share this
 forward, and the linearization's VJPs chain their cotangents through grids
-the same way, whole frames at a time.
+the same way, whole frames at a time, starting from the head's VJP: v
+itself for the identity, v times each channel's dr/dt, kept by linearize,
+for the gated head.
 """
 
 from __future__ import annotations
@@ -64,16 +70,6 @@ from .conv import (
     softplus,
 )
 from .errors import ConfigError, ShapeMismatchError, UnsupportedDenoiserOpError
-
-
-def _as_frames(x: np.ndarray) -> np.ndarray:
-    """(H, W, B) cube -> (B, H, W, 1) batch of single-channel frames."""
-    return np.ascontiguousarray(x.transpose(2, 0, 1))[..., None]
-
-
-def _as_cube(f: np.ndarray) -> np.ndarray:
-    """(B, H, W, 1) -> (H, W, B)."""
-    return np.ascontiguousarray(f[..., 0].transpose(1, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -349,20 +345,27 @@ def _check_cotangent(v: np.ndarray, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvResidualLinearization:
-    """The conv_residual denoiser frozen at one input: kernels, gamma and the
-    forward activations, read when it was built."""
+    """A conv_residual or gated_cell denoiser frozen at one input: kernels,
+    gamma and the forward activations, read when it was built."""
 
     kernels: tuple  # (C_out, C_in, k, k) per layer
     gamma: float
     acts: tuple     # input to each layer, (B, H, W, C_in)
     slopes: tuple   # softplus'(preact) = sigmoid(preact) per hidden layer
+    head: np.ndarray | None  # dr/dt of the head, (B, H, W, C_out); None for the identity
     shape: tuple    # (H, W, B) of the input cube
 
     def _cotangent_grid(self, v: np.ndarray) -> Grid:
-        """The cotangent v of the (H, W, B) output cube on a one-channel grid."""
+        """The cotangent of the last layer's output on a grid: v under the
+        identity head, v times each channel's dr/dt under another."""
         h, w, nb = self.shape
-        g = Grid.zeros(nb, h, w, 1, max(max(k.shape[2:]) // 2 for k in self.kernels))
-        g.view()[..., 0] = v.transpose(2, 0, 1)
+        c = self.kernels[-1].shape[0]
+        g = Grid.zeros(nb, h, w, c, max(max(k.shape[2:]) // 2 for k in self.kernels))
+        v = v.transpose(2, 0, 1)[..., None]
+        if self.head is None:
+            g.view()[...] = v
+        else:
+            np.multiply(v, self.head, out=g.view())
         return g
 
     def _adjoint(self, l: int, g: Grid) -> Grid:
@@ -426,7 +429,11 @@ def _tiles(nb: int, h: int, row_elems: int):
 
 @dataclass
 class ConvResidualDenoiser(Denoiser):
-    """D(x) = x + gamma * r(x); params holds r's layers, 1 -> ... -> 1 channels."""
+    """D(x) = x + gamma * r(x); params holds r's layers, 1 -> ... -> 1 channels.
+
+    r is the conv stack, then a head: here the identity. GatedConvCell
+    overrides _head and runs the same tile loop and VJPs.
+    """
 
     params: ConvParams
     gamma: float
@@ -443,25 +450,34 @@ class ConvResidualDenoiser(Denoiser):
             if a.shape[0] != b.shape[1]:
                 raise ValueError("channel chain mismatch between consecutive layers")
 
+    def _head(self, t: np.ndarray, jac: np.ndarray | None) -> np.ndarray:
+        """(F, rows, W) r from one tile's (F, rows, W, C) last-layer output t.
+        A head over C > 1 channels writes dr/dt into jac when given."""
+        return t[..., 0]
+
     def _forward(self, x: np.ndarray, keep: bool):
         """x + gamma * r(x) through the conv stack, one tile at a time (see _tiles).
 
         The module docstring describes the tile loop and why it is exact.
-        Returns (out, acts, slopes). With keep=True, acts holds the input to
-        each layer and slopes softplus' of each hidden preactivation, as
+        Returns (out, acts, slopes, head). With keep=True, acts holds the
+        input to each layer, slopes softplus' of each hidden preactivation,
+        and head, for a head over more than one channel, its dr/dt, as
         full-size (B, H, W, C) arrays for ConvResidualLinearization;
-        otherwise both are None.
+        otherwise all three are None.
         """
         kernels, biases = self.params.kernels, self.params.biases
         h, w, nb = x.shape
         chans = [1] + [k.shape[0] for k in kernels]
         out = np.empty(x.shape)
-        acts = slopes = None
+        acts = slopes = head = None
         if keep:
-            acts = [_as_frames(x)] + [np.empty((nb, h, w, c)) for c in chans[1:-1]]
+            acts = [np.ascontiguousarray(x.transpose(2, 0, 1))[..., None]]
+            acts += [np.empty((nb, h, w, c)) for c in chans[1:-1]]
             slopes = [np.empty_like(a) for a in acts[1:]]
+            if chans[-1] > 1:
+                head = np.empty((nb, h, w, chans[-1]))
         if x.size == 0:  # no rows to tile
-            return out, acts, slopes
+            return out, acts, slopes, head
         halo = [0]  # halo[l]: rows each side of a tile that layer l's input needs
         for k in kernels[::-1]:
             halo.insert(0, halo[0] + k.shape[2] // 2)
@@ -492,21 +508,22 @@ class ConvResidualDenoiser(Denoiser):
                 t.clear_border()
                 if keep:
                     acts[l + 1][f0:f1, r0:r1] = t.rows(*own).view()
-            r = t.rows(*own).view()[..., 0].transpose(1, 2, 0)
-            np.add(x[r0:r1, :, f0:f1], self.gamma * r, out=out[r0:r1, :, f0:f1])
-        return out, acts, slopes
+            r = self._head(t.rows(*own).view(), None if head is None else head[f0:f1, r0:r1])
+            np.add(x[r0:r1, :, f0:f1], self.gamma * r.transpose(1, 2, 0), out=out[r0:r1, :, f0:f1])
+        return out, acts, slopes, head
 
     def denoise(self, x):
         return self._forward(self._check(x), keep=False)[0]
 
     def linearize(self, x):
         x = self._check(x)
-        _, acts, slopes = self._forward(x, keep=True)
+        _, acts, slopes, head = self._forward(x, keep=True)
         return ConvResidualLinearization(
             kernels=tuple(self.params.kernels),
             gamma=self.gamma,
             acts=tuple(acts),
             slopes=tuple(slopes),
+            head=head,
             shape=x.shape,
         )
 
@@ -589,91 +606,50 @@ def make_conv_residual(
     return ConvResidualDenoiser(params, gamma)
 
 
-@dataclass(frozen=True)
-class GatedCellLinearization:
-    """The gated cell frozen at one input: kernels, gamma and the forward
-    activations, read when it was built."""
-
-    kernels: tuple       # input, gate and candidate kernels
-    gamma: float
-    u: np.ndarray        # (B, H, W, 1) input frames
-    slope_h: np.ndarray  # softplus'(z_h) = sigmoid(z_h)
-    h: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
-    shape: tuple         # (H, W, B) of the input cube
-
-    def _preact_cotangents(self, v: np.ndarray):
-        """Cotangents of the hidden, gate and candidate pre-activations."""
-        cot = _as_frames(v)
-        _, k_gate, k_cand = self.kernels
-        dz_g = cot * self.c * self.g * (1.0 - self.g)
-        dz_c = cot * self.g * (1.0 - self.c * self.c)
-        dh = conv_adjoint_input(dz_g, k_gate) + conv_adjoint_input(dz_c, k_cand)
-        return dh * self.slope_h, dz_g, dz_c
-
-    def vjp_input(self, v: np.ndarray) -> np.ndarray:
-        v = _check_cotangent(v, self.shape)
-        dz_h, _, _ = self._preact_cotangents(v)
-        return v + self.gamma * _as_cube(conv_adjoint_input(dz_h, self.kernels[0]))
-
-    def grad_params(self, v: np.ndarray) -> np.ndarray:
-        dz = self._preact_cotangents(_check_cotangent(v, self.shape))
-        acts = (self.u, self.h, self.h)
-        grads_k = [conv_grad_kernel(a, d, k.shape[2], k.shape[3])
-                   for a, d, k in zip(acts, dz, self.kernels)]
-        return self.gamma * _flat(grads_k, [conv_grad_bias(d) for d in dz])
-
-
 @dataclass
-class GatedConvCell(Denoiser):
+class GatedConvCell(ConvResidualDenoiser):
     """D(u) = u + gamma * gate * cand, the DE-RNN denoiser, per frame:
 
-    hidden = softplus(conv(u))        1 -> C channels
-    gate   = sigmoid(conv(hidden))    C -> 1
-    cand   = tanh(conv(hidden))       C -> 1
+    hidden       = softplus(conv(u))      1 -> C channels
+    (a, b)       = conv(hidden)           C -> 2
+    gate * cand  = sigmoid(a) * tanh(b)   the head
 
-    params holds the input, gate and candidate layers, in that order. Since
-    |gate * cand| < 1, D moves no pixel by gamma or more. With all-zero
-    parameters the candidate branch vanishes and D is exactly the identity.
+    params holds two layers: the input layer, then the gate (output channel
+    0) and candidate (channel 1) layers fused into one, since both read the
+    hidden state; the layer check refuses the earlier three-layer layout.
+    It runs the conv_residual tile loop and VJPs with this head in place of
+    the identity. Spectral normalization bounds the fused layer as one
+    operator, not the gate and candidate apart. Since |gate * cand| < 1, D
+    moves no pixel by gamma or more. With all-zero parameters the candidate
+    vanishes and D is exactly the identity.
     """
 
-    params: ConvParams
     gamma: float = 0.1
     kind = "gated_cell"
-    trainable = True
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         ch = [k.shape[:2] for k in self.params.kernels]  # (C_out, C_in) per layer
-        if len(ch) != 3 or ch[0][1] != 1 or ch[1:] != [(1, ch[0][0])] * 2:
-            raise ValueError("cell layers must map 1 -> C channels, then C -> 1 twice")
+        if len(ch) != 2 or ch[0][1] != 1 or ch[1] != (2, ch[0][0]):
+            raise ValueError("cell layers must map 1 -> C channels, then C -> 2")
 
-    def _forward(self, x: np.ndarray):
-        (k_in, k_gate, k_cand), (b_in, b_gate, b_cand) = self.params.kernels, self.params.biases
-        u = _as_frames(x)
-        z_h = conv_forward(u, k_in, b_in)
-        h = softplus(z_h)
-        g = sigmoid(conv_forward(h, k_gate, b_gate))
-        c = np.tanh(conv_forward(h, k_cand, b_cand))
-        return x + self.gamma * _as_cube(g * c), (u, z_h, h, g, c)
-
-    def denoise(self, x):
-        return self._forward(self._check(x))[0]
-
-    def linearize(self, x):
-        x = self._check(x)
-        _, (u, z_h, h, g, c) = self._forward(x)
-        return GatedCellLinearization(kernels=tuple(self.params.kernels), gamma=self.gamma,
-                                      u=u, slope_h=sigmoid(z_h), h=h, g=g, c=c, shape=x.shape)
+    def _head(self, t, jac):
+        g = sigmoid(t[..., 0])
+        c = np.tanh(t[..., 1])
+        if jac is not None:
+            np.multiply(c * g, 1.0 - g, out=jac[..., 0])
+            np.multiply(g, 1.0 - c * c, out=jac[..., 1])
+        return g * c
 
 
 def make_gated_cell(
     seed: int, channels: int = 8, kernel: int = 3, gamma: float = 0.1,
     init_scale: float = 0.0, sn_shape: tuple = (16, 16),
 ) -> GatedConvCell:
-    """Build a gated cell; init_scale 0 gives the exact identity denoiser."""
+    """Build a gated cell; init_scale 0 gives the exact identity denoiser.
+    Draws input, gate, candidate (each kernel, then bias), then stacks gate
+    over candidate."""
     rng = np.random.default_rng(seed)
 
     def w(shape):
@@ -683,9 +659,9 @@ def make_gated_cell(
 
     shapes = [(channels, 1, kernel, kernel), (1, channels, kernel, kernel),
               (1, channels, kernel, kernel)]
-    layers = [(w(s), w(s[:1])) for s in shapes]  # kernel, then bias: the draw order
-    kernels, biases = (list(t) for t in zip(*layers))
-    params = ConvParams(kernels, biases, sn_shape=sn_shape, sn_seed=seed)
+    (k_in, b_in), (k_g, b_g), (k_c, b_c) = [(w(s), w(s[:1])) for s in shapes]
+    params = ConvParams([k_in, np.concatenate([k_g, k_c])], [b_in, np.concatenate([b_g, b_c])],
+                        sn_shape=sn_shape, sn_seed=seed)
     return GatedConvCell(params, gamma)
 
 

@@ -163,12 +163,15 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
 
     Memory contract: a solve holds the iterate x, its image f(x) and the next
     mix, plus, for memory m >= 2, the two (m, N) rings and the m x m Gram
-    matrix, all allocated before the first iteration. No array grows with
-    the iteration count; the trace adds a few scalars per iteration. The
-    tests measure this with tracemalloc at 20 and 200 iterations: a solve's
-    peak stays under a fixed multiple of the iterate's bytes, and the peak
-    of a training gradient (forward and backward solves) grows by less than
-    one iterate.
+    matrix, all allocated before the first iteration. With memory m >= 2,
+    f(x) is released once it is in the rings, so while f runs the engine
+    holds only x, the rings and the Gram matrix: 2m + 1 iterates. No array
+    grows with the iteration count; the trace adds a few scalars per
+    iteration. The tests measure this with tracemalloc at 20 and 200
+    iterations: a solve's peak stays under a fixed multiple of the
+    iterate's bytes, what is live when f is called stays under 2m + 1
+    iterates, and the peak of a training gradient (forward and backward
+    solves) grows by less than one iterate.
 
     No aliasing: the engine never writes into an array it passed to f or got
     back from f, and x_hat is never a view of the ring. Undamped memory 1
@@ -236,6 +239,7 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> S
         else:
             np.multiply(x, 1.0 - delta, out=y)
             y += delta * fx
+        del fx  # the rings hold all the mix needs; free f(x) before the next call
         gram[j, :m] = gram[:m, j] = g_ring[:m] @ g
         try:
             alpha = solve_alpha(gram[:m, :m], cfg.anderson_reg)

@@ -30,7 +30,7 @@ class DeGapModel:
     """Projection-then-denoise model whose parameters live in the denoiser's
     ConvParams: a conv_residual denoiser for DE-GAP, a gated cell for DE-RNN."""
 
-    denoiser: ConvResidualDenoiser | GatedConvCell
+    denoiser: ConvResidualDenoiser  # a GatedConvCell is one
 
     def get_params(self) -> np.ndarray:
         return self.denoiser.params.flatten()

@@ -51,6 +51,10 @@ class TrainConfig:
             raise ValueError(f"lr_decay must be in [0, 1], got {self.lr_decay}")
         if self.lr_decay_every < 1:
             raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
+        if not 0.0 <= self.momentum < 1.0:  # also rejects NaN
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.clip_norm >= 0:
+            raise ValueError(f"clip_norm must be >= 0, got {self.clip_norm}")
         if self.backward_mode not in ("fixed_point", "neumann"):
             raise ValueError(f"unknown backward mode {self.backward_mode!r}")
         if self.neumann_order < 0:

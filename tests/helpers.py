@@ -75,6 +75,33 @@ def dense_conv_matrix(kernel: np.ndarray, h: int, w: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def gated_cell_oracle(kernels, biases, gamma, x, v):
+    """The gated cell D(x) = x + gamma * sigmoid(z_g) * tanh(z_c) in its
+    three-layer layout (input 1 -> C, gate C -> 1, candidate C -> 1), run on
+    whole (B, H, W, C) arrays with one untiled conv per layer. Returns D(x),
+    J^T v and the parameter VJP in the order input, gate, candidate (each
+    kernel, then its bias)."""
+    from vsci.conv import (conv_adjoint_input, conv_forward, conv_grad_bias,
+                           conv_grad_kernel, sigmoid, softplus)
+
+    (k_in, k_gate, k_cand), (b_in, b_gate, b_cand) = kernels, biases
+    u = x.transpose(2, 0, 1)[..., None]
+    z_h = conv_forward(u, k_in, b_in)
+    h = softplus(z_h)
+    g = sigmoid(conv_forward(h, k_gate, b_gate))
+    c = np.tanh(conv_forward(h, k_cand, b_cand))
+    out = x + gamma * (g * c)[..., 0].transpose(1, 2, 0)
+    cot = v.transpose(2, 0, 1)[..., None]
+    dz_g = cot * c * g * (1.0 - g)
+    dz_c = cot * g * (1.0 - c * c)
+    dz_h = (conv_adjoint_input(dz_g, k_gate) + conv_adjoint_input(dz_c, k_cand)) * sigmoid(z_h)
+    vjp = v + gamma * conv_adjoint_input(dz_h, k_in)[..., 0].transpose(1, 2, 0)
+    grads = []
+    for a, d, k in zip((u, h, h), (dz_h, dz_g, dz_c), kernels):
+        grads += [conv_grad_kernel(a, d, k.shape[2], k.shape[3]).ravel(), conv_grad_bias(d)]
+    return out, vjp, gamma * np.concatenate(grads)
+
+
 def _tv_grad(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward differences per frame on an (H, W, B) stack; zero at the far edge."""
     gx = np.zeros_like(z)

@@ -136,12 +136,13 @@ def _malformed_shape(prefix):
 
 
 def _two_output_last_layer(prefix):
-    # theta gets the entries the wider layer needs, so only the model's own
-    # channel check can reject the checkpoint
+    # one more output channel on the last layer (two for conv_residual,
+    # three for the gated cell); theta gets the entries the wider layer
+    # needs, so only the model's own channel check can reject the checkpoint
     meta = tensorio.read_kv(prefix + ".meta")
     *first, last = meta["kernels"].split()
-    _, rest = last.split("x", 1)
-    meta["kernels"] = " ".join(first + ["2x" + rest])
+    c_out, rest = last.split("x", 1)
+    meta["kernels"] = " ".join(first + [f"{int(c_out) + 1}x{rest}"])
     tensorio.write_kv(prefix + ".meta", meta)
     extra = np.zeros(int(np.prod([int(n) for n in rest.split("x")])) + 1)
     theta = tensorio.read_tensor(prefix + ".vsci")
@@ -186,6 +187,29 @@ def test_bad_checkpoint_exits_2_and_writes_nothing(scene, tmp_path, method, spoi
     out = str(tmp_path / "x.vsci")
     assert _reconstruct(scene, out, "--method", method, "--checkpoint", own) == EXIT_CONFIG
     assert not os.path.exists(out)
+
+
+def _three_layer_cell(prefix):
+    # the gated cell's earlier layout: input 1 -> C, then gate and candidate
+    # C -> 1 each; theta has as many entries as the fused C -> 2 layout, so
+    # only the layer-shape check can refuse it
+    meta = tensorio.read_kv(prefix + ".meta")
+    first, fused = meta["kernels"].split()
+    one = "1x" + fused.split("x", 1)[1]
+    meta["kernels"] = " ".join([first, one, one])
+    tensorio.write_kv(prefix + ".meta", meta)
+
+
+def test_three_layer_cell_checkpoint_exits_2_and_writes_nothing(scene, tmp_path):
+    ckpt = str(tmp_path / "cell")
+    save_denoiser(ckpt, make_gated_cell(2, channels=4, init_scale=0.1))
+    _three_layer_cell(ckpt)
+    out = str(tmp_path / "x.vsci")
+    assert _reconstruct(scene, out, "--method", "de-rnn", "--checkpoint", ckpt) == EXIT_CONFIG
+    assert not os.path.exists(out)
+    outdir = tmp_path / "bench"
+    assert _bench(str(outdir), f"de_rnn:{ckpt}") == EXIT_CONFIG
+    assert not outdir.exists() or list(outdir.iterdir()) == []
 
 
 def test_untrained_de_rnn_equals_untrained_de_gap(scene, tmp_path, capsys):
@@ -253,6 +277,17 @@ def test_bad_lr_decay_exits_2_and_writes_no_checkpoint(tmp_path, line):
                  "--frames", "2", "--train-scenes", "1", "--val-scenes", "0",
                  "--epochs", "2", "--out-prefix", prefix]) == EXIT_CONFIG
     assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_nan_momentum_exits_2_before_any_epoch(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(vsci.training, "loss_gradient", lambda *a, **k: calls.append(1))
+    prefix = str(tmp_path / "model")
+    assert main(["train", "--momentum", "nan", "--height", "8", "--width", "8",
+                 "--frames", "2", "--train-scenes", "1", "--val-scenes", "0",
+                 "--epochs", "2", "--out-prefix", prefix]) == EXIT_CONFIG
+    assert calls == []
+    assert os.listdir(tmp_path) == []
 
 
 def test_spectrum_at_64x64x8_prints_what_it_writes(tmp_path, capsys):

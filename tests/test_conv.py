@@ -80,7 +80,8 @@ def test_softplus_sigmoid_consistent():
     assert sigmoid(np.array([-800.0]))[0] == 0.0
 
 
-CHANNELS = [(1, 1), (8, 1), (1, 8), (8, 8), (4, 3), (2, 8)]  # (C_out, C_in): every conv path
+# (C_out, C_in): every conv path
+CHANNELS = [(1, 1), (8, 1), (1, 8), (8, 8), (4, 3), (2, 8), (8, 2)]
 KERNELS = [(1, 1), (3, 3), (5, 5), (3, 5)]
 
 

@@ -1,3 +1,4 @@
+import copy
 import gc
 import weakref
 
@@ -5,8 +6,14 @@ import numpy as np
 import pytest
 
 import vsci.denoisers
-from helpers import dense_conv_matrix, sampled_residual_lipschitz, traced_peak, tv_energy
-from vsci.conv import conv_forward, softplus
+from helpers import (
+    dense_conv_matrix,
+    gated_cell_oracle,
+    sampled_residual_lipschitz,
+    traced_peak,
+    tv_energy,
+)
+from vsci.conv import conv_forward, sigmoid, softplus
 from vsci.denoisers import (
     ConvParams,
     ConvResidualDenoiser,
@@ -268,14 +275,28 @@ def _mixed_stack(seed):
 
 
 def _layer_by_layer(d, x):
-    """x + gamma * r(x), each layer one untiled conv_forward on all frames."""
+    """x + gamma * r(x), each layer one untiled conv_forward on all frames,
+    then the head: the identity, or the gated cell's sigmoid(a) * tanh(b)."""
     t = x.transpose(2, 0, 1)[..., None]
     last = len(d.params.kernels) - 1
     for l, (k, b) in enumerate(zip(d.params.kernels, d.params.biases)):
         t = conv_forward(t, k, b)
         if l < last:
             t = softplus(t)
+    if d.kind == "gated_cell":
+        t = sigmoid(t[..., :1]) * np.tanh(t[..., 1:])
     return x + d.gamma * t[..., 0].transpose(1, 2, 0)
+
+
+# (shape, TILE_ELEMS) for 4 channels, where one activation row holds 4W
+# elements: H=13 in 4-row tiles ends in a one-row tile; B=1 in 3-row
+# tiles; 1-row tiles narrower than the halo; blocks of two whole frames.
+_tile_cases = pytest.mark.parametrize("shape, budget", [
+    ((13, 6, 3), 4 * 6 * 4),
+    ((10, 7, 1), 3 * 7 * 4),
+    ((5, 6, 2), 1 * 6 * 4),
+    ((6, 5, 5), 2 * 6 * 5 * 4),
+], ids=["rows4", "rows3-b1", "rows1", "frames2"])
 
 
 class TestTiledForward:
@@ -296,21 +317,22 @@ class TestTiledForward:
         assert np.array_equal(out, one_out)
         for a, b in zip(lin.acts + lin.slopes, one_lin.acts + one_lin.slopes):
             assert np.array_equal(a, b)
+        assert (lin.head is None) == (one_lin.head is None) == (d.kind == "conv_residual")
+        assert lin.head is None or np.array_equal(lin.head, one_lin.head)
 
-    # (shape, TILE_ELEMS) for 4 channels, where one activation row holds 4W
-    # elements: H=13 in 4-row tiles ends in a one-row tile; B=1 in 3-row
-    # tiles; 1-row tiles narrower than the halo; blocks of two whole frames.
-    @pytest.mark.parametrize("shape, budget", [
-        ((13, 6, 3), 4 * 6 * 4),
-        ((10, 7, 1), 3 * 7 * 4),
-        ((5, 6, 2), 1 * 6 * 4),
-        ((6, 5, 5), 2 * 6 * 5 * 4),
-    ], ids=["rows4", "rows3-b1", "rows1", "frames2"])
+    @_tile_cases
     @pytest.mark.parametrize("kernel", [3, 5])
     @pytest.mark.parametrize("n_layers", [2, 3])
     def test_tiles_equal_one_tile(self, monkeypatch, n_layers, kernel, shape, budget):
         d = _with_biases(make_conv_residual(21, channels=4, n_layers=n_layers, kernel=kernel,
                                             init="random", noise_scale=0.3, gamma=0.4), 23)
+        self._assert_tiles_equal_one_tile(monkeypatch, d, _cube(shape, 22), budget)
+
+    @_tile_cases
+    @pytest.mark.parametrize("kernel", [3, 5])
+    def test_gated_cell_tiles_equal_one_tile(self, monkeypatch, kernel, shape, budget):
+        d = _with_biases(make_gated_cell(27, channels=4, kernel=kernel, init_scale=0.3,
+                                         gamma=0.4), 28)
         self._assert_tiles_equal_one_tile(monkeypatch, d, _cube(shape, 22), budget)
 
     # the mixed stack's halo is 2 + 1 rows: blocks of two and of three whole
@@ -337,6 +359,54 @@ class TestTiledForward:
         d = make_conv_residual(0, channels=8, n_layers=2, gamma=0.3)
         x = _cube((256, 256, 8), 23)
         assert traced_peak(d.denoise, x) <= 4 * x.nbytes
+
+    def test_gated_denoise_peak_allocation_within_three_cubes(self):
+        # the whole-array cell peaked at 36x the cube
+        d = make_gated_cell(0, channels=8, init_scale=0.3, gamma=0.3)
+        x = _cube((256, 256, 8), 23)
+        assert traced_peak(d.denoise, x) <= 3 * x.nbytes
+
+
+def _three_layer(kernels, biases):
+    """A gated cell's layers in the whole-array layout: input, gate, candidate."""
+    (k_in, k2), (b_in, b2) = kernels, biases
+    return [k_in, k2[:1], k2[1:]], [b_in, b2[:1], b2[1:]]
+
+
+class TestGatedCell:
+    def test_make_draws_input_gate_candidate_in_order(self):
+        rng = np.random.default_rng(31)
+        drawn = [0.3 * rng.standard_normal(s) for s in
+                 [(4, 1, 5, 5), (4,), (1, 4, 5, 5), (1,), (1, 4, 5, 5), (1,)]]
+        cell = make_gated_cell(31, channels=4, kernel=5, init_scale=0.3)
+        kernels, biases = _three_layer(cell.params.kernels, cell.params.biases)
+        for a, b in zip([a for pair in zip(kernels, biases) for a in pair], drawn):
+            assert np.array_equal(a, b)
+        assert [k.shape for k in cell.params.kernels] == [(4, 1, 5, 5), (2, 4, 5, 5)]
+
+    @pytest.mark.parametrize("shape", [(9, 7, 3), (6, 5, 1)])
+    def test_matches_whole_array_oracle(self, shape):
+        cell = make_gated_cell(32, channels=4, init_scale=0.4, gamma=0.3)
+        x, v = _cube(shape, 33), _cube(shape, 34) - 0.5
+        expect = gated_cell_oracle(*_three_layer(cell.params.kernels, cell.params.biases),
+                                   cell.gamma, x, v)
+        lin = cell.linearize(x)
+        # theta's entries in the oracle's order: each index lands where its
+        # entry sits in the three-layer layout
+        probe = copy.deepcopy(cell.params)
+        probe.unflatten(np.arange(probe.n_params(), dtype=float))
+        order = np.concatenate([a.ravel() for pair in zip(*_three_layer(probe.kernels,
+                                                                         probe.biases))
+                                for a in pair]).astype(int)
+        got = cell.denoise(x), lin.vjp_input(v), lin.grad_params(v)[order]
+        for a, b in zip(got, expect):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_three_layer_layout_rejected(self):
+        cell = make_gated_cell(35, channels=4, init_scale=0.3)
+        kernels, biases = _three_layer(cell.params.kernels, cell.params.biases)
+        with pytest.raises(ValueError, match="C -> 2"):
+            type(cell)(ConvParams(kernels, biases), 0.1)
 
 
 class TestLinearize:

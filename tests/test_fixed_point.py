@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -359,6 +360,30 @@ class TestAnderson:
             cfg = FixedPointConfig(tol=0.0, max_iter=max_iter, anderson_memory=memory)
             peak = traced_peak(anderson_solve, lambda x: 0.5 * x + b, x0, cfg)
             assert peak <= bound * b.nbytes, max_iter
+
+    @pytest.mark.parametrize("memory, damping", [(1, 1.0), (2, 1.0), (3, 1.0), (5, 1.0),
+                                                 (3, 0.6)])
+    def test_map_called_with_only_rings_and_iterate_live(self, memory, damping):
+        # from iteration 2 on, f starts while the engine holds x and the two
+        # (m, N) rings; the previous f(x) is already freed. The slack covers
+        # the Gram matrix, the trace and the interpreter's small objects.
+        b = np.random.default_rng(17).random((64, 64, 8))
+        x0 = np.zeros_like(b)
+        live = []
+
+        def f(x):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return np.tanh(x) + b
+
+        cfg = FixedPointConfig(tol=0.0, max_iter=12, anderson_memory=memory,
+                               anderson_damping=damping)
+        tracemalloc.start()
+        try:
+            anderson_solve(f, x0, cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 12
+        assert max(live[1:]) <= (2 * memory + 1) * b.nbytes + b.nbytes // 4
 
 
 class TestShapeGuard:

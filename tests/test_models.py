@@ -41,8 +41,8 @@ class TestDeRnnModel:
     def test_n_params_is_the_cells(self):
         model = _rnn_model()
         assert model.n_params() == model.denoiser.params.n_params()
-        # input 4x1x3x3 + 4, gate 1x4x3x3 + 1, candidate 1x4x3x3 + 1
-        assert model.n_params() == (36 + 4) + (36 + 1) + (36 + 1)
+        # input 4x1x3x3 + 4, then gate and candidate fused, 2x4x3x3 + 2
+        assert model.n_params() == (36 + 4) + (72 + 2)
 
     def test_spectral_normalize_matches_the_module_function(self):
         model = _rnn_model(3)
@@ -55,8 +55,8 @@ class TestDeRnnModel:
             np.testing.assert_array_equal(a, b)
 
     def test_grad_params_follows_the_container_order(self):
-        # Perturb only the gate kernel's slot of theta, written through the
-        # container; the directional derivative must be <grad, direction>.
+        # Perturb only the fused gate/candidate kernel's slot of theta, written
+        # through the container; the directional derivative must be <grad, direction>.
         mask = random_mask(4, 5, 5, 2)
         rng = np.random.default_rng(5)
         y = forward(mask, rng.random((5, 5, 2)))

@@ -307,10 +307,22 @@ class TestTrainConfig:
         (dict(lr_decay_every=-1), "lr_decay_every"),
         (dict(lr=float("nan")), "positive"),
         (dict(backward_tol=float("nan")), "positive"),
+        (dict(momentum=float("nan")), "momentum"),
+        (dict(momentum=-3.0), "momentum"),
+        (dict(momentum=5.0), "momentum"),
+        (dict(momentum=1.0), "momentum"),
+        (dict(clip_norm=float("nan")), "clip_norm"),
+        (dict(clip_norm=-1.0), "clip_norm"),
     ])
     def test_out_of_range_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [dict(momentum=0.0), dict(momentum=0.99),
+                                    dict(clip_norm=0.0), dict(clip_norm=float("inf"))])
+    def test_momentum_and_clip_bounds_accepted(self, kw):
+        cfg = TrainConfig(**kw)
+        assert all(getattr(cfg, k) == v for k, v in kw.items())
 
     @pytest.mark.parametrize("decay", [0.0, 1.0])
     def test_decay_bounds_accepted(self, decay):
