@@ -18,7 +18,6 @@ from .denoisers import (
     GatedConvCell,
     IdentityDenoiser,
     ScaleShiftDenoiser,
-    TvDenoiser,
     make_conv_residual,
     make_gated_cell,
     spectral_normalize,
@@ -32,13 +31,7 @@ from .fixed_point import (
     solve,
     solve_alpha,
 )
-from .maps import (
-    AdmmState,
-    DeGapMap,
-    pnp_admm_solve,
-    pnp_admm_step,
-    pnp_gap_solve,
-)
+from .maps import DeGapMap, pnp_gap_solve
 from .models import DeGapModel
 from .training import (
     TrainConfig,

@@ -18,10 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .denoisers import ConvResidualDenoiser, IdentityDenoiser, TvDenoiser, load_denoiser
 from .errors import DivergedError
 from .fixed_point import FixedPointConfig, solve
-from .maps import DeGapMap, pnp_admm_solve, pnp_gap_solve
+from .maps import DeGapMap, pnp_gap_solve
 from .metrics import ssim
 from .models import equilibrium_denoiser
 from .sci import add_noise, forward, init_estimate, mask_generate
@@ -30,28 +29,21 @@ from .synth import SyntheticScene, synth_video
 
 @dataclass
 class MethodSpec:
-    """One reconstruction method for the benchmark.
+    """One reconstruction method for the benchmark; its cells are labelled by name.
 
-    name        pnp_gap | de_gap | de_rnn | admm
+    name        pnp_gap | de_gap | de_rnn
     schedule    TV strengths per iteration for pnp_gap (cycled)
     checkpoint  parameter file prefix for de_gap / de_rnn; None = untrained
                 (for both, the identity denoiser)
-    rho         ADMM penalty
-    denoiser    "identity" or "tv:<lam>" for admm
     """
 
     name: str
     schedule: tuple = (0.05,)
     checkpoint: str | None = None
-    rho: float = 0.1
-    denoiser: str = "identity"
-    label: str = ""
 
     def __post_init__(self):
-        if self.name not in ("pnp_gap", "de_gap", "de_rnn", "admm"):
+        if self.name not in ("pnp_gap", "de_gap", "de_rnn"):
             raise ValueError(f"unknown method {self.name!r}")
-        if not self.label:
-            self.label = self.name
 
 
 @dataclass
@@ -78,18 +70,14 @@ class BenchSpec:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.tv_iters < 1:
             raise ValueError(f"tv_iters must be >= 1, got {self.tv_iters}")
+        if self.solver not in ("picard", "anderson"):
+            raise ValueError(f"solver must be picard or anderson, got {self.solver!r}")
+        if self.timing not in ("wall", "none"):
+            raise ValueError(f"timing must be wall or none, got {self.timing!r}")
 
 
 def _scene_tag(scene: SyntheticScene) -> str:
     return f"{scene.kind}_s{scene.seed}"
-
-
-def _make_denoiser(spec: str, tv_iters: int):
-    if spec == "identity":
-        return IdentityDenoiser()
-    if spec.startswith("tv:"):
-        return TvDenoiser(lam=float(spec.split(":", 1)[1]), iters=tv_iters)
-    return load_denoiser(spec, ConvResidualDenoiser)
 
 
 def _run_method(method: MethodSpec, mask, y, cube, bench: BenchSpec):
@@ -98,25 +86,20 @@ def _run_method(method: MethodSpec, mask, y, cube, bench: BenchSpec):
         den = equilibrium_denoiser(method.name, method.checkpoint)
         fmap = DeGapMap(denoiser=den, mask=mask, y=y)
         return solve(fmap.apply, init_estimate(mask, y), cfg, method=bench.solver, psnr_ref=cube)
-    if method.name == "pnp_gap":
-        return pnp_gap_solve(
-            mask, y, method.schedule, bench.max_iter,
-            tv_iters=bench.tv_iters, tol=bench.tol, psnr_ref=cube,
-        )
-    return pnp_admm_solve(
-        mask, y, _make_denoiser(method.denoiser, bench.tv_iters), method.rho, bench.max_iter,
-        tol=bench.tol, psnr_ref=cube,
+    return pnp_gap_solve(
+        mask, y, method.schedule, bench.max_iter,
+        tv_iters=bench.tv_iters, tol=bench.tol, psnr_ref=cube,
     )
 
 
 def _unique_labels(methods) -> list:
-    """Each method's label; a repeat gets the first free suffix _2, _3, ... in spec order."""
+    """Each method's name; a repeat gets the first free suffix _2, _3, ... in spec order."""
     labels = []
     for m in methods:
-        label, n = m.label, 1
+        label, n = m.name, 1
         while label in labels:
             n += 1
-            label = f"{m.label}_{n}"
+            label = f"{m.name}_{n}"
         labels.append(label)
     return labels
 
@@ -126,10 +109,11 @@ def run_trajectory_bench(bench: BenchSpec):
 
     Cells are named by scene and method label; repeated labels are made
     unique (see _unique_labels), so no trace file overwrites another.
+    Nothing is written until every cell has run (a diverged cell counts as
+    run), so a run that raises leaves no partial output in outdir.
     """
-    os.makedirs(bench.outdir, exist_ok=True)
     labels = _unique_labels(bench.methods)
-    rows = []
+    rows, traces = [], {}
     for scene in bench.scenes:
         cube = synth_video(scene)
         mask = mask_generate(
@@ -155,7 +139,7 @@ def run_trajectory_bench(bench: BenchSpec):
             if trace is not None:
                 if bench.timing == "none":
                     trace = replace(trace, times=[0.0] * len(trace.times))
-                trace.to_csv(os.path.join(bench.outdir, f"trace_{tag}.csv"))
+                traces[f"trace_{tag}.csv"] = trace
             if diverged or trace is None or not trace.psnrs:
                 rows.append({
                     "scene": _scene_tag(scene), "method": label,
@@ -172,6 +156,9 @@ def run_trajectory_bench(bench: BenchSpec):
                 "drop_db": max_psnr - final_psnr, "mean_ssim": mean_ssim,
                 "sec_per_meas": wall, "diverged": False,
             })
+    os.makedirs(bench.outdir, exist_ok=True)
+    for name, trace in traces.items():
+        trace.to_csv(os.path.join(bench.outdir, name))
     _write_summary(os.path.join(bench.outdir, "summary.csv"), rows)
     return rows
 

@@ -24,14 +24,13 @@ from .denoisers import (
     ConvResidualDenoiser,
     GatedConvCell,
     IdentityDenoiser,
-    TvDenoiser,
     load_denoiser,
     make_conv_residual,
     save_denoiser,
 )
 from .errors import ConfigError, DivergedError, TensorFileError, TrainingAbortedError, VsciError
 from .fixed_point import FixedPointConfig, solve
-from .maps import DeGapMap, pnp_admm_solve, pnp_gap_solve
+from .maps import DeGapMap, pnp_gap_solve
 from .metrics import psnr, ssim
 from .models import DeGapModel, equilibrium_denoiser
 from .sci import (
@@ -137,33 +136,29 @@ def _reconstruct(args, cfg):
         fmap = DeGapMap(denoiser=den, mask=mask, y=y)
         result = solve(fmap.apply, init_estimate(mask, y), solver_cfg,
                        method=args.solver, psnr_ref=gt)
-    elif args.method == "pnp-gap":
+    else:
         schedule = [float(s) for s in args.schedule.split(",")]
         result = pnp_gap_solve(mask, y, schedule, solver_cfg.max_iter,
                                tv_iters=args.tv_iters, tol=solver_cfg.tol, psnr_ref=gt)
-    elif args.method == "pnp-admm":
-        den = TvDenoiser(lam=args.tv_lam, iters=args.tv_iters)  # lam 0 is the identity
-        result = pnp_admm_solve(mask, y, den, args.rho, solver_cfg.max_iter,
-                                tol=solver_cfg.tol, psnr_ref=gt)
-    else:
-        raise ConfigError(f"unknown method {args.method!r}")
     return mask, y, result, gt
 
 
 def cmd_reconstruct(args) -> int:
     cfg = _load_run_config(args)
     mask, y, result, gt = _reconstruct(args, cfg)
-    tensorio.write_tensor(args.out, result.x_hat)
-    if args.trace:
-        result.trace.to_csv(args.trace)
+    # every figure is computed before any file is written, so a run that
+    # fails on one (an SSIM of frames below its window) writes nothing
     consistency = float(np.max(np.abs(forward(mask, result.x_hat).data - y.data)))
-    print(f"converged={result.converged} iterations={result.iterations}")
-    print(f"measurement_consistency_inf={consistency:.3e}")
+    lines = [f"converged={result.converged} iterations={result.iterations}",
+             f"measurement_consistency_inf={consistency:.3e}"]
     if gt is not None:
         _, p = psnr(np.clip(result.x_hat, 0.0, 1.0), gt)
         _, s = ssim(np.clip(result.x_hat, 0.0, 1.0), gt)
-        print(f"psnr_db={p:.4f}")
-        print(f"ssim={s:.6f}")
+        lines += [f"psnr_db={p:.4f}", f"ssim={s:.6f}"]
+    tensorio.write_tensor(args.out, result.x_hat)
+    if args.trace:
+        result.trace.to_csv(args.trace)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -265,25 +260,13 @@ def cmd_spectrum(args) -> int:
 
 
 def _parse_method(text: str) -> MethodSpec:
-    """pnp_gap:0.1,0.05 | de_gap[:ckpt] | de_rnn[:ckpt] | admm:rho=0.1,denoiser=tv:0.05"""
+    """pnp_gap[:0.1,0.05] | de_gap[:ckpt] | de_rnn[:ckpt]"""
     name, _, rest = text.partition(":")
     if name == "pnp_gap":
         sched = tuple(float(s) for s in rest.split(",")) if rest else (0.05,)
         return MethodSpec(name=name, schedule=sched)
     if name in ("de_gap", "de_rnn"):
         return MethodSpec(name=name, checkpoint=rest or None)
-    if name == "admm":
-        rho, den = 0.1, "identity"
-        if rest:
-            for part in rest.split(","):
-                k, _, v = part.partition("=")
-                if k == "rho":
-                    rho = float(v)
-                elif k == "denoiser":
-                    den = v
-                else:
-                    raise ConfigError(f"unknown admm option {k!r}")
-        return MethodSpec(name=name, rho=rho, denoiser=den)
     raise ConfigError(f"unknown method spec {text!r}")
 
 
@@ -374,13 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True)
     p.add_argument("--measurement", required=True)
     p.add_argument("--method", default="de-gap",
-                   choices=["de-gap", "de-rnn", "pnp-gap", "pnp-admm"])
+                   choices=["de-gap", "de-rnn", "pnp-gap"])
     p.add_argument("--solver", default="anderson", choices=["picard", "anderson"])
     p.add_argument("--checkpoint")
     p.add_argument("--schedule", default="0.05", help="pnp-gap TV strengths, comma separated")
-    p.add_argument("--tv-lam", type=float, default=0.0, help="pnp-admm TV strength")
     p.add_argument("--tv-iters", type=int, default=30)
-    p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--memory", type=int)
@@ -443,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--methods", nargs="+", required=True,
-                   help="e.g. de_gap:ckpt pnp_gap:0.1,0.05 admm:rho=0.1,denoiser=tv:0.05")
+                   help="e.g. de_gap:ckpt de_rnn pnp_gap:0.1,0.05")
     p.add_argument("--timing", choices=["wall", "none"])
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_bench)

@@ -37,7 +37,7 @@ KNOWN_KEYS = {
     "bench.max_iter": (int, 100, "iterations per method"),
     "bench.tol": (float, 0.0, "early-stop tolerance (0 = run full budget)"),
     "bench.solver": (str, "anderson", "picard | anderson"),
-    "bench.tv_iters": (int, 30, "inner TV iterations for pnp baselines"),
+    "bench.tv_iters": (int, 30, "inner TV iterations for the pnp_gap baseline"),
     "bench.timing": (str, "wall", "wall | none (none = bitwise-reproducible CSVs)"),
 }
 

@@ -1,9 +1,8 @@
 """Denoising operators with value, input-VJP, and parameter-VJP.
 
-Five kinds: identity, scale_shift, tv (anisotropic, per frame), and two
-trainable residual families D(x) = x + gamma * r(x), applied to each frame
-independently (weights shared across frames, so one parameter set serves
-any number of frames):
+Four kinds: identity, scale_shift, and two trainable residual families
+D(x) = x + gamma * r(x), applied to each frame independently (weights
+shared across frames, so one parameter set serves any number of frames):
   - conv_residual, DE-GAP's denoiser: r is a small stack of zero-padded 3x3
     conv layers with softplus between them;
   - gated_cell, DE-RNN's denoiser: r is a gated conv cell, a 2-layer stack
@@ -13,6 +12,8 @@ Both run one implementation: a conv stack with softplus between layers,
 then a head that maps the last layer's output to r, the identity for
 conv_residual. The residual form makes the Lipschitz constant of D - I
 directly controllable through gamma and per-layer spectral norms.
+tv_denoise, the anisotropic per-frame TV proximal step, is the prox of the
+GAP-TV baseline (maps.pnp_gap_solve), not a Denoiser.
 
 A conv stack's weights live in ConvParams: kernels, biases and the power-
 iteration vectors that spectral_normalize refines. Both trainable kinds hold
@@ -91,9 +92,9 @@ class Denoiser:
 
     linearize(x) runs the forward once at x and returns a snapshot whose
     vjp_input(v) and grad_params(v) run only the backward pass (like
-    jax.vjp). The base serves affine denoisers, whose Jacobian slope() * I
-    does not depend on x; vjp_input(x, v) and grad_params(x, v) are one-shot
-    wrappers over it.
+    jax.vjp). The base serves affine denoisers, which define slope(): their
+    Jacobian slope() * I does not depend on x. vjp_input(x, v) and
+    grad_params(x, v) are one-shot wrappers over linearize.
     """
 
     kind = "abstract"
@@ -101,9 +102,6 @@ class Denoiser:
 
     def denoise(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def slope(self) -> float:
-        raise UnsupportedDenoiserOpError(f"{self.kind} denoiser has no input VJP")
 
     def linearize(self, x: np.ndarray):
         return AffineLinearization(self.kind, self.slope())
@@ -245,20 +243,6 @@ def tv_denoise(x: np.ndarray, lam: float, iters: int) -> np.ndarray:
             np.clip(pyi, -lam, lam, out=pyi)
         np.subtract(xf.reshape(h, w), adjoint(z).reshape(h, w), out=out[:, :, k])
     return out
-
-
-@dataclass
-class TvDenoiser(Denoiser):
-    lam: float
-    iters: int = 30
-    kind = "tv"
-
-    def __post_init__(self):
-        if not self.lam >= 0 or self.iters < 1:
-            raise ValueError("tv denoiser needs lam >= 0 and iters >= 1")
-
-    def denoise(self, x):
-        return tv_denoise(self._check(x), self.lam, self.iters)
 
 
 def _flat(kernels, biases) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The engine is shape-agnostic (any float ndarray) so it drives the
 reconstruction iteration of every method (the DE-GAP map, which DE-RNN
-shares with its own denoiser, and the PnP-GAP and PnP-ADMM baselines) and
+shares with its own denoiser, and the PnP-GAP baseline) and
 the adjoint (backward) iteration. Stopping rule:
 relative residual ||f(x_k) - x_k|| / (||x_k|| + 1e-12) <= tol; the returned
 x_hat is always the point whose residual was measured, so a converged result

@@ -2,11 +2,10 @@
 
 DeGapMap:  f(x) = D(x + Phi^T (Phi Phi^T)^{-1} (y - Phi x))   (denoise the
            Euclidean projection onto the measurement-consistent set)
-plus classical plug-and-play baselines (GAP with per-iteration TV strength,
-ADMM with a pluggable denoiser) used for stability comparisons. The baselines
-run as step closures through the one fixed-point engine (fixed_point.solve,
-Picard case), so every method shares its stopping rule, trace and
-divergence guard.
+plus the classical GAP-TV baseline (pnp_gap_solve: GAP with a per-iteration
+TV strength) used for stability comparisons. The baseline runs as a step
+closure through the one fixed-point engine (fixed_point.solve, Picard case),
+so every method shares its stopping rule, trace and divergence guard.
 
 Both equilibrium models are a DeGapMap: DE-GAP with the conv_residual
 denoiser, DE-RNN with the gated cell (denoisers.GatedConvCell). An output
@@ -32,7 +31,6 @@ from .fixed_point import FixedPointConfig, SolveResult, solve
 from .sci import (
     Measurement,
     SensingMask,
-    forward,
     gap_project,
     init_estimate,
     project_null,
@@ -82,66 +80,6 @@ class DeGapLinearization:
 
     def grad_params(self, v: np.ndarray) -> np.ndarray:
         return self.denoiser.grad_params(v)
-
-
-@dataclass
-class AdmmState:
-    """Split variables for the ADMM baseline."""
-
-    x: np.ndarray
-    v: np.ndarray
-    u: np.ndarray
-    rho: float
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
-        if not (self.x.shape == self.v.shape == self.u.shape):
-            raise ShapeMismatchError("ADMM state cubes must share a shape")
-
-
-def pnp_admm_step(state: AdmmState, mask: SensingMask, y, denoiser: Denoiser) -> AdmmState:
-    """One ADMM sweep with the diagonal closed-form data update.
-
-    x <- z + Phi^T (rho I + Q)^{-1} (y - Phi z), z = v - u/rho
-    v <- D(x + u/rho)
-    u <- u + rho (x - v)
-    """
-    ydata = _meas_data(y)
-    z = state.v - state.u / state.rho
-    resid = (ydata - forward(mask, z).data) / (state.rho + mask.q_diag)
-    x_new = z + mask.frames * resid[:, :, None]
-    v_new = denoiser.denoise(x_new + state.u / state.rho)
-    u_new = state.u + state.rho * (x_new - v_new)
-    return AdmmState(x=x_new, v=v_new, u=u_new, rho=state.rho)
-
-
-def pnp_admm_solve(
-    mask: SensingMask,
-    y,
-    denoiser: Denoiser,
-    rho: float,
-    max_iter: int,
-    tol: float = 1e-6,
-    psnr_ref=None,
-) -> SolveResult:
-    """Iterate pnp_admm_step from the canonical initializer.
-
-    The step closure owns the split state and hands the engine x, so the
-    residual is ||x_k - x_{k-1}||.
-    """
-    x0 = init_estimate(mask, y)
-    state = AdmmState(x=x0, v=x0.copy(), u=np.zeros_like(x0), rho=rho)
-
-    def step(_x):
-        nonlocal state
-        state = pnp_admm_step(state, mask, y, denoiser)
-        # v enters x only in the next sweep, whose input checks would reject
-        # it as bad input; hand a diverged v to the engine's guard at once.
-        return state.x if np.isfinite(state.v).all() else state.v
-
-    cfg = FixedPointConfig(tol=tol, max_iter=max_iter)
-    return solve(step, x0, cfg, method="picard", psnr_ref=psnr_ref)
 
 
 def pnp_gap_solve(

@@ -13,16 +13,20 @@ from vsci.denoisers import make_conv_residual, make_gated_cell, save_denoiser
 from vsci.errors import DivergedError
 
 
-@pytest.fixture
-def scene(tmp_path):
-    """A 16x16x4 mask, measurement and ground truth; returns path prefixes."""
+def _scene_files(tmp_path, h, w, b):
+    """An h x w x b mask, measurement and ground truth; returns path prefixes."""
     p = {k: str(tmp_path / k) for k in ("mask", "y.vsci", "gt.vsci")}
-    assert main(["mask", "--seed", "0", "--height", "16", "--width", "16", "--frames", "4",
-                 "--policy", "floor", "--out", p["mask"]]) == EXIT_OK
-    assert main(["simulate", "--height", "16", "--width", "16", "--frames", "4",
-                 "--mask", p["mask"], "--out-cube", p["gt.vsci"],
+    size = ["--height", str(h), "--width", str(w), "--frames", str(b)]
+    assert main(["mask", "--seed", "0", *size, "--policy", "floor",
+                 "--out", p["mask"]]) == EXIT_OK
+    assert main(["simulate", *size, "--mask", p["mask"], "--out-cube", p["gt.vsci"],
                  "--out-meas", p["y.vsci"]]) == EXIT_OK
     return p
+
+
+@pytest.fixture
+def scene(tmp_path):
+    return _scene_files(tmp_path, 16, 16, 4)
 
 
 def _reconstruct(scene, out, *extra):
@@ -30,9 +34,9 @@ def _reconstruct(scene, out, *extra):
                  "--out", out, *extra])
 
 
-def _bench(outdir, *methods):
+def _bench(outdir, *methods, extra=()):
     return main(["bench", "--height", "12", "--width", "12", "--frames", "2", "--n-scenes", "1",
-                 "--max-iter", "4", "--timing", "none", "--outdir", outdir,
+                 "--max-iter", "4", "--timing", "none", "--outdir", outdir, *extra,
                  "--methods", *methods])
 
 
@@ -51,14 +55,51 @@ def test_unknown_config_key_exits_2(scene, tmp_path):
 
 
 def test_unknown_bench_method_exits_2(tmp_path):
-    assert _bench(str(tmp_path / "b"), "no_such_method") == EXIT_CONFIG
+    for method in ("no_such_method", "admm:rho=0.1"):
+        assert _bench(str(tmp_path / "b"), method) == EXIT_CONFIG
+    assert not os.path.exists(tmp_path / "b")
+
+
+@pytest.mark.parametrize("extra", [("--method", "pnp-admm"), ("--rho", "0.1"),
+                                   ("--tv-lam", "0.05")])
+def test_pnp_admm_flags_are_gone(scene, tmp_path, extra):
+    out = str(tmp_path / "x.vsci")
+    with pytest.raises(SystemExit) as exc:
+        _reconstruct(scene, out, "--max-iter", "3", *extra)
+    assert exc.value.code == 2
+    assert not os.path.exists(out)
+
+
+def test_gt_metric_failure_exits_2_and_writes_nothing(tmp_path):
+    # SSIM needs frames of at least 11x11; it fails only after the solve
+    files = _scene_files(tmp_path, 8, 8, 2)
+    out, trace = str(tmp_path / "x.vsci"), str(tmp_path / "tr.csv")
+    assert _reconstruct(files, out, "--method", "pnp-gap", "--max-iter", "3",
+                        "--gt", files["gt.vsci"], "--trace", trace) == EXIT_CONFIG
+    assert not os.path.exists(out)
+    assert not os.path.exists(trace)
+
+
+@pytest.mark.parametrize("second, extra, cfg_line, code", [
+    ("pnp_gap:nan", (), "", EXIT_CONFIG),
+    ("de_gap:{tmp}/absent", (), "", EXIT_IO),
+    ("de_gap", (), "bench.solver = pircard", EXIT_CONFIG),
+    ("pnp_gap:0.1", ("--height", "8", "--width", "8"), "", EXIT_CONFIG),  # SSIM below 11x11
+], ids=["bad_schedule", "missing_checkpoint", "bad_solver", "ssim_too_small"])
+def test_bench_failing_cell_writes_nothing(tmp_path, second, extra, cfg_line, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_line + "\n", encoding="utf-8")
+    outdir = str(tmp_path / "b")
+    assert _bench(outdir, "pnp_gap", second.format(tmp=tmp_path),
+                  extra=("--config", str(cfg), *extra)) == code
+    assert not os.path.exists(outdir)
 
 
 @pytest.mark.parametrize("extra", [
     ("--method", "pnp-gap", "--schedule", "nan"),
     ("--method", "pnp-gap", "--schedule", "0.05,-1"),
-    ("--method", "pnp-admm", "--tv-lam", "-1"),
-    ("--method", "pnp-admm", "--tv-lam", "nan"),
+    ("--method", "pnp-gap", "--schedule=-inf"),
+    ("--method", "pnp-gap", "--schedule", "0.05,nan"),
 ])
 def test_bad_tv_strength_exits_2_and_writes_nothing(scene, tmp_path, extra):
     out = str(tmp_path / "x.vsci")
@@ -67,7 +108,7 @@ def test_bad_tv_strength_exits_2_and_writes_nothing(scene, tmp_path, extra):
 
 
 @pytest.mark.parametrize("iters", ["0", "-1"])
-@pytest.mark.parametrize("method", ["pnp-gap", "pnp-admm"])
+@pytest.mark.parametrize("method", ["pnp-gap"])
 def test_tv_iters_below_one_exits_2_and_writes_nothing(scene, tmp_path, method, iters):
     out = str(tmp_path / "x.vsci")
     assert _reconstruct(scene, out, "--max-iter", "3", "--method", method,
@@ -329,13 +370,13 @@ def test_spectrum_reject_policy_on_dead_pixel_exits_2(tmp_path):
 
 
 def test_bench_timing_none_is_bitwise_reproducible(tmp_path):
-    methods = ("de_gap", "de_rnn", "pnp_gap:0.1,0.05", "admm:rho=0.1,denoiser=tv:0.05")
+    methods = ("de_gap", "de_rnn", "pnp_gap:0.1,0.05")
     dirs = [str(tmp_path / name) for name in ("a", "b")]
     for d in dirs:
         assert _bench(d, *methods) == EXIT_OK
     names = sorted(os.listdir(dirs[0]))
     assert names == sorted(os.listdir(dirs[1]))
-    assert len(names) == 5  # four trace CSVs and the summary
+    assert len(names) == 4  # three trace CSVs and the summary
     for name in names:
         with open(os.path.join(dirs[0], name), "rb") as fa, \
                 open(os.path.join(dirs[1], name), "rb") as fb:

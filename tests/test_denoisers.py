@@ -19,7 +19,6 @@ from vsci.denoisers import (
     ConvResidualDenoiser,
     IdentityDenoiser,
     ScaleShiftDenoiser,
-    TvDenoiser,
     load_denoiser,
     make_conv_residual,
     make_gated_cell,
@@ -79,11 +78,6 @@ class TestBasicKinds:
         v = _cube((4, 4, 2), 1)
         np.testing.assert_allclose(d.vjp_input(x, v), 0.5 * v)
 
-    def test_tv_has_no_vjp(self):
-        d = TvDenoiser(lam=0.1)
-        with pytest.raises(UnsupportedDenoiserOpError):
-            d.vjp_input(_cube((4, 4, 1), 0), _cube((4, 4, 1), 1))
-
     def test_nonfinite_input_rejected(self):
         x = _cube((4, 4, 2), 0)
         x[0, 0, 0] = np.inf
@@ -122,8 +116,6 @@ class TestTv:
     def test_iters_below_one_rejected(self, iters, lam):
         with pytest.raises(ValueError, match="iterations"):
             tv_denoise(_cube((4, 4, 1), 0), lam, iters)
-        with pytest.raises(ValueError):
-            TvDenoiser(lam=lam, iters=iters)
 
     # tv_denoise asks for (n, n, n, n + 1, n + w); 391 = 17 x 23 frame
     @pytest.mark.parametrize("sizes", [(391, 391, 391, 392, 414), (0, 1, 0, 7, 9), (0,), (8, 8)])
@@ -187,8 +179,6 @@ class TestTv:
     def test_bad_strength_rejected(self, lam):
         with pytest.raises(ValueError):
             tv_denoise(_cube((4, 4, 1), 0), lam, 5)
-        with pytest.raises(ValueError):
-            TvDenoiser(lam=lam)
 
     def test_energy_never_worse_than_input(self):
         x = _cube((8, 8, 2), 3)
@@ -427,10 +417,6 @@ class TestLinearize:
             else:
                 with pytest.raises(UnsupportedDenoiserOpError):
                     lin.grad_params(v)
-
-    def test_tv_cannot_linearize(self):
-        with pytest.raises(UnsupportedDenoiserOpError):
-            TvDenoiser(lam=0.1).linearize(_cube((4, 4, 1), 0))
 
     def test_one_forward_serves_ten_vjps(self, monkeypatch):
         d = make_conv_residual(13, channels=4, n_layers=3, init="random", noise_scale=0.3)

@@ -19,13 +19,7 @@ from vsci.denoisers import (
 )
 from vsci.errors import DivergedError, UnsupportedDenoiserOpError
 from vsci.fixed_point import FixedPointConfig, solve
-from vsci.maps import (
-    AdmmState,
-    DeGapMap,
-    pnp_admm_solve,
-    pnp_admm_step,
-    pnp_gap_solve,
-)
+from vsci.maps import DeGapMap, pnp_gap_solve
 from vsci.sci import Measurement, forward, gap_project, init_estimate, mask_generate
 
 
@@ -337,54 +331,10 @@ class TestPnpGap:
             pnp_gap_solve(mask, y, [0.05], 5, tv_iters=tv_iters, tol=0.0)
         assert calls == []
 
-
-class TestPnpAdmm:
-    def test_large_rho_keeps_x_near_z(self):
-        mask, cube, y = _instance(13)
-        rng = np.random.default_rng(7)
-        v = rng.random(cube.shape)
-        u = rng.standard_normal(cube.shape) * 0.1
-        state = AdmmState(x=v.copy(), v=v, u=u, rho=1e8)
-        new = pnp_admm_step(state, mask, y, IdentityDenoiser())
-        z = v - u / 1e8
-        assert np.linalg.norm(new.x - z) / np.linalg.norm(z) <= 1e-6
-
-    def test_x_update_matches_dense_oracle(self):
-        mask, cube, y = _instance(14, 3, 3, 2)
-        rng = np.random.default_rng(8)
-        v = rng.random(cube.shape)
-        u = rng.standard_normal(cube.shape) * 0.2
-        rho = 0.7
-        state = AdmmState(x=v.copy(), v=v, u=u, rho=rho)
-        new = pnp_admm_step(state, mask, y, IdentityDenoiser())
-        phi = dense_phi(mask)
-        n = phi.shape[1]
-        z = vec(v - u / rho)
-        x_dense = np.linalg.solve(phi.T @ phi + rho * np.eye(n),
-                                  phi.T @ y.data.ravel() + rho * z)
-        np.testing.assert_allclose(vec(new.x), x_dense, atol=1e-8)
-
-    def test_identity_denoiser_u_stays_zero(self):
-        mask, cube, y = _instance(15)
-        x0 = init_estimate(mask, y)
-        state = AdmmState(x=x0, v=x0.copy(), u=np.zeros_like(x0), rho=0.5)
-        new = pnp_admm_step(state, mask, y, IdentityDenoiser())
-        np.testing.assert_array_equal(new.v, new.x)
-        np.testing.assert_array_equal(new.u, np.zeros_like(x0))
-
-    def test_rho_must_be_positive(self):
-        x = np.zeros((2, 2, 2))
-        with pytest.raises(ValueError):
-            AdmmState(x=x, v=x, u=x, rho=0.0)
-
-
-class TestAdmmGapAgreement:
-    def test_both_reach_measurement_consistency(self):
+    def test_identity_prox_reaches_measurement_consistency(self):
         mask, cube, y = _instance(16, 6, 6, 3)
-        gap = pnp_gap_solve(mask, y, [0.0], 60, tol=0.0)
-        admm = pnp_admm_solve(mask, y, IdentityDenoiser(), rho=0.1, max_iter=60, tol=0.0)
-        for res in (gap, admm):
-            assert np.max(np.abs(forward(mask, res.x_hat).data - y.data)) <= 1e-6
+        res = pnp_gap_solve(mask, y, [0.0], 60, tol=0.0)
+        assert np.max(np.abs(forward(mask, res.x_hat).data - y.data)) <= 1e-6
 
 
 def _nan_from_third_call(fn):
@@ -400,18 +350,6 @@ def _nan_from_third_call(fn):
     return wrapped
 
 
-class _NanFromThirdCall(IdentityDenoiser):
-    """Identity denoiser whose third and later outputs are NaN."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def denoise(self, x):
-        self.calls += 1
-        out = super().denoise(x)
-        return out * np.nan if self.calls >= 3 else out
-
-
 class TestDivergenceGuard:
     def test_pnp_gap_nan_denoiser_raises_with_partial_trace(self, monkeypatch):
         mask, cube, y = _instance(17, 6, 6, 2)
@@ -419,14 +357,6 @@ class TestDivergenceGuard:
         with pytest.raises(DivergedError) as exc:
             pnp_gap_solve(mask, y, [0.05], 10, tv_iters=5, tol=0.0, psnr_ref=cube)
         assert exc.value.iterations == 3
-        assert len(exc.value.trace) == 2 and len(exc.value.trace.psnrs) == 2
-
-    def test_pnp_admm_nan_denoiser_raises_with_partial_trace(self):
-        mask, cube, y = _instance(18, 6, 6, 2)
-        den = _NanFromThirdCall()
-        with pytest.raises(DivergedError) as exc:
-            pnp_admm_solve(mask, y, den, rho=0.1, max_iter=10, tol=0.0, psnr_ref=cube)
-        assert den.calls == 3 and exc.value.iterations == 3
         assert len(exc.value.trace) == 2 and len(exc.value.trace.psnrs) == 2
 
     def test_bad_schedule_rejected_before_any_iteration(self, monkeypatch):
@@ -448,3 +378,4 @@ class TestDivergenceGuard:
         with open(tmp_path / "bench" / "summary.csv", encoding="utf-8") as fh:
             row = fh.read().splitlines()[1].split(",")
         assert row[:3] == ["moving_square_s0", "pnp_gap", "nan"]
+        assert (tmp_path / "bench" / "trace_moving_square_s0_pnp_gap.csv").exists()
