@@ -16,8 +16,6 @@ import os
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DivergedError
 from .fixed_point import FixedPointConfig, solve
 from .maps import DeGapMap, pnp_gap_solve
@@ -149,7 +147,7 @@ def run_trajectory_bench(bench: BenchSpec):
                 continue
             final_psnr = trace.psnrs[-1]
             max_psnr = max(trace.psnrs)
-            _, mean_ssim = ssim(np.clip(x_hat, 0.0, 1.0), cube)
+            _, mean_ssim = ssim(x_hat, cube)
             rows.append({
                 "scene": _scene_tag(scene), "method": label,
                 "final_psnr": final_psnr, "max_psnr": max_psnr,

@@ -127,6 +127,10 @@ def cmd_simulate(args) -> int:
 
 
 def _reconstruct(args, cfg):
+    given = [f"--{f}" for f in ("solver", "memory", "damping", "reg")
+             if getattr(args, f) is not None]
+    if args.method == "pnp-gap" and given:
+        raise ConfigError(f"pnp-gap runs undamped Picard and takes no {', '.join(given)}")
     mask = load_mask(args.mask)
     y = Measurement(data=tensorio.read_tensor(args.measurement), noise_sigma=0.0)
     solver_cfg = _solver_cfg(args, cfg)
@@ -135,7 +139,7 @@ def _reconstruct(args, cfg):
         den = equilibrium_denoiser(args.method.replace("-", "_"), args.checkpoint)
         fmap = DeGapMap(denoiser=den, mask=mask, y=y)
         result = solve(fmap.apply, init_estimate(mask, y), solver_cfg,
-                       method=args.solver, psnr_ref=gt)
+                       method=args.solver or "anderson", psnr_ref=gt)
     else:
         schedule = [float(s) for s in args.schedule.split(",")]
         result = pnp_gap_solve(mask, y, schedule, solver_cfg.max_iter,
@@ -152,8 +156,8 @@ def cmd_reconstruct(args) -> int:
     lines = [f"converged={result.converged} iterations={result.iterations}",
              f"measurement_consistency_inf={consistency:.3e}"]
     if gt is not None:
-        _, p = psnr(np.clip(result.x_hat, 0.0, 1.0), gt)
-        _, s = ssim(np.clip(result.x_hat, 0.0, 1.0), gt)
+        _, p = psnr(result.x_hat, gt)
+        _, s = ssim(result.x_hat, gt)
         lines += [f"psnr_db={p:.4f}", f"ssim={s:.6f}"]
     tensorio.write_tensor(args.out, result.x_hat)
     if args.trace:
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurement", required=True)
     p.add_argument("--method", default="de-gap",
                    choices=["de-gap", "de-rnn", "pnp-gap"])
-    p.add_argument("--solver", default="anderson", choices=["picard", "anderson"])
+    p.add_argument("--solver", choices=["picard", "anderson"], help="default anderson")
     p.add_argument("--checkpoint")
     p.add_argument("--schedule", default="0.05", help="pnp-gap TV strengths, comma separated")
     p.add_argument("--tv-iters", type=int, default=30)

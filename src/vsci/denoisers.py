@@ -169,13 +169,16 @@ def _line_aligned(*sizes: int) -> list:
     return bufs
 
 
-def tv_denoise(x: np.ndarray, lam: float, iters: int) -> np.ndarray:
+def tv_denoise(x: np.ndarray, lam: float, iters: int, out=None) -> np.ndarray:
     """Anisotropic TV proximal step, approximately argmin_z 1/2||z-x||^2 + lam*TV(z).
 
     Solved per frame (no temporal coupling) by `iters` steps of projected
     gradient ascent on the box-constrained dual, with step tau = 1/8:
         z = x - grad^T p,   p <- clip(p + tau * grad z, -lam, lam).
-    lam = 0 returns a copy of x; iters must be >= 1.
+    lam = 0 returns a copy of x; iters must be >= 1. The result goes into
+    `out` (float64, x's shape; by default a new array), which may be x
+    itself: each frame is copied to the working buffer before its output is
+    written, so the in-place result is bitwise the out-of-place one.
 
     Each (H, W) frame runs all its iterations as one block on buffers
     allocated once, so its state stays cache-resident, and every update is
@@ -207,12 +210,16 @@ def tv_denoise(x: np.ndarray, lam: float, iters: int) -> np.ndarray:
     if iters < 1:
         raise ValueError(f"tv iterations must be >= 1, got {iters}")
     x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or out.dtype != np.float64:
+        raise ShapeMismatchError(f"out is {out.dtype} {out.shape}, x is float64 {x.shape}")
     if lam == 0.0:
-        return x.copy()
+        np.copyto(out, x)
+        return out
     tau = 0.125  # 1 / ||grad^T grad|| for 2D forward differences; a power of 2
     h, w, b = x.shape
     n = h * w
-    out = np.empty((h, w, b))
     xf, z, g, px, py = _line_aligned(n, n, n, n + 1, n + w)
     gx = g[: n - 1]
     gy = g[: n - w]

@@ -103,7 +103,8 @@ def pnp_gap_solve(
     strengths = itertools.cycle(schedule)
 
     def step(v):
-        return tv_denoise(gap_project(mask, y, v), next(strengths), tv_iters)
+        u = gap_project(mask, y, v)
+        return tv_denoise(u, next(strengths), tv_iters, out=u)
 
     cfg = FixedPointConfig(tol=tol, max_iter=max_iter)
     return solve(step, init_estimate(mask, y), cfg, method="picard", psnr_ref=psnr_ref)

@@ -1,10 +1,10 @@
 """Reconstruction quality metrics: per-frame PSNR and single-scale SSIM.
 
 Both metrics are computed per frame and then averaged ("per-frame mean"
-convention). Inputs are not clamped here; callers clamp reconstructions to
-[0, 1] before scoring. SSIM's 11x11 Gaussian window is the outer product of
-a 1-D window, so it is applied as two valid-mode 1-D passes (22
-multiply-adds per pixel instead of 121).
+convention). Both score the reconstruction x clamped to [0, peak] (PSNR)
+or [0, 1] (SSIM); the reference is used as given. SSIM's 11x11 Gaussian
+window is the outer product of a 1-D window, so it is applied as two
+valid-mode 1-D passes (22 multiply-adds per pixel instead of 121).
 """
 
 from __future__ import annotations
@@ -34,13 +34,17 @@ def _check_pair(x, ref):
 def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0):
     """Per-frame PSNR in dB plus the mean over frames.
 
-    10*log10(peak^2 / MSE) per frame, capped at 100 dB (the cap value is
+    10*log10(peak^2 / MSE) per frame of x clamped to [0, peak] (the error
+    is formed in one scratch cube), capped at 100 dB (the cap value is
     reported for frames with zero MSE so CSV output stays numeric).
     """
     if peak <= 0:
         raise ValueError("peak must be > 0")
     x, ref = _check_pair(x, ref)
-    mse = np.mean((x - ref) ** 2, axis=(0, 1))
+    d = np.clip(x, 0.0, peak)
+    d -= ref
+    np.square(d, out=d)
+    mse = d.mean(axis=(0, 1))
     vals = np.full(mse.shape, PSNR_CAP_DB)
     nz = mse > 0
     vals[nz] = np.minimum(PSNR_CAP_DB, 10.0 * np.log10(peak * peak / mse[nz]))
@@ -72,9 +76,9 @@ def _filter_valid(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
 def ssim(x: np.ndarray, ref: np.ndarray):
     """Per-frame single-scale SSIM plus the mean over frames.
 
-    11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03, dynamic range 1.0;
-    the SSIM map uses valid-mode filtering and is averaged over pixels, then
-    over frames. Frames must be at least 11x11.
+    11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03, dynamic range 1.0
+    (x clamped to [0, 1]); the SSIM map uses valid-mode filtering and is
+    averaged over pixels, then over frames. Frames must be at least 11x11.
     """
     x, ref = _check_pair(x, ref)
     h, w, b = x.shape
@@ -88,7 +92,7 @@ def ssim(x: np.ndarray, ref: np.ndarray):
     vals = np.empty(b)
     for k in range(b):
         # contiguous frame copies: the filter passes then read unit-stride rows
-        a = np.ascontiguousarray(x[:, :, k])
+        a = np.clip(x[:, :, k], 0.0, 1.0, order="C")
         r = np.ascontiguousarray(ref[:, :, k])
         mu_a = _filter_valid(a, taps)
         mu_r = _filter_valid(r, taps)

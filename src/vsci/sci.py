@@ -203,7 +203,9 @@ def gap_project(mask: SensingMask, y, v: np.ndarray) -> np.ndarray:
     data = _check_meas_shape(mask, y)
     q = mask.effective_q()
     residual = (data - np.einsum("hwb,hwb->hw", mask.frames, v)) / q
-    return v + mask.frames * residual[:, :, None]
+    out = mask.frames * residual[:, :, None]
+    out += v
+    return out
 
 
 def project_null(mask: SensingMask, w: np.ndarray) -> np.ndarray:
@@ -215,4 +217,5 @@ def project_null(mask: SensingMask, w: np.ndarray) -> np.ndarray:
     w = _check_cube_shape(mask, w)
     q = mask.effective_q()
     s = np.einsum("hwb,hwb->hw", mask.frames, w) / q
-    return w - mask.frames * s[:, :, None]
+    out = mask.frames * s[:, :, None]
+    return np.subtract(w, out, out=out)

@@ -14,6 +14,8 @@ Round-trips are byte-identical for float64 payloads.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -35,35 +37,36 @@ def write_tensor(path: str, tensor: np.ndarray) -> None:
     code = _CODE_FOR_DTYPE[arr.dtype]
     header = MAGIC + struct.pack("<BBB", VERSION, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
+    payload = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(memoryview(payload.reshape(-1)).cast("B"))
 
 
 def read_tensor(path: str) -> np.ndarray:
-    """Read a tensor written by :func:`write_tensor`."""
+    """Read a tensor written by :func:`write_tensor`, straight into the result."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 7 or blob[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {blob[:4]!r}")
-    version, code, ndim = struct.unpack("<BBB", blob[4:7])
-    if version != VERSION:
-        raise DtypeMismatchError(f"{path}: unsupported format version {version}")
-    if code not in _DTYPE_CODES:
-        raise DtypeMismatchError(f"{path}: unknown dtype code {code}")
-    dims_end = 7 + 4 * ndim
-    if len(blob) < dims_end:
-        raise TruncatedError(f"{path}: header truncated")
-    dims = struct.unpack(f"<{ndim}I", blob[7:dims_end])
-    dtype = _DTYPE_CODES[code]
-    expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-    payload = blob[dims_end:]
-    if len(payload) != expected:
-        raise TruncatedError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        head = fh.read(7)
+        if len(head) < 7 or head[:4] != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
+        version, code, ndim = struct.unpack("<BBB", head[4:7])
+        if version != VERSION:
+            raise DtypeMismatchError(f"{path}: unsupported format version {version}")
+        if code not in _DTYPE_CODES:
+            raise DtypeMismatchError(f"{path}: unknown dtype code {code}")
+        raw_dims = fh.read(4 * ndim)
+        if len(raw_dims) < 4 * ndim:
+            raise TruncatedError(f"{path}: header truncated")
+        dims = struct.unpack(f"<{ndim}I", raw_dims)
+        dtype = _DTYPE_CODES[code]
+        expected = math.prod(dims) * dtype.itemsize
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise TruncatedError(f"{path}: payload is {size} bytes, header implies {expected}")
+        out = np.empty(dims, dtype=dtype)
+        if fh.readinto(memoryview(out.reshape(-1)).cast("B")) != expected:
+            raise TruncatedError(f"{path}: payload shorter than {expected} bytes")
+    return out
 
 
 def write_kv(path: str, entries: dict) -> None:

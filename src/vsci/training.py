@@ -187,7 +187,7 @@ def evaluate_psnr(model, samples, solver_cfg: FixedPointConfig) -> float:
     for mask, y, x_star in samples:
         fmap = model.make_map(mask, y)
         res = anderson_solve(fmap.apply, init_estimate(mask, y), solver_cfg)
-        _, mean_db = psnr(np.clip(res.x_hat, 0.0, 1.0), x_star)
+        _, mean_db = psnr(res.x_hat, x_star)
         vals.append(mean_db)
     return float(np.mean(vals))
 

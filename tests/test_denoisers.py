@@ -26,7 +26,7 @@ from vsci.denoisers import (
     spectral_normalize,
     tv_denoise,
 )
-from vsci.errors import UnsupportedDenoiserOpError
+from vsci.errors import ShapeMismatchError, UnsupportedDenoiserOpError
 
 
 def _cube(shape, seed):
@@ -103,6 +103,23 @@ class TestTv:
         out = tv_denoise(x, lam, iters)
         assert np.array_equal(out, _oracle_tv_denoise(x, lam, iters))
         assert np.array_equal(x, x0)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_in_place_equals_out_of_place(self, lam):
+        # out=x: each frame is read into the working buffer before its
+        # output overwrites it, so no later frame sees a denoised input
+        x = _cube((17, 23, 4), 9)
+        expected = tv_denoise(x, lam, 7)
+        addr = x.ctypes.data
+        assert tv_denoise(x, lam, 7, out=x) is x
+        assert x.ctypes.data == addr
+        assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("out", [np.empty((6, 6, 1)), np.empty((6, 5, 2)),
+                                     np.empty((6, 6, 2), dtype=np.float32)])
+    def test_bad_out_rejected(self, out):
+        with pytest.raises(ShapeMismatchError, match="out"):
+            tv_denoise(_cube((6, 6, 2), 0), 0.05, 3, out=out)
 
     def test_noncontiguous_and_integer_inputs_match_oracle(self):
         xt = _cube((6, 17, 11), 6).transpose(1, 2, 0)  # (17, 11, 6) view

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -384,6 +385,34 @@ class TestAnderson:
             tracemalloc.stop()
         assert len(live) == 12
         assert max(live[1:]) <= (2 * memory + 1) * b.nbytes + b.nbytes // 4
+
+    @pytest.mark.parametrize("method, memory", [("picard", 1), ("anderson", 3)])
+    def test_inline_initial_estimate_is_freed(self, method, memory):
+        # the engine copies x0 and drops its reference, so an x0 built in
+        # the call holds no memory while f runs: at iteration 2 the engine
+        # holds x (Picard) or x and the two (m, N) rings (Anderson), one
+        # iterate less than when x0 outlives the call
+        b = np.random.default_rng(18).random((64, 64, 8))
+        refs, live = [], []
+
+        def make_x0():
+            x0 = np.zeros_like(b)
+            refs.append(weakref.ref(x0))
+            return x0
+
+        def f(x):
+            live.append((tracemalloc.get_traced_memory()[0], refs[0]() is None))
+            return np.tanh(x) + b
+
+        cfg = FixedPointConfig(tol=0.0, max_iter=3, anderson_memory=memory)
+        tracemalloc.start()
+        try:
+            anderson_solve(f, make_x0(), cfg, method=method)
+        finally:
+            tracemalloc.stop()
+        assert [gone for _, gone in live] == [True, True, True]
+        held = memory if method == "picard" else 2 * memory + 1
+        assert live[1][0] <= held * b.nbytes + b.nbytes // 4
 
 
 class TestShapeGuard:

@@ -341,9 +341,9 @@ def _nan_from_third_call(fn):
     """fn, except that its third and later calls return NaN of the same shape."""
     calls = []
 
-    def wrapped(*args):
+    def wrapped(*args, **kwargs):
         calls.append(None)
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         return out * np.nan if len(calls) >= 3 else out
 
     wrapped.calls = calls

@@ -3,7 +3,8 @@ import pytest
 from scipy import ndimage
 
 from helpers import traced_peak
-from vsci.metrics import ssim
+from vsci.errors import ShapeMismatchError
+from vsci.metrics import PSNR_CAP_DB, psnr, ssim
 
 
 def _oracle_ssim_frame(a, r):
@@ -65,3 +66,63 @@ def test_ssim_peak_allocation_within_three_cubes():
     ref = rng.random((64, 64, 8))
     est = rng.random((64, 64, 8))
     assert traced_peak(ssim, est, ref) <= 3 * est.nbytes
+
+
+def _out_of_range_pair(seed):
+    rng = np.random.default_rng(seed)
+    ref = rng.random((16, 13, 3))
+    return ref + 0.6 * rng.standard_normal(ref.shape), ref
+
+
+def test_psnr_matches_plain_numpy_formula():
+    x, ref = _out_of_range_pair(5)
+    x = np.clip(x, 0.0, 1.0)
+    per_frame, mean = psnr(x, ref)
+    expected = [10 * np.log10(1.0 / np.mean((x[:, :, k] - ref[:, :, k]) ** 2)) for k in range(3)]
+    np.testing.assert_allclose(per_frame, expected, rtol=1e-13)
+    assert mean == pytest.approx(np.mean(expected), rel=1e-13)
+    per_frame2, _ = psnr(2.0 * x, 2.0 * ref, peak=2.0)
+    np.testing.assert_allclose(per_frame2, expected, rtol=1e-13)
+
+
+def test_psnr_caps_zero_error_frames():
+    x, ref = _out_of_range_pair(6)
+    x = np.clip(x, 0.0, 1.0)
+    x[:, :, 1] = ref[:, :, 1]
+    per_frame, mean = psnr(x, ref)
+    assert per_frame[1] == PSNR_CAP_DB
+    assert per_frame[0] < 50 and per_frame[2] < 50
+    assert mean == per_frame.mean()
+    assert psnr(ref, ref) == (pytest.approx([PSNR_CAP_DB] * 3), PSNR_CAP_DB)
+
+
+@pytest.mark.parametrize("peak", [0.0, -1.0])
+def test_psnr_rejects_nonpositive_peak(peak):
+    x, ref = _out_of_range_pair(7)
+    with pytest.raises(ValueError, match="peak"):
+        psnr(x, ref, peak=peak)
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim])
+def test_metrics_reject_shape_mismatch(metric):
+    x, ref = _out_of_range_pair(8)
+    with pytest.raises(ShapeMismatchError):
+        metric(x[:, :, :2], ref)
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim])
+def test_metrics_score_the_clamped_reconstruction(metric):
+    x, ref = _out_of_range_pair(9)
+    assert x.min() < 0 and x.max() > 1
+    per_frame, mean = metric(x, ref)
+    per_frame_c, mean_c = metric(np.clip(x, 0.0, 1.0), ref)
+    assert np.array_equal(per_frame, per_frame_c) and mean == mean_c
+
+
+def test_psnr_peak_allocation_within_one_scratch():
+    # the clamp, the difference and its square share one scratch cube; a
+    # clamp made by the caller before scoring put the traced peak at 2x
+    rng = np.random.default_rng(10)
+    ref = rng.random((64, 64, 8))
+    x = rng.random((64, 64, 8))
+    assert traced_peak(psnr, x, ref) <= 1.1 * x.nbytes

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
+from helpers import traced_peak
 from vsci.errors import BadMagicError, DtypeMismatchError, TruncatedError
 from vsci.tensorio import read_kv, read_tensor, write_kv, write_tensor
 
@@ -96,3 +97,13 @@ def test_kv_roundtrip(tmp_path):
     back = read_kv(path)
     assert back == {"kind": "mask", "gamma": "0.1", "n": "3"}
     assert float(back["gamma"]) == 0.1
+
+
+def test_round_trip_holds_one_payload(tmp_path):
+    # the read parses the header, then reads the payload straight into the
+    # returned array; the write passes the array's own buffer to the file
+    t = np.random.default_rng(3).random(1 << 17)  # 1 MiB
+    path = str(tmp_path / "t.vsci")
+    assert traced_peak(write_tensor, path, t) <= 1.1 * t.nbytes
+    assert traced_peak(read_tensor, path) <= 1.1 * t.nbytes
+    assert np.array_equal(read_tensor(path), t)
