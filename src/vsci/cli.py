@@ -126,9 +126,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _reconstruct(args, cfg):
+_ANDERSON_KEYS = ("solver.anderson_memory", "solver.anderson_damping", "solver.anderson_reg")
+
+
+def _reconstruct(args, cfg, file_keys):
+    """Run the chosen method; file_keys are the keys the --config file set."""
     given = [f"--{f}" for f in ("solver", "memory", "damping", "reg")
              if getattr(args, f) is not None]
+    given += [k for k in _ANDERSON_KEYS if k in file_keys]
     if args.method == "pnp-gap" and given:
         raise ConfigError(f"pnp-gap runs undamped Picard and takes no {', '.join(given)}")
     mask = load_mask(args.mask)
@@ -148,8 +153,8 @@ def _reconstruct(args, cfg):
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _load_run_config(args)
-    mask, y, result, gt = _reconstruct(args, cfg)
+    entries = cfgmod.read_config(args.config) if args.config else {}
+    mask, y, result, gt = _reconstruct(args, {**cfgmod.defaults(), **entries}, entries)
     # every figure is computed before any file is written, so a run that
     # fails on one (an SSIM of frames below its window) writes nothing
     consistency = float(np.max(np.abs(forward(mask, result.x_hat).data - y.data)))

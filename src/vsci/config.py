@@ -58,7 +58,12 @@ def parse_value(key: str, raw: str):
 
 def load_config(path: str) -> dict:
     """Defaults overlaid with the file's entries; unknown keys are fatal."""
-    cfg = defaults()
+    return {**defaults(), **read_config(path)}
+
+
+def read_config(path: str) -> dict:
+    """The file's entries only, each parsed; unknown keys are fatal."""
+    cfg = {}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:

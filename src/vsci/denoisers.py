@@ -51,6 +51,16 @@ forward, and the linearization's VJPs chain their cotangents through grids
 the same way, whole frames at a time, starting from the head's VJP: v
 itself for the identity, v times each channel's dr/dt, kept by linearize,
 for the gated head.
+
+denoise(x, out) writes into `out`, which may be x itself (DE-GAP denoises
+its projection in place). A tile of whole frames loads all its rows before
+it writes any, so it needs nothing more. A row block writes its rows
+[r0, r1) of the frame, but the frame's next block reads the sum(k // 2)
+rows above r1 as its upper halo. So in place, each row block, once its rows
+are in the first grid, copies those halo rows from the grid into a carry
+buffer of B x sum(k // 2) x W, and the frame's next block loads them from
+there instead of from x. Every grid then holds what it holds out of place,
+and the in-place result is bitwise the out-of-place one.
 """
 
 from __future__ import annotations
@@ -70,7 +80,7 @@ from .conv import (
     sigmoid,
     softplus,
 )
-from .errors import ConfigError, ShapeMismatchError, UnsupportedDenoiserOpError
+from .errors import ConfigError, ShapeMismatchError, UnsupportedDenoiserOpError, check_out
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,10 @@ class AffineLinearization:
 class Denoiser:
     """Base class; subclasses implement denoise() and, if differentiable, linearize().
 
+    denoise(x, out=None) writes D(x) into `out` (float64, x's shape; by
+    default a new array, except that the identity returns x itself), which
+    may be x itself but must not otherwise overlap x.
+
     linearize(x) runs the forward once at x and returns a snapshot whose
     vjp_input(v) and grad_params(v) run only the backward pass (like
     jax.vjp). The base serves affine denoisers, which define slope(): their
@@ -100,7 +114,7 @@ class Denoiser:
     kind = "abstract"
     trainable = False
 
-    def denoise(self, x: np.ndarray) -> np.ndarray:
+    def denoise(self, x: np.ndarray, out=None) -> np.ndarray:
         raise NotImplementedError
 
     def linearize(self, x: np.ndarray):
@@ -125,8 +139,12 @@ class Denoiser:
 class IdentityDenoiser(Denoiser):
     kind = "identity"
 
-    def denoise(self, x):
-        return self._check(x)
+    def denoise(self, x, out=None):
+        x = self._check(x)
+        if out is None or out is x:
+            return x
+        np.copyto(check_out(out, x.shape), x)
+        return out
 
     def slope(self):
         return 1.0
@@ -144,8 +162,11 @@ class ScaleShiftDenoiser(Denoiser):
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
             raise ValueError("scale_shift parameters must be finite")
 
-    def denoise(self, x):
-        return self.a * self._check(x) + self.b
+    def denoise(self, x, out=None):
+        x = self._check(x)
+        out = np.multiply(self.a, x, out=check_out(out, x.shape))
+        out += self.b
+        return out
 
     def slope(self):
         return self.a
@@ -210,10 +231,7 @@ def tv_denoise(x: np.ndarray, lam: float, iters: int, out=None) -> np.ndarray:
     if iters < 1:
         raise ValueError(f"tv iterations must be >= 1, got {iters}")
     x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty(x.shape)
-    elif out.shape != x.shape or out.dtype != np.float64:
-        raise ShapeMismatchError(f"out is {out.dtype} {out.shape}, x is float64 {x.shape}")
+    out = check_out(out, x.shape)
     if lam == 0.0:
         np.copyto(out, x)
         return out
@@ -446,10 +464,11 @@ class ConvResidualDenoiser(Denoiser):
         A head over C > 1 channels writes dr/dt into jac when given."""
         return t[..., 0]
 
-    def _forward(self, x: np.ndarray, keep: bool):
+    def _forward(self, x: np.ndarray, keep: bool, out: np.ndarray):
         """x + gamma * r(x) through the conv stack, one tile at a time (see _tiles).
 
         The module docstring describes the tile loop and why it is exact.
+        The result goes into `out`, which may be x.
         Returns (out, acts, slopes, head). With keep=True, acts holds the
         input to each layer, slopes softplus' of each hidden preactivation,
         and head, for a head over more than one channel, its dr/dt, as
@@ -459,7 +478,6 @@ class ConvResidualDenoiser(Denoiser):
         kernels, biases = self.params.kernels, self.params.biases
         h, w, nb = x.shape
         chans = [1] + [k.shape[0] for k in kernels]
-        out = np.empty(x.shape)
         acts = slopes = head = None
         if keep:
             acts = [np.ascontiguousarray(x.transpose(2, 0, 1))[..., None]]
@@ -477,6 +495,9 @@ class ConvResidualDenoiser(Denoiser):
         frames = tiles[0][1] - tiles[0][0]
         height = max(min(h, r1 + halo[0]) - max(0, r0 - halo[0]) for _, _, r0, r1 in tiles)
         grids = [Grid.zeros(frames, height, w, c, pad) for c in chans]
+        # in place, a row block overwrites input rows that the frame's next
+        # block reads as its upper halo: carry[f] keeps them as loaded
+        carry = np.empty((nb, halo[0], w)) if out is x and tiles[-1][2] > 0 else None
         last = len(kernels) - 1
         for f0, f1, r0, r1 in tiles:
             top = max(0, r0 - halo[0])  # the frame row at the grids' row 0
@@ -485,7 +506,14 @@ class ConvResidualDenoiser(Denoiser):
                 for g in gs:
                     g.rows(h - top, h - top + pad).view()[...] = 0.0
             t = gs[0].rows(0, min(h, r1 + halo[0]) - top)
-            t.view()[..., 0] = x[top : top + t.hi, :, f0:f1].transpose(2, 0, 1)
+            rows_in = t.view()[..., 0]
+            if carry is None:
+                rows_in[...] = x[top : top + t.hi, :, f0:f1].transpose(2, 0, 1)
+            else:
+                rows_in[:, : r0 - top] = carry[f0:f1, : r0 - top]
+                rows_in[:, r0 - top :] = x[r0 : top + t.hi, :, f0:f1].transpose(2, 0, 1)
+                above = max(0, r1 - halo[0])  # the next block's first row
+                carry[f0:f1, : r1 - above] = rows_in[:, above - top : r1 - top]
             own = (r0 - top, r1 - top)
             for l, (k, bias) in enumerate(zip(kernels, biases)):
                 lo, hi = max(0, r0 - halo[l + 1]) - top, min(h, r1 + halo[l + 1]) - top
@@ -503,12 +531,15 @@ class ConvResidualDenoiser(Denoiser):
             np.add(x[r0:r1, :, f0:f1], self.gamma * r.transpose(1, 2, 0), out=out[r0:r1, :, f0:f1])
         return out, acts, slopes, head
 
-    def denoise(self, x):
-        return self._forward(self._check(x), keep=False)[0]
+    def denoise(self, x, out=None):
+        x = self._check(x)
+        if out is not None and out is not x and np.may_share_memory(out, x):
+            raise ValueError("out must be x itself or not overlap it")
+        return self._forward(x, keep=False, out=check_out(out, x.shape))[0]
 
     def linearize(self, x):
         x = self._check(x)
-        _, acts, slopes, head = self._forward(x, keep=True)
+        _, acts, slopes, head = self._forward(x, keep=True, out=np.empty(x.shape))
         return ConvResidualLinearization(
             kernels=tuple(self.params.kernels),
             gamma=self.gamma,

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the `out=` argument check."""
+
+import numpy as np
 
 
 class VsciError(Exception):
@@ -7,6 +9,17 @@ class VsciError(Exception):
 
 class ShapeMismatchError(VsciError):
     """Operands have incompatible shapes."""
+
+
+def check_out(out, shape: tuple) -> np.ndarray:
+    """`out` when it is a float64 array of `shape`, a new one when it is None;
+    anything else raises ShapeMismatchError."""
+    if out is None:
+        return np.empty(shape)
+    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != np.float64:
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ShapeMismatchError(f"out is {got}, need float64 {shape}")
+    return out
 
 
 class DeadPixelError(VsciError):

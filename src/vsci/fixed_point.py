@@ -156,26 +156,36 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
     its row and column j from one G @ G[j] product, and the next iterate is
     the single product alpha @ Y, which is the mix above.
 
-    Memory contract: a solve holds the iterate x, its image f(x) and the next
-    mix, plus, for memory m >= 2, the two (m, N) rings and the m x m Gram
-    matrix, all allocated before the first iteration. The engine copies x0
-    and drops its reference, so an x0 passed inline (as every caller passes
-    init_estimate(mask, y)) is freed before f first runs. With memory
-    m >= 2, f(x) is released once it is in the rings, so while f runs the
-    engine holds only x, the rings and the Gram matrix: 2m + 1 iterates.
-    No array grows with the iteration count; the trace adds a few scalars
-    per iteration, and scoring its PSNR one scratch iterate. The tests
-    measure this with tracemalloc at 20 and 200 iterations: a solve's peak
-    stays under a fixed multiple of the iterate's bytes, what is live when
-    f is called stays under 2m + 1 iterates, an inline x0 is gone then, and
-    the peak of a training gradient (forward and backward solves) grows by
-    less than one iterate.
+    The map is called as f(x, out). With memory m >= 2, out is Y[j], shaped
+    like x and dead (its old column left the mix that made x): f may write
+    f(x) there and return it, or return a new array, which the engine then
+    copies into Y[j]. With memory 1, out is None. Damping turns Y[j] into
+    the damped image in place, as delta f(x) + (1 - delta) x, scaling x in
+    place too: after the convergence and growth checks, x is dead until the
+    mix, which np.matmul writes into x (a fallback copies Y[j] there).
 
-    No aliasing: the engine never writes into an array it passed to f or got
-    back from f, and x_hat is never a view of the ring. Undamped memory 1
-    passes f's output back to f and may return it as x_hat, so f must not
-    write into an array it returned earlier; every map in this package
-    returns a fresh array that it never writes to again.
+    Memory contract: a solve holds the iterate x plus, for memory m >= 2,
+    the two (m, N) rings and the m x m Gram matrix, all allocated before the
+    first iteration. The engine copies x0 and drops its reference, so an x0
+    passed inline (as every caller passes init_estimate(mask, y)) is freed
+    before f first runs. With memory m >= 2 and an f that fills out, an
+    iteration allocates no array of the iterate's size: the trace scores its
+    PSNR in the dead residual slot G[j] before the residual is formed there.
+    Memory 1 holds x and f(x), plus a scratch iterate for the trace's PSNR.
+    No array grows with the iteration count; the trace adds a few scalars
+    per iteration. The tests measure this with tracemalloc at 20 and 200
+    iterations: a solve's peak stays under a fixed multiple of the iterate's
+    bytes, what is live when f is called stays under 2m + 1 iterates (and
+    over the whole iteration, with an f that fills out), an inline x0 is
+    gone when f runs, and the peak of a training gradient (forward and
+    backward solves) grows by less than one iterate.
+
+    No aliasing: f must not keep its input, nor the out it filled, past the
+    call, since the engine overwrites both in later iterations. The engine
+    never writes into an array f returned in place of out, and x_hat is
+    never a view of the ring. Undamped memory 1 passes f's output back to f
+    and may return it as x_hat, so f must not write into an array it
+    returned earlier. Every map in this package writes only its result.
 
     Tolerance (memory >= 2): the columns sit in ring order rather than by
     age and the mix is one reassociated sum, so results agree with an Anderson
@@ -202,30 +212,39 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
     trace = IterationTrace()
     s = cfg.anderson_memory
     delta = cfg.anderson_damping
-    x = np.array(x0, dtype=np.float64)
+    x = np.array(x0, dtype=np.float64, order="C")
     del x0  # the caller's inline estimate is freed here
     shape = x.shape
+    out = scratch = None
     if s > 1:
         g_ring = np.empty((s, x.size))
         y_ring = np.empty((s, x.size))
         gram = np.zeros((s, s))
     best = np.inf
     for k in range(1, cfg.max_iter + 1):
+        if s > 1:
+            j, m = (k - 1) % s, min(k, s)
+            g = g_ring[j]
+            out, scratch = y_ring[j].reshape(shape), g.reshape(shape)
         t0 = time.perf_counter()
-        fx = f(x)
+        fx = f(x, out)
         dt = time.perf_counter() - t0
         _check_shape(fx, shape, k)
         _check_finite(fx, trace, k)
+        if out is not None and fx is not out:
+            np.copyto(out, fx)
+            fx = out
+        p = None
+        if cfg.record_trace and psnr_ref is not None:
+            p = psnr(fx, psnr_ref, out=scratch)[1]
         if s == 1:
             res = float(np.linalg.norm(fx - x))
         else:
-            j, m = (k - 1) % s, min(k, s)
-            g = g_ring[j]
-            np.subtract(fx, x, out=g.reshape(shape))
+            np.subtract(fx, x, out=scratch)
             res = math.sqrt(g.dot(g))
         rel = res / (float(np.linalg.norm(x)) + _EPS)
         if cfg.record_trace:
-            trace.append(res, rel, dt, None if psnr_ref is None else psnr(fx, psnr_ref)[1])
+            trace.append(res, rel, dt, p)
         if rel <= cfg.tol:
             return SolveResult(x_hat=x, converged=True, iterations=k, trace=trace)
         _check_growth(res, best, trace, k)
@@ -236,25 +255,22 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
                 trace.fallbacks.append(False)
             x = fx if delta == 1.0 else (1.0 - delta) * x + delta * fx
             continue
-        y = y_ring[j].reshape(shape)  # the damped Picard step, (1 - delta) x + delta f(x)
-        if delta == 1.0:
-            np.copyto(y, fx)
-        else:
-            np.multiply(x, 1.0 - delta, out=y)
-            y += delta * fx
-        del fx  # the rings hold all the mix needs; free f(x) before the next call
+        if delta != 1.0:  # Y[j] = (1 - delta) x + delta f(x); x is dead until the mix
+            out *= delta
+            x *= 1.0 - delta
+            out += x
         gram[j, :m] = gram[:m, j] = g_ring[:m] @ g
         try:
             alpha = solve_alpha(gram[:m, :m], cfg.anderson_reg)
             if cfg.record_trace:
                 trace.alpha_errors.append(abs(float(alpha.sum()) - 1.0))
                 trace.fallbacks.append(False)
-            x = (alpha @ y_ring[:m]).reshape(shape)
+            np.matmul(alpha, y_ring[:m], out=x.reshape(-1))
         except SingularAlphaError:
             if cfg.record_trace:
                 trace.alpha_errors.append(0.0)
                 trace.fallbacks.append(True)
-            x = y.copy()
+            np.copyto(x, out)
     return SolveResult(x_hat=x, converged=False, iterations=cfg.max_iter, trace=trace)
 
 

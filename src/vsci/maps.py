@@ -13,9 +13,13 @@ is D(u) for a measurement-consistent u, so Phi f(x) - y = Phi (D(u) - u).
 The gated cell moves no value by gamma or more, which bounds every output's
 |Phi f(x) - y| at a pixel by gamma times the sum of its mask values.
 
-Maps are immutable after construction; apply/vjp calls are pure. linearize(x)
-runs the forward once at x and returns a frozen snapshot whose vjp_input(v)
-and grad_params(v) run only the backward pass.
+Maps are immutable after construction; apply/vjp calls are pure.
+apply(x, out=None) is the engine's f(x, out): it projects x into `out`
+(float64, x's shape, not overlapping x; by default a new array), then
+denoises that projection in place, so a call allocates no cube beyond the
+denoiser's tile working set. linearize(x) runs the forward once at x and
+returns a frozen snapshot whose vjp_input(v) and grad_params(v) run only the
+backward pass.
 """
 
 from __future__ import annotations
@@ -53,8 +57,10 @@ class DeGapMap:
         if _meas_data(self.y).shape != self.mask.q_diag.shape:
             raise ShapeMismatchError("measurement does not match mask")
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.denoiser.denoise(gap_project(self.mask, self.y, x))
+    def apply(self, x: np.ndarray, out=None) -> np.ndarray:
+        """f(x), in `out` when given; the denoiser runs in place on the projection."""
+        u = gap_project(self.mask, self.y, x, out=out)
+        return self.denoiser.denoise(u, out=u)
 
     def linearize(self, x: np.ndarray) -> "DeGapLinearization":
         """Project x once and linearize the denoiser at the projection."""
@@ -102,8 +108,8 @@ def pnp_gap_solve(
         raise ValueError(f"tv iterations must be >= 1, got {tv_iters}")
     strengths = itertools.cycle(schedule)
 
-    def step(v):
-        u = gap_project(mask, y, v)
+    def step(v, out):
+        u = gap_project(mask, y, v, out=out)
         return tv_denoise(u, next(strengths), tv_iters, out=u)
 
     cfg = FixedPointConfig(tol=tol, max_iter=max_iter)

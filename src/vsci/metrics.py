@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, check_out
 
 PSNR_CAP_DB = 100.0
 
@@ -31,17 +31,18 @@ def _check_pair(x, ref):
     return x, ref
 
 
-def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0):
+def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0, out=None):
     """Per-frame PSNR in dB plus the mean over frames.
 
     10*log10(peak^2 / MSE) per frame of x clamped to [0, peak] (the error
-    is formed in one scratch cube), capped at 100 dB (the cap value is
-    reported for frames with zero MSE so CSV output stays numeric).
+    is formed in one scratch cube: `out`, float64 of x's shape, when given,
+    else a new one), capped at 100 dB (the cap value is reported for frames
+    with zero MSE so CSV output stays numeric).
     """
     if peak <= 0:
         raise ValueError("peak must be > 0")
     x, ref = _check_pair(x, ref)
-    d = np.clip(x, 0.0, peak)
+    d = np.clip(x, 0.0, peak, out=check_out(out, x.shape))
     d -= ref
     np.square(d, out=d)
     mse = d.mean(axis=(0, 1))

@@ -6,7 +6,8 @@ masks m_b. Because the sensing operator is a row of diagonals, the Gram
 matrix is diagonal with entries q[i] = sum_b m_b[i]^2, and the Euclidean
 projection onto {x : Phi x = y} is a cheap elementwise update.
 
-All operations are pure; none mutates its inputs.
+All operations are pure; none mutates its inputs. gap_project may write
+its result into a caller's buffer.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DeadPixelError, ShapeMismatchError
+from .errors import DeadPixelError, ShapeMismatchError, check_out
 
 POLICY_REJECT = "reject"
 POLICY_FLOOR = "floor"
@@ -191,19 +192,22 @@ def add_noise(y: Measurement, sigma: float, seed: int) -> Measurement:
     return Measurement(data=noisy, noise_sigma=sigma, seed=seed)
 
 
-def gap_project(mask: SensingMask, y, v: np.ndarray) -> np.ndarray:
+def gap_project(mask: SensingMask, y, v: np.ndarray, out=None) -> np.ndarray:
     """Euclidean projection of v onto {x : Phi x = y}.
 
     Computed elementwise as
         out_b[i] = v_b[i] + m_b[i] * (y[i] - sum_c m_c[i] v_c[i]) / q[i],
     where q honors the dead-pixel policy. On non-dead pixels the output is
-    measurement-consistent: forward(mask, out) == y.
+    measurement-consistent: forward(mask, out) == y. The result goes into
+    `out` (float64, v's shape, not overlapping v; by default a new array).
     """
     v = _check_cube_shape(mask, v)
+    if out is not None and np.may_share_memory(out, v):
+        raise ValueError("out must not overlap v")
     data = _check_meas_shape(mask, y)
     q = mask.effective_q()
     residual = (data - np.einsum("hwb,hwb->hw", mask.frames, v)) / q
-    out = mask.frames * residual[:, :, None]
+    out = np.multiply(mask.frames, residual[:, :, None], out=check_out(out, v.shape))
     out += v
     return out
 

@@ -88,7 +88,8 @@ def backward_fixed_point(vjp_at_xhat, g: np.ndarray, cfg: FixedPointConfig) -> S
     if not np.isfinite(g).all():
         raise ValueError("g must be finite")
     g = np.asarray(g, dtype=np.float64)
-    return anderson_solve(lambda a: vjp_at_xhat(a) + g, np.zeros_like(g), cfg)
+    return anderson_solve(lambda a, out: np.add(vjp_at_xhat(a), g, out=out),
+                          np.zeros_like(g), cfg)
 
 
 def neumann_backward(vjp_at_xhat, g: np.ndarray, order: int) -> np.ndarray:

@@ -78,6 +78,34 @@ class TestBasicKinds:
         v = _cube((4, 4, 2), 1)
         np.testing.assert_allclose(d.vjp_input(x, v), 0.5 * v)
 
+    @pytest.mark.parametrize("d", [IdentityDenoiser(), ScaleShiftDenoiser(a=0.7, b=0.2)],
+                             ids=["identity", "scale_shift"])
+    def test_out_and_in_place_equal_the_plain_call(self, d):
+        x = _cube((5, 4, 3), 2)
+        expected = d.denoise(x).copy()
+        out = np.empty_like(x)
+        assert d.denoise(x, out=out) is out
+        assert np.array_equal(out, expected)
+        assert d.denoise(x, out=x) is x
+        assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("d", [
+        IdentityDenoiser(), ScaleShiftDenoiser(a=0.7),
+        make_conv_residual(0, channels=4, n_layers=2), make_gated_cell(0, channels=4),
+    ], ids=["identity", "scale_shift", "conv_residual", "gated_cell"])
+    @pytest.mark.parametrize("out", [np.empty((6, 6, 1)), np.empty((6, 5, 2)),
+                                     np.empty((6, 6, 2), dtype=np.float32)],
+                             ids=["frames", "width", "float32"])
+    def test_bad_out_rejected(self, d, out):
+        with pytest.raises(ShapeMismatchError, match="out"):
+            d.denoise(_cube((6, 6, 2), 0), out=out)
+
+    def test_conv_out_overlapping_x_only_as_x_itself(self):
+        # the halo carry covers out is x; any other overlap is refused
+        d, x = make_conv_residual(0, channels=4, n_layers=2), _cube((6, 6, 2), 0)
+        with pytest.raises(ValueError, match="overlap"):
+            d.denoise(x, out=x[::-1])
+
     def test_nonfinite_input_rejected(self):
         x = _cube((4, 4, 2), 0)
         x[0, 0, 0] = np.inf
@@ -310,6 +338,9 @@ class TestTiledForward:
     def _assert_tiles_equal_one_tile(self, monkeypatch, d, x, budget):
         one_out, one_lin = d.denoise(x), d.linearize(x)
         np.testing.assert_allclose(one_out, _layer_by_layer(d, x), rtol=1e-12, atol=1e-12)
+        x_in = x.copy()
+        assert d.denoise(x_in, out=x_in) is x_in
+        assert np.array_equal(x_in, one_out)
         calls = []
         conv_forward = vsci.denoisers.conv_forward
 
@@ -322,6 +353,11 @@ class TestTiledForward:
         out, lin = d.denoise(x), d.linearize(x)
         assert len(calls) > 2 * len(d.params.kernels)  # the input was split
         assert np.array_equal(out, one_out)
+        # in place, each row block overwrites rows that the frame's next
+        # block reads as its halo; the carry must hand them over unchanged
+        x_in = x.copy()
+        assert d.denoise(x_in, out=x_in) is x_in
+        assert np.array_equal(x_in, one_out)
         for a, b in zip(lin.acts + lin.slopes, one_lin.acts + one_lin.slopes):
             assert np.array_equal(a, b)
         assert (lin.head is None) == (one_lin.head is None) == (d.kind == "conv_residual")

@@ -18,7 +18,7 @@ from vsci.fixed_point import (
 
 
 def affine_map(a, b):
-    return lambda x: a @ x + b
+    return lambda x, out=None: a @ x + b
 
 
 def contraction_16(seed, radius):
@@ -56,12 +56,40 @@ def _oracle_anderson(f, x0, cfg):
     return x, residuals, fallbacks
 
 
+def _ring_oracle(f, x0, cfg):
+    """The ring-buffered loop with fresh arrays for every step: the damped
+    image as (1 - delta) x + delta f(x) and the mix as alpha @ Y. The engine
+    forms both in place and must match it bitwise (with damping < 1; see
+    the -0.0 note in anderson_solve). No stopping rule or guards."""
+    s, delta = cfg.anderson_memory, cfg.anderson_damping
+    x = np.array(x0, dtype=np.float64)
+    g_ring, y_ring, gram = np.empty((s, x.size)), np.empty((s, x.size)), np.zeros((s, s))
+    for k in range(cfg.max_iter):
+        j, m = k % s, min(k + 1, s)
+        fx = f(x)
+        g_ring[j] = (fx - x).ravel()
+        y_ring[j] = ((1.0 - delta) * x + delta * fx).ravel()
+        gram[j, :m] = gram[:m, j] = g_ring[:m] @ g_ring[j]
+        x = (solve_alpha(gram[:m, :m], cfg.anderson_reg) @ y_ring[:m]).reshape(x.shape)
+    return x
+
+
+def _tanh_map(b):
+    """x -> tanh(x) + b, written into out when given (allocating nothing)."""
+    def f(x, out=None):
+        out = np.tanh(x, out=out)
+        out += b
+        return out
+    return f
+
+
 def _oracle_maps():
     a, b = contraction_16(12, 0.9)
     cube_b = np.random.default_rng(13).standard_normal((12, 10, 3))
     return {
         "contraction_16": (affine_map(a, b), np.zeros(16)),
-        "cube": (lambda x: 0.9 * np.tanh(x[::-1, :, ::-1]) + cube_b, np.zeros((12, 10, 3))),
+        "cube": (lambda x, out=None: 0.9 * np.tanh(x[::-1, :, ::-1]) + cube_b,
+                 np.zeros((12, 10, 3))),
     }
 
 
@@ -80,7 +108,7 @@ class TestConfig:
 class TestPicard:
     def test_half_map_converges_within_60(self):
         cfg = FixedPointConfig(tol=1e-6, max_iter=100)
-        res = solve(lambda x: 0.5 * x, np.ones(4), cfg, method="picard")
+        res = solve(lambda x, out=None: 0.5 * x, np.ones(4), cfg, method="picard")
         # iterations counts map evaluations; the accepted iterate is x_{k-1},
         # so "within 60 iterates" allows 61 evaluations
         assert res.converged and res.iterations - 1 <= 60
@@ -92,7 +120,7 @@ class TestPicard:
     def test_identity_converges_at_one(self):
         cfg = FixedPointConfig(tol=1e-6, max_iter=10)
         x0 = np.arange(5, dtype=float)
-        res = solve(lambda x: x, x0, cfg, method="picard")
+        res = solve(lambda x, out=None: x, x0, cfg, method="picard")
         assert res.converged and res.iterations == 1
         assert res.trace.residuals[0] == 0.0
         np.testing.assert_array_equal(res.x_hat, x0)
@@ -106,7 +134,7 @@ class TestPicard:
         np.testing.assert_allclose(res.x_hat, expected, atol=1e-8)
 
     def test_nan_raises_diverged_with_trace(self):
-        def f(x):
+        def f(x, out=None):
             return x * 2.0 if np.linalg.norm(x) < 8 else x * np.nan
 
         cfg = FixedPointConfig(tol=1e-12, max_iter=100)
@@ -118,7 +146,7 @@ class TestPicard:
     def test_growth_guard(self):
         cfg = FixedPointConfig(tol=1e-16, max_iter=10_000)
         with pytest.raises(DivergedError):
-            solve(lambda x: 1.5 * x, np.ones(3), cfg, method="picard")
+            solve(lambda x, out=None: 1.5 * x, np.ones(3), cfg, method="picard")
 
     def test_contraction_ratio_property(self):
         for seed, c in ((1, 0.3), (2, 0.6), (3, 0.9)):
@@ -308,7 +336,7 @@ class TestAnderson:
         a, b = contraction_16(14, 0.9)
         xs, fxs = [], []
 
-        def f(x):
+        def f(x, out=None):
             xs.append(x.copy())
             fxs.append(a @ x + b)
             return fxs[-1]
@@ -331,19 +359,26 @@ class TestAnderson:
     @pytest.mark.parametrize("memory", [1, 3])
     @pytest.mark.parametrize("damping", [1.0, 0.6])
     def test_never_writes_map_inputs_or_outputs(self, memory, damping):
+        # the engine never writes into an array f returned in place of out.
+        # Under memory 1 it never writes f's input either; under memory >= 2
+        # f's input is the engine's iterate, which the next mix overwrites
+        # (f must not keep it), and out never overlaps it
         a, b = contraction_16(15, 0.9)
-        held = []  # (array, snapshot) for every input and output of f
+        held = []  # (array, snapshot) for every output of f, and memory-1 input
 
-        def f(x):
+        def f(x, out=None):
             fx = np.tanh(a @ x) + b
-            held.append((x, x.copy()))
+            if out is None:
+                held.append((x, x.copy()))
+            else:
+                assert not np.shares_memory(x, out)
             held.append((fx, fx.copy()))
             return fx
 
         cfg = FixedPointConfig(tol=0.0, max_iter=12, anderson_memory=memory,
                                anderson_damping=damping)
         res = anderson_solve(f, np.ones(16), cfg)
-        assert len(held) == 24
+        assert len(held) == (24 if memory == 1 else 12)
         for arr, snapshot in held:
             assert np.array_equal(arr, snapshot)
         # x_hat owns its memory (or views an array of exactly its size)
@@ -359,7 +394,7 @@ class TestAnderson:
         bound = 4.5 if memory == 1 else 2 * memory + 4
         for max_iter in (20, 200):
             cfg = FixedPointConfig(tol=0.0, max_iter=max_iter, anderson_memory=memory)
-            peak = traced_peak(anderson_solve, lambda x: 0.5 * x + b, x0, cfg)
+            peak = traced_peak(anderson_solve, lambda x, out=None: 0.5 * x + b, x0, cfg)
             assert peak <= bound * b.nbytes, max_iter
 
     @pytest.mark.parametrize("memory, damping", [(1, 1.0), (2, 1.0), (3, 1.0), (5, 1.0),
@@ -372,7 +407,7 @@ class TestAnderson:
         x0 = np.zeros_like(b)
         live = []
 
-        def f(x):
+        def f(x, out=None):
             live.append(tracemalloc.get_traced_memory()[0])
             return np.tanh(x) + b
 
@@ -385,6 +420,47 @@ class TestAnderson:
             tracemalloc.stop()
         assert len(live) == 12
         assert max(live[1:]) <= (2 * memory + 1) * b.nbytes + b.nbytes // 4
+
+    def test_map_filling_out_allocates_no_iterate_after_the_rings(self):
+        # f writes into the lent ring slot, the trace's PSNR scores in the
+        # dead residual slot and the mix goes into x: from iteration 2 on
+        # the engine holds x and the two (m, N) rings and nothing else of
+        # the iterate's size (a fresh mix, PSNR scratch or f(x) each add one)
+        b = np.random.default_rng(19).random((64, 64, 8))
+        memory, fill = 3, _tanh_map(b)
+
+        def f(x, out=None):
+            calls.append(1)
+            if len(calls) == 2:
+                tracemalloc.reset_peak()
+            return fill(x, out)
+
+        calls = []
+        cfg = FixedPointConfig(tol=0.0, max_iter=12, anderson_memory=memory)
+        tracemalloc.start()
+        try:
+            res = anderson_solve(f, np.zeros_like(b), cfg, psnr_ref=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 12 and len(res.trace.psnrs) == 12
+        assert peak <= (2 * memory + 1) * b.nbytes + b.nbytes // 4
+
+    @pytest.mark.parametrize("memory", [2, 3])
+    def test_damping_in_place_matches_fresh_arrays_without_a_temporary(self, memory):
+        # damped, f(x) in Y[j] becomes delta f(x) + (1 - delta) x in place:
+        # bitwise the fresh-array step, and no higher a peak than undamped
+        b = np.random.default_rng(20).random((64, 64, 8))
+        x0 = np.zeros_like(b)
+        peaks = {}
+        for damping in (1.0, 0.6):
+            cfg = FixedPointConfig(tol=0.0, max_iter=8, anderson_memory=memory,
+                                   anderson_damping=damping)
+            peaks[damping] = traced_peak(anderson_solve, _tanh_map(b), x0, cfg)
+        assert peaks[0.6] <= peaks[1.0]
+        expected = _ring_oracle(_tanh_map(b), x0, cfg)
+        for f in (_tanh_map(b), lambda x, out=None: np.tanh(x) + b):  # fills out / returns new
+            assert np.array_equal(anderson_solve(f, x0, cfg).x_hat, expected)
 
     @pytest.mark.parametrize("method, memory", [("picard", 1), ("anderson", 3)])
     def test_inline_initial_estimate_is_freed(self, method, memory):
@@ -400,7 +476,7 @@ class TestAnderson:
             refs.append(weakref.ref(x0))
             return x0
 
-        def f(x):
+        def f(x, out=None):
             live.append((tracemalloc.get_traced_memory()[0], refs[0]() is None))
             return np.tanh(x) + b
 
@@ -420,7 +496,7 @@ class TestShapeGuard:
     def test_wrong_map_shape_raises_at_first_bad_iteration(self, method):
         calls = []
 
-        def f(x):
+        def f(x, out=None):
             calls.append(1)
             fx = 0.5 * x
             return fx if len(calls) < 3 else fx[:, :, :1]
@@ -434,7 +510,7 @@ class TestShapeGuard:
 class TestTraceCsv:
     def test_columns_and_empty_psnr(self, tmp_path):
         cfg = FixedPointConfig(tol=1e-4, max_iter=50)
-        res = solve(lambda x: 0.5 * x, np.ones(3), cfg, method="picard")
+        res = solve(lambda x, out=None: 0.5 * x, np.ones(3), cfg, method="picard")
         path = str(tmp_path / "trace.csv")
         res.trace.to_csv(path)
         lines = open(path).read().strip().split("\n")

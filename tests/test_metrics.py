@@ -119,6 +119,23 @@ def test_metrics_score_the_clamped_reconstruction(metric):
     assert np.array_equal(per_frame, per_frame_c) and mean == mean_c
 
 
+def test_psnr_scores_the_same_in_a_given_scratch():
+    x, ref = _out_of_range_pair(11)
+    scratch = np.empty(x.shape)
+    per_frame, mean = psnr(x, ref, out=scratch)
+    per_frame_new, mean_new = psnr(x, ref)
+    assert np.array_equal(per_frame, per_frame_new) and mean == mean_new
+
+
+@pytest.mark.parametrize("out", [np.empty((16, 13, 2)), np.empty((16, 12, 3)),
+                                 np.empty((16, 13, 3), dtype=np.float32), [0.0]],
+                         ids=["frames", "width", "float32", "list"])
+def test_psnr_rejects_bad_out(out):
+    x, ref = _out_of_range_pair(12)
+    with pytest.raises(ShapeMismatchError, match="out"):
+        psnr(x, ref, out=out)
+
+
 def test_psnr_peak_allocation_within_one_scratch():
     # the clamp, the difference and its square share one scratch cube; a
     # clamp made by the caller before scoring put the traced peak at 2x

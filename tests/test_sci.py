@@ -243,6 +243,30 @@ class TestGapProject:
         np.testing.assert_array_equal(out[0, 0, :], v[0, 0, :])
 
 
+    def test_out_receives_the_projection(self):
+        m = random_mask(5, 5, 4, 3)
+        rng = np.random.default_rng(6)
+        v, y = rng.standard_normal((5, 4, 3)), rng.random((5, 4))
+        out = np.empty((5, 4, 3))
+        assert gap_project(m, y, v, out=out) is out
+        assert np.array_equal(out, gap_project(m, y, v))
+
+    @pytest.mark.parametrize("out", [np.empty((5, 4, 2)), np.empty((4, 5, 3)),
+                                     np.empty((5, 4, 3), dtype=np.float32)],
+                             ids=["frames", "transposed", "float32"])
+    def test_bad_out_rejected(self, out):
+        m = random_mask(5, 5, 4, 3)
+        with pytest.raises(ShapeMismatchError, match="out"):
+            gap_project(m, np.zeros((5, 4)), np.zeros((5, 4, 3)), out=out)
+
+    def test_out_overlapping_v_rejected(self):
+        # the projection reads v after it starts writing out
+        m, v = random_mask(5, 5, 4, 3), np.zeros((5, 4, 3))
+        for out in (v, v[::-1]):
+            with pytest.raises(ValueError, match="overlap"):
+                gap_project(m, np.ones((5, 4)), v, out=out)
+
+
 class TestProjectNull:
     def test_matches_dense_projector(self):
         from helpers import dense_projector

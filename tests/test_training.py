@@ -136,7 +136,7 @@ class ScaledProjectionModel:
         model = self
 
         class _Map:
-            def apply(self, x):
+            def apply(self, x, out=None):
                 return model.theta * gap_project(model.mask, y, x)
 
             def vjp_input(self, x, v):
@@ -228,7 +228,7 @@ class TestGradCheckHarness:
                 model = self
 
                 class _Map:
-                    def apply(self, x):
+                    def apply(self, x, out=None):
                         return 0.5 * x + model.theta.reshape(model.shape)
 
                     def vjp_input(self, x, v):
