@@ -84,10 +84,10 @@ def _solver_cfg(args, cfg: dict) -> FixedPointConfig:
     )
 
 
-def _load_run_config(args) -> dict:
-    if getattr(args, "config", None):
-        return cfgmod.load_config(args.config)
-    return cfgmod.defaults()
+def _load_run_config(args) -> tuple[dict, dict]:
+    """(every key's value for the run, the entries the --config file set)."""
+    entries = cfgmod.read_config(args.config) if getattr(args, "config", None) else {}
+    return cfgmod.with_defaults(entries), entries
 
 
 def cmd_mask(args) -> int:
@@ -129,11 +129,11 @@ def cmd_simulate(args) -> int:
 _ANDERSON_KEYS = ("solver.anderson_memory", "solver.anderson_damping", "solver.anderson_reg")
 
 
-def _reconstruct(args, cfg, file_keys):
-    """Run the chosen method; file_keys are the keys the --config file set."""
+def _reconstruct(args, cfg, entries):
+    """Run the chosen method; entries are the keys the --config file set."""
     given = [f"--{f}" for f in ("solver", "memory", "damping", "reg")
              if getattr(args, f) is not None]
-    given += [k for k in _ANDERSON_KEYS if k in file_keys]
+    given += [k for k in _ANDERSON_KEYS if k in entries]
     if args.method == "pnp-gap" and given:
         raise ConfigError(f"pnp-gap runs undamped Picard and takes no {', '.join(given)}")
     mask = load_mask(args.mask)
@@ -153,8 +153,7 @@ def _reconstruct(args, cfg, file_keys):
 
 
 def cmd_reconstruct(args) -> int:
-    entries = cfgmod.read_config(args.config) if args.config else {}
-    mask, y, result, gt = _reconstruct(args, {**cfgmod.defaults(), **entries}, entries)
+    mask, y, result, gt = _reconstruct(args, *_load_run_config(args))
     # every figure is computed before any file is written, so a run that
     # fails on one (an SSIM of frames below its window) writes nothing
     consistency = float(np.max(np.abs(forward(mask, result.x_hat).data - y.data)))
@@ -212,7 +211,7 @@ def _desk_model(args) -> DeGapModel:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+    cfg, _ = _load_run_config(args)
     tcfg = _train_cfg(args, cfg)
     model = _desk_model(args)
     model.spectral_normalize(tcfg.sn_iters_val)
@@ -230,7 +229,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _load_run_config(args)
+    cfg, _ = _load_run_config(args)
     tcfg = _train_cfg(args, cfg)
     forward_cfg = replace(tcfg.forward, tol=args.solve_tol,
                           max_iter=max(tcfg.forward.max_iter, 400))
@@ -280,7 +279,7 @@ def _parse_method(text: str) -> MethodSpec:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_run_config(args)
+    cfg, _ = _load_run_config(args)
     scenes = [
         SyntheticScene(kind=args.scene, seed=s, h=args.height, w=args.width,
                        b=args.frames, amplitude=args.amplitude)

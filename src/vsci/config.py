@@ -58,7 +58,12 @@ def parse_value(key: str, raw: str):
 
 def load_config(path: str) -> dict:
     """Defaults overlaid with the file's entries; unknown keys are fatal."""
-    return {**defaults(), **read_config(path)}
+    return with_defaults(read_config(path))
+
+
+def with_defaults(entries: dict) -> dict:
+    """Every known key: its entry if given, else its default."""
+    return {**defaults(), **entries}
 
 
 def read_config(path: str) -> dict:

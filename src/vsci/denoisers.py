@@ -28,8 +28,9 @@ _tiles). Its activations chain from layer to layer on zero-bordered grids
 (vsci.conv.Grid), one per layer input plus one for the output, allocated
 once per call and reused by every tile:
   - the tile loads its rows, plus a halo of sum(k // 2) rows on each side
-    clipped to the frame (k the kernel height of each layer), straight from
-    the (H, W, B) cube into the first grid;
+    clipped to the frame (k the kernel height of each layer), into the
+    first grid: from the (H, W, B) cube, but the upper halo from a carry
+    buffer (below);
   - layer l computes only the rows that the layers after it still read: the
     tile's rows plus a halo of the later layers' sum(k // 2), so the halo
     shrinks by layer l's k // 2 at each layer;
@@ -53,14 +54,15 @@ itself for the identity, v times each channel's dr/dt, kept by linearize,
 for the gated head.
 
 denoise(x, out) writes into `out`, which may be x itself (DE-GAP denoises
-its projection in place). A tile of whole frames loads all its rows before
-it writes any, so it needs nothing more. A row block writes its rows
-[r0, r1) of the frame, but the frame's next block reads the sum(k // 2)
-rows above r1 as its upper halo. So in place, each row block, once its rows
-are in the first grid, copies those halo rows from the grid into a carry
-buffer of B x sum(k // 2) x W, and the frame's next block loads them from
-there instead of from x. Every grid then holds what it holds out of place,
-and the in-place result is bitwise the out-of-place one.
+its projection in place). A tile writes its rows [r0, r1) of the frame, but
+the frame's next row block reads the sum(k // 2) rows above r1 as its upper
+halo. So each tile loads its upper halo, the rows [r0 - sum(k // 2), r0),
+from a carry buffer of B x sum(k // 2) x W rather than from x, and, once its
+rows are in the first grid, copies the next block's halo rows from the grid
+into the carry. A tile of whole frames has no upper halo; it fills the carry
+with rows that nothing reads. Every
+grid then holds what it holds out of place, and the in-place result is
+bitwise the out-of-place one.
 """
 
 from __future__ import annotations
@@ -495,9 +497,9 @@ class ConvResidualDenoiser(Denoiser):
         frames = tiles[0][1] - tiles[0][0]
         height = max(min(h, r1 + halo[0]) - max(0, r0 - halo[0]) for _, _, r0, r1 in tiles)
         grids = [Grid.zeros(frames, height, w, c, pad) for c in chans]
-        # in place, a row block overwrites input rows that the frame's next
-        # block reads as its upper halo: carry[f] keeps them as loaded
-        carry = np.empty((nb, halo[0], w)) if out is x and tiles[-1][2] > 0 else None
+        # out may be x: a row block overwrites input rows that the frame's
+        # next block reads as its upper halo, so carry[f] keeps them as loaded
+        carry = np.empty((nb, halo[0], w))
         last = len(kernels) - 1
         for f0, f1, r0, r1 in tiles:
             top = max(0, r0 - halo[0])  # the frame row at the grids' row 0
@@ -507,13 +509,10 @@ class ConvResidualDenoiser(Denoiser):
                     g.rows(h - top, h - top + pad).view()[...] = 0.0
             t = gs[0].rows(0, min(h, r1 + halo[0]) - top)
             rows_in = t.view()[..., 0]
-            if carry is None:
-                rows_in[...] = x[top : top + t.hi, :, f0:f1].transpose(2, 0, 1)
-            else:
-                rows_in[:, : r0 - top] = carry[f0:f1, : r0 - top]
-                rows_in[:, r0 - top :] = x[r0 : top + t.hi, :, f0:f1].transpose(2, 0, 1)
-                above = max(0, r1 - halo[0])  # the next block's first row
-                carry[f0:f1, : r1 - above] = rows_in[:, above - top : r1 - top]
+            rows_in[:, : r0 - top] = carry[f0:f1, : r0 - top]
+            rows_in[:, r0 - top :] = x[r0 : top + t.hi, :, f0:f1].transpose(2, 0, 1)
+            above = max(0, r1 - halo[0])  # the next block's first row
+            carry[f0:f1, : r1 - above] = rows_in[:, above - top : r1 - top]
             own = (r0 - top, r1 - top)
             for l, (k, bias) in enumerate(zip(kernels, biases)):
                 lo, hi = max(0, r0 - halo[l + 1]) - top, min(h, r1 + halo[l + 1]) - top
