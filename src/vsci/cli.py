@@ -136,6 +136,10 @@ def _reconstruct(args, cfg, entries):
     given += [k for k in _ANDERSON_KEYS if k in entries]
     if args.method == "pnp-gap" and given:
         raise ConfigError(f"pnp-gap runs undamped Picard and takes no {', '.join(given)}")
+    tv_given = [flag for flag, value in (("--schedule", args.schedule),
+                                         ("--tv-iters", args.tv_iters)) if value is not None]
+    if args.method != "pnp-gap" and tv_given:
+        raise ConfigError(f"{args.method} runs no TV prox and takes no {', '.join(tv_given)}")
     mask = load_mask(args.mask)
     y = Measurement(data=tensorio.read_tensor(args.measurement), noise_sigma=0.0)
     solver_cfg = _solver_cfg(args, cfg)
@@ -146,9 +150,11 @@ def _reconstruct(args, cfg, entries):
         result = solve(fmap.apply, init_estimate(mask, y), solver_cfg,
                        method=args.solver or "anderson", psnr_ref=gt)
     else:
-        schedule = [float(s) for s in args.schedule.split(",")]
+        text = "0.05" if args.schedule is None else args.schedule
+        schedule = [float(s) for s in text.split(",")]
+        tv_iters = 30 if args.tv_iters is None else args.tv_iters
         result = pnp_gap_solve(mask, y, schedule, solver_cfg.max_iter,
-                               tv_iters=args.tv_iters, tol=solver_cfg.tol, psnr_ref=gt)
+                               tv_iters=tv_iters, tol=solver_cfg.tol, psnr_ref=gt)
     return mask, y, result, gt
 
 
@@ -368,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["de-gap", "de-rnn", "pnp-gap"])
     p.add_argument("--solver", choices=["picard", "anderson"], help="default anderson")
     p.add_argument("--checkpoint")
-    p.add_argument("--schedule", default="0.05", help="pnp-gap TV strengths, comma separated")
-    p.add_argument("--tv-iters", type=int, default=30)
+    p.add_argument("--schedule", help="pnp-gap TV strengths, comma separated; default 0.05")
+    p.add_argument("--tv-iters", type=int, help="pnp-gap TV prox steps; default 30")
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--memory", type=int)

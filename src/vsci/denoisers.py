@@ -67,6 +67,8 @@ bitwise the out-of-place one.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,6 +194,18 @@ def _line_aligned(*sizes: int) -> list:
     return bufs
 
 
+# Pixels (H * W) a frame must have for tv_denoise to spread its frames over
+# threads; smaller frames run serially on the calling thread, because each
+# ufunc call hands the interpreter lock over, and that costs more than a
+# small frame's parallel work saves. Threaded/serial time of one 30-step
+# call, 8 frames, 2-vCPU x86_64 VM, numpy 2.4, medians of 7 to 217 calls:
+#   96^2 2.10, 128^2 1.36, 160^2 0.95, 176^2 0.83, 192^2 0.77,
+#   224^2 0.63, 256^2 0.69, 384^2 0.55, 512^2 0.54.
+# With 2 and 3 frames, 160^2 reads 1.14 and 1.16, 192^2 0.81 and 0.86.
+# 2**15 (181^2) keeps 160^2 and below serial.
+TV_PARALLEL_PIXELS = 1 << 15
+
+
 def tv_denoise(x: np.ndarray, lam: float, iters: int, out=None) -> np.ndarray:
     """Anisotropic TV proximal step, approximately argmin_z 1/2||z-x||^2 + lam*TV(z).
 
@@ -202,6 +216,24 @@ def tv_denoise(x: np.ndarray, lam: float, iters: int, out=None) -> np.ndarray:
     `out` (float64, x's shape; by default a new array), which may be x
     itself: each frame is copied to the working buffer before its output is
     written, so the in-place result is bitwise the out-of-place one.
+
+    Frames are independent, so they run in parallel. Each worker has its
+    own working block (5*H*W + W + 1 floats, plus up to 8 per vector for
+    alignment) and claims frame indices one at a time from a shared counter
+    until none are left, so a worker on a stalled CPU holds up at most one
+    frame. The calling thread is one worker, and min(B, CPUs) - 1 more run
+    in a pool made for the call and joined before it returns; a worker's
+    exception is raised here. Frames smaller than TV_PARALLEL_PIXELS run
+    serially on the calling thread (see its crossover table), so B = 1 and
+    desk-scale frames start no thread. Beyond `out`, a call holds one block
+    per worker, about 2.6 MB each at 256x256. The calling thread allocates
+    every block before the pool starts: a block that a pool thread
+    allocates stays in that thread's malloc arena once freed, and the next
+    call's thread may get another arena, so 20 calls at 256x256x8 on 2
+    CPUs held 4.8 MB of RSS beyond the serial call's instead of 2.4 MB.
+    Every frame runs the same ufuncs in the same order on its worker's own
+    buffers, and workers write disjoint out[:, :, k], so the result is
+    bitwise the serial one, in place too.
 
     Each (H, W) frame runs all its iterations as one block on buffers
     allocated once, so its state stays cache-resident, and every update is
@@ -240,36 +272,66 @@ def tv_denoise(x: np.ndarray, lam: float, iters: int, out=None) -> np.ndarray:
     tau = 0.125  # 1 / ||grad^T grad|| for 2D forward differences; a power of 2
     h, w, b = x.shape
     n = h * w
-    xf, z, g, px, py = _line_aligned(n, n, n, n + 1, n + w)
-    gx = g[: n - 1]
-    gy = g[: n - w]
-    pxi = px[1:n]
-    edge = px[1:].reshape(h, w)[:, -1:]
-    pyi = py[w:n]
+    frames = iter(range(b))
+    claim = threading.Lock()
 
-    def adjoint(a):  # a = grad^T p
-        np.subtract(px[:-1], px[1:], out=a)
-        a -= py[w:]
-        a += py[:-w]
-        return a
+    def worker(xf, z, g, px, py):
+        gx = g[: n - 1]
+        gy = g[: n - w]
+        pxi = px[1:n]
+        edge = px[1:].reshape(h, w)[:, -1:]
+        pyi = py[w:n]
 
-    for k in range(b):
-        xf.reshape(h, w)[...] = x[:, :, k]
-        px.fill(0.0)
-        py.fill(0.0)
-        for _ in range(iters):
-            np.subtract(xf, adjoint(z), out=z)
-            np.subtract(z[1:], z[:-1], out=gx)
-            gx *= tau
-            pxi += gx
-            np.clip(pxi, -lam, lam, out=pxi)
-            edge.fill(0.0)
-            np.subtract(z[w:], z[:-w], out=gy)
-            gy *= tau
-            pyi += gy
-            np.clip(pyi, -lam, lam, out=pyi)
-        np.subtract(xf.reshape(h, w), adjoint(z).reshape(h, w), out=out[:, :, k])
+        def adjoint(a):  # a = grad^T p
+            np.subtract(px[:-1], px[1:], out=a)
+            a -= py[w:]
+            a += py[:-w]
+            return a
+
+        while True:
+            with claim:
+                k = next(frames, None)
+            if k is None:
+                return
+            xf.reshape(h, w)[...] = x[:, :, k]
+            px.fill(0.0)
+            py.fill(0.0)
+            for _ in range(iters):
+                np.subtract(xf, adjoint(z), out=z)
+                np.subtract(z[1:], z[:-1], out=gx)
+                gx *= tau
+                pxi += gx
+                np.clip(pxi, -lam, lam, out=pxi)
+                edge.fill(0.0)
+                np.subtract(z[w:], z[:-w], out=gy)
+                gy *= tau
+                pyi += gy
+                np.clip(pyi, -lam, lam, out=pyi)
+            np.subtract(xf.reshape(h, w), adjoint(z).reshape(h, w), out=out[:, :, k])
+
+    workers = max(1, min(b, _cpu_count())) if n >= TV_PARALLEL_PIXELS else 1
+    blocks = [_line_aligned(n, n, n, n + 1, n + w) for _ in range(workers)]
+    if workers == 1:
+        worker(*blocks[0])
+        return out
+    # imported here: concurrent.futures loads logging, 0.6 MB of RSS that a
+    # process which never runs the pool need not hold
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(worker, *block) for block in blocks[1:]]
+        worker(*blocks[0])
+    for f in futures:
+        f.result()
     return out
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _flat(kernels, biases) -> np.ndarray:

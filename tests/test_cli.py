@@ -157,6 +157,38 @@ def test_pnp_gap_rejects_solver_keys_in_config(scene, tmp_path, key, flag, value
     assert np.array_equal(tensorio.read_tensor(x_cfg), tensorio.read_tensor(x_flag))
 
 
+@pytest.mark.parametrize("extra", [("--schedule", "0.05"), ("--tv-iters", "30"),
+                                   ("--schedule", "0.1,0.05", "--tv-iters", "5")])
+@pytest.mark.parametrize("method", ["de-gap", "de-rnn"])
+def test_equilibrium_methods_reject_tv_flags(scene, tmp_path, method, extra, capsys):
+    # only pnp-gap runs a TV prox; de-gap/de-rnn would ignore these flags
+    out, trace = str(tmp_path / "x.vsci"), str(tmp_path / "tr.csv")
+    assert _reconstruct(scene, out, "--max-iter", "3", "--method", method,
+                        "--trace", trace, *extra) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in extra if flag.startswith("--"))
+    assert not os.path.exists(out) and not os.path.exists(trace)
+
+
+def test_pnp_gap_tv_defaults_and_checkpoint(scene, tmp_path):
+    # no --schedule/--tv-iters means 0.05 and 30; --checkpoint is accepted
+    # and unused, as every benchmark method is given one
+    ckpt = str(tmp_path / "ckpt")
+    save_denoiser(ckpt, make_conv_residual(0, channels=4, n_layers=2))
+    outs = [str(tmp_path / f"x{i}.vsci") for i in range(3)]
+    runs = [(), ("--schedule", "0.05", "--tv-iters", "30"), ("--checkpoint", ckpt)]
+    for out, extra in zip(outs, runs):
+        assert _reconstruct(scene, out, "--max-iter", "3", "--tol", "0",
+                            "--method", "pnp-gap", *extra) == EXIT_OK
+    x_default, x_explicit, x_ckpt = (tensorio.read_tensor(o) for o in outs)
+    assert np.array_equal(x_default, x_explicit)
+    assert np.array_equal(x_default, x_ckpt)
+    x_other = str(tmp_path / "x_other.vsci")
+    assert _reconstruct(scene, x_other, "--max-iter", "3", "--tol", "0",
+                        "--method", "pnp-gap", "--tv-iters", "29") == EXIT_OK
+    assert not np.array_equal(x_default, tensorio.read_tensor(x_other))
+
+
 def test_pnp_gap_accepts_other_solver_keys_in_config(scene, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("solver.max_iter = 3\nsolver.tol = 0\n", encoding="utf-8")

@@ -1,5 +1,10 @@
+import concurrent.futures
 import copy
 import gc
+import itertools
+import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -229,6 +234,130 @@ class TestTv:
         x = _cube((8, 8, 2), 3)
         out = tv_denoise(x, 0.05, 500)
         assert tv_energy(out, x, 0.05) <= tv_energy(x, x, 0.05) + 1e-12
+
+
+# the side of the smallest square frame that tv_denoise spreads over threads
+_SIDE = math.isqrt(vsci.denoisers.TV_PARALLEL_PIXELS - 1) + 1
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Spare-worker counts of the pools tv_denoise makes, on 3 CPUs whatever
+    the host has, so every frame count here exercises the pool."""
+    made = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def spy(spare):
+        made.append(spare)
+        return real(spare)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(vsci.denoisers, "_cpu_count", lambda: 3)
+    return made
+
+
+class TestTvThreads:
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_threaded_equals_oracle(self, pools, b):
+        x = _cube((_SIDE, _SIDE, b), b)
+        threads = threading.active_count()
+        assert np.array_equal(tv_denoise(x, 0.05, 2), _oracle_tv_denoise(x, 0.05, 2))
+        assert threading.active_count() == threads
+        assert pools == ([b - 1] if b > 1 else [])
+
+    def test_threaded_in_place_equals_oracle(self, pools):
+        x = _cube((_SIDE, _SIDE, 3), 4)
+        expected = _oracle_tv_denoise(x, 0.05, 2)
+        threads = threading.active_count()
+        assert tv_denoise(x, 0.05, 2, out=x) is x
+        assert threading.active_count() == threads
+        assert np.array_equal(x, expected)
+        assert pools == [2]
+
+    def test_threaded_noncontiguous_equals_oracle(self, pools):
+        xt = _cube((3, _SIDE, _SIDE + 1), 5).transpose(1, 2, 0)
+        assert not xt.flags.c_contiguous
+        threads = threading.active_count()
+        assert np.array_equal(tv_denoise(xt, 0.05, 2), _oracle_tv_denoise(xt, 0.05, 2))
+        assert threading.active_count() == threads
+        assert pools == [2]
+
+    def test_more_workers_than_cores_claim_every_frame(self, monkeypatch):
+        # 8 workers, the interpreter switching threads every microsecond, and
+        # out is x: a frame that no worker claims keeps its input
+        monkeypatch.setattr(vsci.denoisers, "_cpu_count", lambda: 8)
+        x = _cube((_SIDE, _SIDE, 8), 6)
+        expected = _oracle_tv_denoise(x, 0.05, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=tv_denoise, args=(x, 0.05, 1), kwargs={"out": x})
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("shape", [(_SIDE - 1, _SIDE - 1, 8), (64, 64, 8), (_SIDE, _SIDE, 1)])
+    def test_no_pool_below_floor_or_for_one_frame(self, monkeypatch, shape):
+        def refuse(spare):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(vsci.denoisers, "_cpu_count", lambda: 8)
+        x = _cube(shape, 7)
+        assert np.array_equal(tv_denoise(x, 0.05, 1), _oracle_tv_denoise(x, 0.05, 1))
+
+    def test_memory_error_propagates_before_any_thread(self, monkeypatch, pools):
+        # the calling thread allocates every worker's block before the pool
+        calls = itertools.count()
+        real = vsci.denoisers._line_aligned
+
+        def second_fails(*sizes):
+            if next(calls) == 1:
+                raise MemoryError("no second working block")
+            return real(*sizes)
+
+        monkeypatch.setattr(vsci.denoisers, "_line_aligned", second_fails)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="no second working block"):
+            tv_denoise(_cube((_SIDE, _SIDE, 2), 8), 0.05, 1)
+        assert threading.active_count() == threads
+        assert pools == []
+
+    def test_pool_worker_error_propagates(self, monkeypatch, pools):
+        # the second block goes to the pool's worker; read-only, it fails
+        # that worker's first write, which reaches the caller by its future
+        blocks = itertools.count()
+        real = vsci.denoisers._line_aligned
+
+        def second_read_only(*sizes):
+            bufs = real(*sizes)
+            if next(blocks) == 1:
+                for buf in bufs:
+                    buf.flags.writeable = False
+            return bufs
+
+        monkeypatch.setattr(vsci.denoisers, "_line_aligned", second_read_only)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="read-only"):
+            tv_denoise(_cube((_SIDE, _SIDE, 2), 8), 0.05, 1)
+        assert threading.active_count() == threads
+        assert pools == [1]
+
+    def test_peak_allocation_one_block_per_worker(self, monkeypatch):
+        # out, plus one _line_aligned block per worker: 5n + w + 1 floats,
+        # each of the 5 vectors rounded up to a line and one more line to
+        # align the start, so at most 6 lines of 8 floats more; plus 64 KiB
+        # for the pool's threads and futures (measured at most 27 KB with 4
+        # workers)
+        monkeypatch.setattr(vsci.denoisers, "_cpu_count", lambda: 4)
+        h, w, b = 192, 192, 4
+        x = _cube((h, w, b), 9)
+        workers = min(b, 4)
+        block = 8 * (5 * h * w + w + 1 + 6 * 8)
+        assert traced_peak(tv_denoise, x, 0.05, 2) <= x.nbytes + workers * block + (64 << 10)
 
 
 class TestConvResidual:
