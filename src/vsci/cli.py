@@ -42,7 +42,7 @@ from .sci import (
     mask_generate,
 )
 from .synth import SCENE_KINDS, SyntheticScene, synth_video
-from .training import TrainConfig, finite_diff_gradcheck, train
+from .training import TrainConfig, finite_diff_gradcheck, train, write_epoch_log
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -223,10 +223,15 @@ def cmd_train(args) -> int:
     model.spectral_normalize(tcfg.sn_iters_val)
     dataset = _make_dataset(args, args.train_scenes, seed0=args.data_seed)
     val = _make_dataset(args, args.val_scenes, seed0=args.data_seed + 10_000)
-    result = train(model, dataset, tcfg, val_set=val or None)
+    try:
+        result = train(model, dataset, tcfg, val_set=val or None)
+    except TrainingAbortedError as exc:  # keep the epochs that ran; main exits 4
+        if args.log:
+            write_epoch_log(args.log, exc.log or [])
+        raise
     save_denoiser(args.out_prefix, model.denoiser)
     if args.log:
-        result.log_to_csv(args.log)
+        write_epoch_log(args.log, result.log)
     last = result.log[-1]
     print(f"trained {tcfg.epochs} epochs, final mean_loss={last.mean_loss:.6g} "
           f"val_psnr={last.val_psnr:.4f}")
@@ -399,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backward-mode", choices=["fixed_point", "neumann"])
     p.add_argument("--seed", type=int)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--log")
+    p.add_argument("--log", help="per-epoch CSV, also written when training aborts")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the implicit gradient")

@@ -86,6 +86,11 @@ from .conv import (
 )
 from .errors import ConfigError, ShapeMismatchError, UnsupportedDenoiserOpError, check_out
 
+try:  # the ufunc that np.clip dispatches to, called without its Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 
 @dataclass(frozen=True)
 class AffineLinearization:
@@ -259,6 +264,19 @@ def tv_denoise(x: np.ndarray, lam: float, iters: int, out=None) -> np.ndarray:
     30-step call took 114 ms (median of 7) with every buffer 16 bytes past
     a line and 94 ms with every buffer on a line; staggering the aligned
     buffers by 64 to 2048 bytes changed nothing beyond the noise.
+
+    The dual update calls the clip ufunc itself rather than np.clip, whose
+    Python wrapper holds the interpreter lock between ufunc calls and so
+    serializes the workers; the ufunc is the one np.clip runs, so the result
+    is bitwise the same. One 256x256x8, 30-step call on 2 vCPUs (one pool
+    worker) took 70.6 and 65.1 ms with np.clip against 63.7 and 56.9 ms,
+    medians of two sets of 20 interleaved rounds, faster in 19 of 20 each;
+    np.maximum plus np.minimum took 61.8 ms against 57.4. Folding tau into
+    the duals (q = p / tau, clipped to +-lam / tau, z = x - tau grad^T q)
+    would save a multiply per step, but once inputs reach 2^-1018 the
+    products are subnormal and round differently from tau * grad z, so the
+    folded result is no longer bitwise the step above; both multiplies
+    stay.
     """
     if not lam >= 0:
         raise ValueError(f"tv strength must be >= 0, got {lam}")
@@ -301,12 +319,12 @@ def tv_denoise(x: np.ndarray, lam: float, iters: int, out=None) -> np.ndarray:
                 np.subtract(z[1:], z[:-1], out=gx)
                 gx *= tau
                 pxi += gx
-                np.clip(pxi, -lam, lam, out=pxi)
+                _clip(pxi, -lam, lam, out=pxi)
                 edge.fill(0.0)
                 np.subtract(z[w:], z[:-w], out=gy)
                 gy *= tau
                 pyi += gy
-                np.clip(pyi, -lam, lam, out=pyi)
+                _clip(pyi, -lam, lam, out=pyi)
             np.subtract(xf.reshape(h, w), adjoint(z).reshape(h, w), out=out[:, :, k])
 
     workers = max(1, min(b, _cpu_count())) if n >= TV_PARALLEL_PIXELS else 1

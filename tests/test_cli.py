@@ -1,5 +1,6 @@
 """The CLI's exit-code contract, driven through main(argv)."""
 
+import math
 import os
 
 import numpy as np
@@ -380,6 +381,32 @@ def test_training_abort_exits_4_and_writes_no_checkpoint(tmp_path, monkeypatch, 
     assert code == EXIT_DIVERGED
     assert "training aborted: epoch 0: 2/2 samples diverged" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_training_abort_writes_the_epochs_run_to_the_log(tmp_path, monkeypatch, capsys):
+    # epoch 0 trains; every solve of epoch 1 diverges, which aborts it
+    real = vsci.training.loss_gradient
+    calls = []
+
+    def diverge_after_two(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 2:
+            raise DivergedError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vsci.training, "loss_gradient", diverge_after_two)
+    log = tmp_path / "log.csv"
+    code = main(["train", "--height", "8", "--width", "8", "--frames", "2",
+                 "--train-scenes", "2", "--val-scenes", "0", "--epochs", "3", "--lr", "0",
+                 "--out-prefix", str(tmp_path / "model"), "--log", str(log)])
+    assert code == EXIT_DIVERGED
+    assert "training aborted: epoch 1: 2/2 samples diverged" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["log.csv"]
+    header, *rows = log.read_text(encoding="utf-8").splitlines()
+    assert header == "epoch,mean_loss,val_psnr,skipped,approximate"
+    assert len(rows) == 1
+    epoch, mean_loss, val_psnr, skipped, _ = rows[0].split(",")
+    assert (epoch, val_psnr, skipped) == ("0", "", "0") and math.isfinite(float(mean_loss))
 
 
 def test_train_log_records_approximate_gradients(tmp_path, monkeypatch):

@@ -161,6 +161,15 @@ class TestTv:
         xi = np.random.default_rng(7).integers(0, 4, (9, 7, 2))
         assert np.array_equal(tv_denoise(xi, 0.5, 7), _oracle_tv_denoise(xi, 0.5, 7))
 
+    @pytest.mark.parametrize("scale", [2.0 ** -1018, 2.0 ** -1045], ids=["2^-1018", "2^-1045"])
+    def test_subnormal_scale_equals_oracle(self, scale):
+        # at these scales tau * grad z is subnormal and rounds; a step that
+        # folded tau into the duals (q = p / tau) would round elsewhere
+        x = scale * _cube((17, 23, 3), 10)
+        for lam in (0.01, 0.05, 0.5):
+            assert np.array_equal(tv_denoise(x, lam * scale, 30),
+                                  _oracle_tv_denoise(x, lam * scale, 30))
+
     @pytest.mark.parametrize("iters", [0, -1])
     @pytest.mark.parametrize("lam", [0.0, 0.05])
     def test_iters_below_one_rejected(self, iters, lam):
@@ -264,6 +273,13 @@ class TestTvThreads:
         assert np.array_equal(tv_denoise(x, 0.05, 2), _oracle_tv_denoise(x, 0.05, 2))
         assert threading.active_count() == threads
         assert pools == ([b - 1] if b > 1 else [])
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1018, 2.0 ** -1045], ids=["2^-1018", "2^-1045"])
+    def test_threaded_subnormal_scale_equals_oracle(self, pools, scale):
+        x = scale * _cube((_SIDE, _SIDE, 3), 11)
+        assert np.array_equal(tv_denoise(x, 0.05 * scale, 30),
+                              _oracle_tv_denoise(x, 0.05 * scale, 30))
+        assert pools == [2]
 
     def test_threaded_in_place_equals_oracle(self, pools):
         x = _cube((_SIDE, _SIDE, 3), 4)

@@ -343,6 +343,18 @@ class TestPnpGap:
             pnp_gap_solve(mask, y, [0.05], 5, tv_iters=tv_iters, tol=0.0)
         assert calls == []
 
+    def test_x_hat_bitwise_equals_plain_gap_tv_loop(self):
+        # the engine's two swapped buffers and in-place steps compute exactly
+        # v = tv_denoise(gap_project(v)) with fresh arrays, the schedule cycled
+        mask, cube, y = _instance(13, 12, 10, 3)
+        schedule = [0.1, 0.05, 0.02]
+        res = pnp_gap_solve(mask, y, schedule, 7, tv_iters=4, tol=0.0, psnr_ref=cube)
+        v = init_estimate(mask, y)
+        for k in range(7):
+            v = vsci.maps.tv_denoise(gap_project(mask, y, v), schedule[k % 3], 4)
+        assert res.iterations == 7 and not res.converged
+        assert res.x_hat.tobytes() == v.tobytes()
+
     def test_identity_prox_reaches_measurement_consistency(self):
         mask, cube, y = _instance(16, 6, 6, 3)
         res = pnp_gap_solve(mask, y, [0.0], 60, tol=0.0)

@@ -4,7 +4,7 @@ from scipy import ndimage
 
 from helpers import traced_peak
 from vsci.errors import ShapeMismatchError
-from vsci.metrics import PSNR_CAP_DB, psnr, ssim
+from vsci.metrics import PSNR_BLOCK, PSNR_CAP_DB, psnr, ssim
 
 
 def _oracle_ssim_frame(a, r):
@@ -119,27 +119,33 @@ def test_metrics_score_the_clamped_reconstruction(metric):
     assert np.array_equal(per_frame, per_frame_c) and mean == mean_c
 
 
-def test_psnr_scores_the_same_in_a_given_scratch():
-    x, ref = _out_of_range_pair(11)
-    scratch = np.empty(x.shape)
-    per_frame, mean = psnr(x, ref, out=scratch)
-    per_frame_new, mean_new = psnr(x, ref)
-    assert np.array_equal(per_frame, per_frame_new) and mean == mean_new
+def test_psnr_per_frame_matches_whole_cube_formula():
+    # row blocks that divide H, that do not, and of one row each (a row and
+    # its ones longer than PSNR_BLOCK); a strided view; a peak other than 1
+    rng = np.random.default_rng(11)
+    wide = PSNR_BLOCK // 3 + 1
+    cases = [((256, 256, 8), 1.0), ((61, 37, 5), 1.0), ((5, wide, 2), 1.0),
+             ((64, 64, 8), 2.5)]
+    for shape, peak in cases:
+        ref = peak * rng.random(shape)
+        x = ref + 0.3 * peak * rng.standard_normal(shape)
+        per_frame, mean = psnr(x, ref, peak=peak)
+        mse = ((np.clip(x, 0.0, peak) - ref) ** 2).mean(axis=(0, 1))
+        expected = 10.0 * np.log10(peak * peak / mse)
+        np.testing.assert_allclose(per_frame, expected, rtol=1e-12, atol=0, err_msg=str(shape))
+        assert mean == pytest.approx(expected.mean(), rel=1e-12)
+    xt, reft = x.transpose(1, 0, 2), ref.transpose(1, 0, 2)
+    assert not xt.flags.c_contiguous
+    mse = ((np.clip(xt, 0.0, peak) - reft) ** 2).mean(axis=(0, 1))
+    np.testing.assert_allclose(psnr(xt, reft, peak=peak)[0], 10.0 * np.log10(peak * peak / mse),
+                               rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("out", [np.empty((16, 13, 2)), np.empty((16, 12, 3)),
-                                 np.empty((16, 13, 3), dtype=np.float32), [0.0]],
-                         ids=["frames", "width", "float32", "list"])
-def test_psnr_rejects_bad_out(out):
-    x, ref = _out_of_range_pair(12)
-    with pytest.raises(ShapeMismatchError, match="out"):
-        psnr(x, ref, out=out)
-
-
-def test_psnr_peak_allocation_within_one_scratch():
-    # the clamp, the difference and its square share one scratch cube; a
-    # clamp made by the caller before scoring put the traced peak at 2x
+def test_psnr_peak_allocation_within_one_row_block():
+    # the clamp, the difference, its square and the ones vector that sums
+    # it share one block of at most PSNR_BLOCK floats; forming the error in
+    # one scratch cube put the traced peak at the cube (4 MiB here)
     rng = np.random.default_rng(10)
-    ref = rng.random((64, 64, 8))
-    x = rng.random((64, 64, 8))
-    assert traced_peak(psnr, x, ref) <= 1.1 * x.nbytes
+    ref = rng.random((256, 256, 8))
+    x = rng.random((256, 256, 8))
+    assert traced_peak(psnr, x, ref) <= 8 * PSNR_BLOCK + (4 << 10)
