@@ -6,6 +6,15 @@ masks m_b. Because the sensing operator is a row of diagonals, the Gram
 matrix is diagonal with entries q[i] = sum_b m_b[i]^2, and the Euclidean
 projection onto {x : Phi x = y} is a cheap elementwise update.
 
+A SensingMask holds binary masks (every entry 0 or 1, the coded apertures
+the paper uses) as a bool array, at one byte per entry instead of eight; any
+other mask stays float64. bool promotes to exactly 0.0 and 1.0 wherever it
+meets a float64 operand, so every operator below gives the same bytes with
+either representation, and a mask file holds float64 either way. Only q
+needs care: an einsum over two bool operands is a logical OR of ANDs, not a
+count, so q is summed with dtype float64. Frames that are not a 3D array of
+finite, nonnegative values raise ValueError when the mask is built.
+
 All operations are pure; none mutates its inputs. gap_project may write
 its result into a caller's buffer.
 """
@@ -44,8 +53,13 @@ def validate_cube(data) -> np.ndarray:
 class SensingMask:
     """Per-frame modulation masks plus the precomputed diagonal Gram entries.
 
-    frames        (H, W, B) nonnegative mask values (typically {0, 1})
-    q_diag        (H, W) sum_b frames[..., b]**2, derived from frames
+    frames        (H, W, B) finite, nonnegative mask values; held as bool
+                  when every entry is 0 or 1, else as float64. Anything
+                  else (not 3D, NaN, +-inf, a negative entry) raises
+                  ValueError
+    q_diag        (H, W) float64 sum_b frames[..., b]**2, derived from
+                  frames; summed with dtype float64, which also makes a
+                  bool einsum count instead of OR its products
     policy        "reject": mask_generate and projections raise DeadPixelError
                   where q_diag == 0;
                   "floor": divisions use max(q_diag, floor_tau) instead;
@@ -66,7 +80,8 @@ class SensingMask:
             raise ValueError(f"unknown dead-pixel policy {self.policy!r}")
         if self.policy == POLICY_FLOOR and not 0 < self.floor_tau < np.inf:
             raise ValueError(f"floor_tau must be finite and > 0, got {self.floor_tau!r}")
-        self.q_diag = np.einsum("hwb,hwb->hw", self.frames, self.frames)
+        self.frames = _mask_frames(self.frames)
+        self.q_diag = np.einsum("hwb,hwb->hw", self.frames, self.frames, dtype=np.float64)
         self._dead = None
         if self.policy == POLICY_FLOOR:
             self._q_eff = np.maximum(self.q_diag, self.floor_tau)
@@ -91,6 +106,28 @@ class SensingMask:
     def live_pixels(self) -> np.ndarray:
         """Boolean (H, W) map of pixels with nonzero mask energy."""
         return self.q_diag > 0.0
+
+
+def _mask_frames(frames) -> np.ndarray:
+    """frames as a bool array when every entry is 0 or 1, else as float64.
+
+    One comparison against the bool cast settles the common binary case;
+    only a mask that fails it is scanned for non-finite and negative entries.
+    """
+    arr = np.asarray(frames)
+    if arr.ndim != 3:
+        raise ValueError(f"mask frames must be 3D (H, W, B), got shape {arr.shape}")
+    if arr.dtype == np.bool_:
+        return arr
+    arr = arr.astype(np.float64, copy=False)
+    binary = arr.astype(bool)
+    if np.array_equal(binary, arr):  # NaN != True, so a NaN mask falls through
+        return binary
+    if not np.isfinite(arr).all():
+        raise ValueError("mask frames contain non-finite entries")
+    if (arr < 0).any():
+        raise ValueError("mask frames contain negative entries")
+    return arr
 
 
 @dataclass
@@ -132,12 +169,12 @@ def mask_generate(
     if h < 1 or w < 1 or b < 1:
         raise ValueError(f"mask dims must be >= 1, got {(h, w, b)}")
     if kind == "all_ones":
-        frames = np.ones((h, w, b), dtype=np.float64)
+        frames = np.ones((h, w, b), dtype=bool)
     elif kind == "bernoulli":
         if not 0.0 < p <= 1.0:
             raise ValueError(f"bernoulli p must be in (0, 1], got {p}")
         rng = np.random.default_rng(seed)
-        frames = (rng.random((h, w, b)) < p).astype(np.float64)
+        frames = rng.random((h, w, b)) < p
     else:
         raise ValueError(f"unknown mask kind {kind!r}")
     mask = SensingMask(frames=frames, policy=policy, floor_tau=floor_tau)

@@ -60,6 +60,37 @@ def dense_projector(mask) -> np.ndarray:
     return phi.T @ np.linalg.inv(gram) @ phi
 
 
+class Float64Mask:
+    """sci's operator formulas applied to `mask.frames.astype(np.float64)`:
+    the oracle that a bool-held mask must match bitwise. q is the plain
+    float64 einsum, and the dead-pixel policy is applied as the mask's
+    docstring states it."""
+
+    def __init__(self, mask):
+        self.m = mask.frames.astype(np.float64)
+        self.q = np.einsum("hwb,hwb->hw", self.m, self.m)
+        self.q_eff = np.maximum(self.q, mask.floor_tau) if mask.policy == "floor" else self.q
+
+    def forward(self, x):
+        return np.einsum("hwb,hwb->hw", self.m, x)
+
+    def adjoint(self, y):
+        return self.m * y[:, :, None]
+
+    def gap_project(self, y, v):
+        return self.m * ((y - self.forward(v)) / self.q_eff)[:, :, None] + v
+
+    def project_null(self, w):
+        return w - self.m * (self.forward(w) / self.q_eff)[:, :, None]
+
+    def spectrum(self):
+        """(eigenvalues sorted descending, idempotence defect, live pixels)."""
+        lam = (self.q / self.q_eff).ravel()
+        eigs = np.zeros(self.m.size)
+        eigs[: lam.size] = np.sort(lam)[::-1]
+        return eigs, float(np.linalg.norm(lam * lam - lam)), int(np.count_nonzero(self.q > 0))
+
+
 def dense_conv_matrix(kernel: np.ndarray, h: int, w: int) -> np.ndarray:
     """The zero-padded conv operator as a dense (h*w*C_out, h*w*C_in) matrix,
     one conv_forward per basis vector, for SVD checks on small shapes."""

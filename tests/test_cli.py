@@ -207,17 +207,19 @@ def test_solver_flag_defaults_to_anderson(scene, tmp_path):
     assert not np.array_equal(x_default, x_picard)
 
 
-@pytest.mark.parametrize("method, bound", [("de-gap", 15.46), ("pnp-gap", 6.17)])
+@pytest.mark.parametrize("method, bound", [("de-gap", 14.71), ("pnp-gap", 5.80)])
 def test_reconstruct_peak_in_cubes(tmp_path, method, bound):
     # A 64x64x8 reconstruction, 20 iterations with a PSNR per iteration,
-    # under tracemalloc. Live at the peak: the mask, the reference and x;
-    # for de-gap the Anderson m=3 rings (6 rows), one of which receives the
-    # projection and its in-place denoise, plus the denoiser's tile working
-    # set; for pnp-gap the projection and f(x). Measured 14.96 (de-gap) and
-    # 5.67 (pnp-gap) cubes; each bound is that plus 0.5 cube. With f(x),
-    # the denoise, the trace's PSNR and the mix in new arrays, de-gap
-    # peaked at 16.95; with the initial estimate held through the solve and
-    # the PSNR, projection and TV temporaries, the peaks were 17.95 and 7.67.
+    # under tracemalloc. Live at the peak: the bool mask (1/8 cube), the
+    # reference and x; for de-gap the Anderson m=3 rings (6 rows), one of
+    # which receives the projection and its in-place denoise, plus the
+    # denoiser's tile working set; for pnp-gap x, its partner buffer and
+    # the TV prox's working set. Measured 14.08-14.21 (de-gap) and
+    # 5.15-5.30 (pnp-gap) cubes; each bound is the highest plus 0.5 cube.
+    # With f(x), the denoise, the trace's PSNR and the mix in new arrays,
+    # de-gap peaked at 16.95; with the initial estimate held through the
+    # solve and the PSNR, projection and TV temporaries, the peaks were
+    # 17.95 and 7.67.
     files = _scene_files(tmp_path, 64, 64, 8)
     extra = ["--method", method]
     if method == "de-gap":
@@ -258,6 +260,36 @@ def test_bad_mask_meta_exits_2_and_writes_nothing(scene, tmp_path, key, value):
                  "--out-meas", str(tmp_path / "y2.vsci")]) == EXIT_CONFIG
     assert not os.path.exists(out)
     assert not os.path.exists(tmp_path / "y2.vsci")
+
+
+def _mask_entry(value):
+    def spoil(prefix):
+        frames = tensorio.read_tensor(prefix + ".vsci")
+        frames[3, 5, 1] = value
+        tensorio.write_tensor(prefix + ".vsci", frames)
+    return spoil
+
+
+def _one_frame_mask(prefix):
+    tensorio.write_tensor(prefix + ".vsci", tensorio.read_tensor(prefix + ".vsci")[:, :, 0])
+
+
+@pytest.mark.parametrize("spoil, reason", [
+    (_mask_entry(math.nan), "non-finite"), (_mask_entry(math.inf), "non-finite"),
+    (_mask_entry(-math.inf), "non-finite"), (_mask_entry(-0.5), "negative"),
+    (_mask_entry(-1.0), "negative"), (_one_frame_mask, "3D"),
+], ids=["nan", "inf", "-inf", "-0.5", "-1", "2d"])
+def test_malformed_mask_file_exits_2_and_writes_nothing(scene, tmp_path, capsys, spoil, reason):
+    spoil(scene["mask"])
+    out, meas = str(tmp_path / "x.vsci"), str(tmp_path / "y2.vsci")
+    assert _reconstruct(scene, out, "--max-iter", "3", "--method", "pnp-gap") == EXIT_CONFIG
+    assert main(["simulate", "--height", "16", "--width", "16", "--frames", "4",
+                 "--mask", scene["mask"], "--out-cube", out, "--out-meas", meas]) == EXIT_CONFIG
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2
+    assert all("mask frames" in e and reason in e for e in errors)
+    assert not os.path.exists(out)
+    assert not os.path.exists(meas)
 
 
 def test_unnormalized_checkpoint_diverges_exits_4(scene, tmp_path):

@@ -1,10 +1,14 @@
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal, special
 
-from helpers import dense_conv_matrix
+import vsci.conv
+from helpers import dense_conv_matrix, traced_peak
 from vsci.conv import (
     Grid,
     conv_adjoint_input,
@@ -164,3 +168,55 @@ def test_activations_match_references_on_dense_grid():
     # expit and sigmoid may round differently in the subnormal range.
     np.testing.assert_allclose(sg, special.expit(z), rtol=1e-15, atol=np.finfo(np.float64).tiny)
     assert np.all((sg >= 0.0) & (sg <= 1.0))
+
+
+# One case per conv path, forward and adjoint: im2col with a bias (C_in <= 2),
+# narrowing into the output (C_out = 1) or into an accumulator (C_out = 2),
+# and per tap (C_out >= C_in > 2).
+@pytest.mark.parametrize("c_out, c_in, bias", [(8, 1, True), (1, 8, False), (2, 8, True),
+                                               (4, 3, False)],
+                         ids=["im2col", "narrow", "narrow-acc", "per-tap"])
+def test_scratch_gives_the_bits_of_fresh_temporaries(monkeypatch, c_out, c_in, bias):
+    x, k = _rand((2, 16, 16, c_in), 20), _rand((c_out, c_in, 3, 3), 21)
+    b = _rand(c_out, 22) if bias else None
+    v = _rand((2, 16, 16, c_out), 23)
+    got = conv_forward(x, k, b), conv_adjoint_input(v, k), softplus(x)
+    monkeypatch.setattr(vsci.conv, "SCRATCH_CAP", 0)
+    want = conv_forward(x, k, b), conv_adjoint_input(v, k), softplus(x)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_small_conv_and_softplus_allocate_no_temporary():
+    # a 32x32x4 layer's im2col block (351 KB) and exp(-|z|) (281 KB) come
+    # from the thread's scratch, which the first call sizes
+    x, k, b = _rand((4, 32, 32, 1), 24), _rand((8, 1, 3, 3), 25), np.ones(8)
+    src, out = Grid.of(x, 1), Grid.zeros(4, 32, 32, 8, 1)
+    conv_forward(src, k, b, out=out)
+    z = out.region()
+    softplus(z, out=z)
+    assert traced_peak(conv_forward, src, k, b, out) <= 4096
+    assert traced_peak(softplus, z, z) <= 4096
+
+
+def test_conv_above_the_scratch_cap_keeps_no_buffer():
+    x, k = _rand((8, 64, 64, 1), 26), _rand((8, 1, 3, 3), 27)  # im2col: 10 x 35k floats
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = conv_forward(x, k)
+        del y
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 4096
+
+
+def test_threads_keep_their_own_scratch():
+    xs = [_rand((4, 32, 32, 1), 30 + i) for i in range(4)]
+    k = _rand((8, 1, 3, 3), 40)
+    want = [conv_forward(x, k) for x in xs]
+    with ThreadPoolExecutor(4) as pool:
+        for _ in range(5):
+            got = list(pool.map(lambda x: conv_forward(x, k), xs))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))

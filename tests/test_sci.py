@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_gap_project, dense_phi, random_mask, unvec, vec
+from helpers import Float64Mask, dense_gap_project, dense_phi, random_mask, unvec, vec
+from vsci import tensorio
+from vsci.analysis import projection_spectrum
+from vsci.cli import load_mask, save_mask
 from vsci.errors import DeadPixelError, ShapeMismatchError
 from vsci.sci import (
     Measurement,
@@ -89,6 +92,99 @@ class TestSensingMaskFields:
     def test_floor_tau_must_be_finite_and_positive(self, tau):
         with pytest.raises(ValueError, match="floor_tau"):
             SensingMask(frames=np.ones((2, 2, 2)), policy="floor", floor_tau=tau)
+
+    @pytest.mark.parametrize("frames", [np.ones((2, 2)), np.ones((2, 2, 2, 1)), np.ones(4),
+                                        np.float64(1.0)],
+                             ids=["2d", "4d", "1d", "scalar"])
+    def test_frames_must_be_3d(self, frames):
+        with pytest.raises(ValueError, match="3D"):
+            SensingMask(frames=frames, policy="floor")
+
+    @pytest.mark.parametrize("value, reason", [
+        (np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+        (-0.5, "negative"), (-1.0, "negative"),
+    ])
+    @pytest.mark.parametrize("rest", [0.0, 1.0, 0.5], ids=["zeros", "ones", "halves"])
+    def test_non_finite_or_negative_frames_raise(self, value, reason, rest):
+        # the other entries make the mask binary, or fractional
+        frames = np.full((3, 2, 2), rest)
+        frames[1, 0, 1] = value
+        with pytest.raises(ValueError, match=reason):
+            SensingMask(frames=frames, policy="floor")
+
+
+class TestMaskRepresentation:
+    @pytest.mark.parametrize("make", [
+        lambda: mask_generate(4, 6, 5, 3, policy="floor"),
+        lambda: mask_generate(4, 6, 5, 3, kind="all_ones"),
+        lambda: random_mask(4, 6, 5, 3),
+        lambda: SensingMask(frames=np.eye(6, 5)[:, :, None] * np.ones(3), policy="floor"),
+        lambda: SensingMask(frames=np.ones((6, 5, 3), dtype=np.int32)),
+        lambda: SensingMask(frames=np.ones((6, 5, 3), dtype=np.float32)),
+        lambda: SensingMask(frames=np.ones((6, 5, 3), dtype=bool)),
+        lambda: SensingMask(frames=-np.zeros((6, 5, 3)), policy="floor"),
+    ], ids=["bernoulli", "all_ones", "float-01", "eye", "int32", "float32", "bool", "minus-zero"])
+    def test_binary_mask_held_as_bool(self, make):
+        m = make()
+        assert m.frames.dtype == np.bool_
+        assert m.frames.nbytes == 6 * 5 * 3
+        assert m.q_diag.dtype == np.float64
+
+    @pytest.mark.parametrize("frames", [np.full((6, 5, 3), 0.5), np.full((6, 5, 3), 2.0),
+                                        np.arange(90.0).reshape(6, 5, 3)],
+                             ids=["halves", "twos", "counts"])
+    def test_other_mask_held_as_float64(self, frames):
+        m = SensingMask(frames=frames)
+        assert m.frames.dtype == np.float64
+        np.testing.assert_array_equal(m.frames, frames)
+        np.testing.assert_array_equal(m.q_diag, (frames ** 2).sum(axis=2))
+
+    def test_bool_q_diag_counts_the_ones(self):
+        # an einsum over two bool operands would OR the products into True
+        m = mask_generate(0, 3, 2, 7, kind="all_ones")
+        np.testing.assert_array_equal(m.q_diag, np.full((3, 2), 7.0))
+
+    @pytest.mark.parametrize("dead", [False, True], ids=["live", "dead"])
+    @pytest.mark.parametrize("policy", ["reject", "floor"])
+    def test_operators_match_float64_frames_bitwise(self, policy, dead):
+        frames = random_mask(21, 7, 6, 5).frames.copy()
+        if dead:
+            frames[2, 3, :] = False
+        m = SensingMask(frames=frames, policy=policy)
+        assert m.frames.dtype == np.bool_
+        oracle = Float64Mask(m)
+        rng = np.random.default_rng(22)
+        x, y = rng.standard_normal((7, 6, 5)), rng.standard_normal((7, 6))
+        assert np.array_equal(m.q_diag, oracle.q)
+        assert np.array_equal(forward(m, x).data, oracle.forward(x))
+        assert np.array_equal(adjoint(m, y), oracle.adjoint(y))
+        assert np.array_equal(init_estimate(m, y), oracle.adjoint(y))
+        if policy == "reject" and dead:
+            for op in (lambda: gap_project(m, y, x), lambda: project_null(m, x),
+                       lambda: projection_spectrum(m)):
+                with pytest.raises(DeadPixelError) as exc:
+                    op()
+                assert exc.value.index == 2 * 6 + 3
+            return
+        out = np.empty_like(x)
+        assert np.array_equal(gap_project(m, y, x), oracle.gap_project(y, x))
+        assert np.array_equal(gap_project(m, y, x, out=out), oracle.gap_project(y, x))
+        assert np.array_equal(project_null(m, x), oracle.project_null(x))
+        spectrum = projection_spectrum(m)
+        eigs, defect, live = oracle.spectrum()
+        assert np.array_equal(spectrum.eigenvalues, eigs)
+        assert spectrum.idempotence_defect == defect
+        assert spectrum.n_live_pixels == live == 7 * 6 - dead
+
+    def test_mask_file_is_float64_and_loads_as_bool(self, tmp_path):
+        m = mask_generate(5, 6, 5, 3, policy="floor")
+        save_mask(str(tmp_path / "m"), m)
+        tensorio.write_tensor(str(tmp_path / "f.vsci"), m.frames.astype(np.float64))
+        assert (tmp_path / "m.vsci").read_bytes() == (tmp_path / "f.vsci").read_bytes()
+        back = load_mask(str(tmp_path / "m"))
+        assert back.frames.dtype == np.bool_
+        assert np.array_equal(back.frames, m.frames)
+        assert (back.policy, back.floor_tau) == (m.policy, m.floor_tau)
 
 
 class TestForwardAdjoint:
