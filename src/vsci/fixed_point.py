@@ -101,14 +101,33 @@ def _check_shape(fx, shape, k):
 
 
 def _residual_norm(fx, x, buf):
-    """||fx - x||, with the difference formed buf.size entries at a time in buf."""
+    """(||fx - x||, ||x||), summed buf.size entries at a time: the difference
+    is formed in buf, and neither fx nor x is written."""
     a, b = fx.reshape(-1), x.reshape(-1)
     step = buf.size
-    total = 0.0
+    dd = xx = 0.0
     for i in range(0, a.size, step):
-        d = np.subtract(a[i:i + step], b[i:i + step], out=buf[: min(step, a.size - i)])
-        total += d.dot(d)
-    return math.sqrt(total)
+        xb = b[i:i + step]
+        d = np.subtract(a[i:i + step], xb, out=buf[: xb.size])
+        dd += d.dot(d)
+        xx += xb.dot(xb)
+    return math.sqrt(dd), math.sqrt(xx)
+
+
+def _residual_in_place(fx, x, delta, buf):
+    """x <- fx - x, and when damped fx <- delta fx + (1 - delta) x (the old
+    x), block by block in buf with the whole-array step's arithmetic."""
+    a, b = fx.reshape(-1), x.reshape(-1)
+    if delta == 1.0:
+        np.subtract(a, b, out=b)
+        return
+    step = buf.size
+    for i in range(0, a.size, step):
+        ab, xb = a[i:i + step], b[i:i + step]
+        scaled = np.multiply(xb, 1.0 - delta, out=buf[: xb.size])
+        np.subtract(ab, xb, out=xb)
+        ab *= delta
+        ab += scaled
 
 
 def _check_finite(fx, trace, k):
@@ -164,49 +183,49 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
     singular mixing system falls back to that damped Picard step for one
     iteration (recorded in trace.fallbacks).
 
-    Ring layout (memory m >= 2): iteration k writes ring slot
-    j = (k - 1) mod m of two preallocated (m, N) buffers, N = x.size:
-    G[j] = f(x) - x, the residual column, and Y[j] = (1 - delta) x +
-    delta f(x), the damped image. A persistent m x m Gram matrix of G gets
-    its row and column j from one G @ G[j] product, and the next iterate is
-    the single product alpha @ Y, which is the mix above.
-
-    Memory 1 keeps no ring: x and one partner buffer take turns as the
-    iterate, and its residual norm sums RESIDUAL_BLOCK-float pieces of
-    f(x) - x formed in one small buffer.
+    Ring layout (memory m >= 2): two preallocated (m, N) buffers, N =
+    x.size; iteration k uses slot j = (k - 1) mod m. The iterate x lives in
+    G[j], the row its residual overwrites: x0 is copied into G[0] and each
+    mix is written into the next slot, G[k mod m], whose old column the
+    Gram matrix already holds and whose Gram entries are recomputed before
+    they are read again. After the convergence and growth checks, x turns
+    into the residual column G[j] = f(x) - x in place and Y[j] into the
+    damped image (1 - delta) x + delta f(x). A persistent m x m Gram
+    matrix of G gets its row and column j from one G @ G[j] product, and
+    the next iterate is the single product alpha @ Y, which is the mix
+    above (a singular mix copies Y[j] there instead). Memory 1 keeps no
+    ring: x and one partner buffer take turns as the iterate.
 
     The map is called as f(x, out), with out shaped like x and dead: Y[j],
     whose old column left the mix that made x, or memory 1's partner. f may
     write f(x) there and return it, or return a new array, which the engine
-    then copies into out. Damping turns out into the damped image in place,
-    as delta f(x) + (1 - delta) x, scaling x in place too: after the
-    convergence and growth checks, x is dead until the mix, which np.matmul
-    writes into x (a fallback copies Y[j] there), or until memory 1 swaps
-    the two buffers. f(x) is scanned for non-finite values only when the
-    residual norm is not finite, as it is whenever f(x) holds a NaN or an
-    infinity.
+    then copies into out. ||f(x) - x|| and ||x|| are summed over
+    RESIDUAL_BLOCK-float pieces, the difference formed in one small buffer,
+    without writing f(x) or x. Damping turns out into the damped image in
+    place, as delta f(x) + (1 - delta) x; memory m >= 2 does this block by
+    block beside G[j]'s difference, with the same per-entry arithmetic.
+    f(x) is scanned for non-finite values only when the residual norm is
+    not finite, as it is whenever f(x) holds a NaN or an infinity.
 
-    Memory contract: a solve holds the iterate x plus, for memory 1, one
-    partner buffer and a RESIDUAL_BLOCK-float buffer, and for memory m >= 2
-    the two (m, N) rings and the m x m Gram matrix, all allocated before
-    the first iteration. The engine copies x0 and drops its reference, so
-    an x0 passed inline (as every caller passes init_estimate(mask, y)) is
-    freed before f first runs. With an f that fills out, an iteration
-    allocates no array of the iterate's size, at any memory: the trace's
-    PSNR works in one block of at most metrics.PSNR_BLOCK floats. No array
-    grows with the iteration count; the trace adds a few scalars per
-    iteration. The tests measure this with tracemalloc at 20 and 200
-    iterations: a solve's peak stays under a fixed multiple of the
-    iterate's bytes, what is live when f is called stays under 2m + 1
-    iterates, or two and the residual buffer for memory 1 (and over the
-    whole iteration, with an f that fills out, beside one PSNR block), an
-    inline x0 is gone when f runs, and the peak of a training gradient
-    (forward and backward solves) grows by less than one iterate.
+    Memory contract: at every memory a solve holds 2m iterate-sized
+    buffers (x and its partner, or the two rings with x in G), one
+    RESIDUAL_BLOCK-float buffer and the m x m Gram matrix, all allocated
+    before the first iteration. The engine copies x0 and drops its
+    reference, so an x0 passed inline (as every caller passes
+    init_estimate(mask, y)) is freed before f first runs. With an f that
+    fills out, an iteration allocates no array of the iterate's size: the
+    trace's PSNR works in one block of at most metrics.PSNR_BLOCK floats,
+    and only the trace grows, by a few scalars per iteration. On return
+    the Y ring is freed before x_hat is copied out of G, so the 2m buffers
+    are never exceeded, and a returned solve leaves only x_hat and the
+    trace. The tests measure all of this with tracemalloc, at 20 and 200
+    iterations, and check that the peak of a training gradient (forward and
+    backward solves) grows by less than one iterate.
 
     No aliasing: f must not keep its input, nor the out it filled, past the
     call, since the engine overwrites both in later iterations. The engine
     never writes into an array f returned in place of out, and x_hat is
-    never a view of the ring. Every map in this package writes only its
+    never a view of a ring. Every map in this package writes only its
     result.
 
     Tolerance (memory >= 2): the columns sit in ring order rather than by
@@ -216,12 +235,14 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
     1e-10 (with a floor of 1e-12 of the first residual, once residuals reach
     the rounding level). Rounding grows with the map's sensitivity: on
     256x256x8 DE-GAP with K=20 x_hat moves by up to 1.5e-8 (max |x| = 2.1).
-    Memory 1's iterates are bitwise the damped Picard loop's; its residual
-    norms are too while x has at most RESIDUAL_BLOCK entries, and beyond
-    that they sum the blocks in another order, which moves them by
-    rounding. Undamped, every memory takes f(x) itself where the formula
-    computes 0 * x + 1 * f(x): values are equal, and only a -0.0 in f(x)
-    keeps its sign where the formula gives +0.0.
+    Memory 1's iterates are bitwise the damped Picard loop's. At every
+    memory the iterates do not depend on the blocked norms, which equal the
+    whole-array np.linalg.norm while x has at most RESIDUAL_BLOCK entries;
+    beyond that they sum the blocks in another order, so trace.residuals
+    and trace.rel_residuals move by rounding (up to 7.2e-15 relative on
+    256x256x8 DE-GAP with K=20). Undamped, every memory takes f(x) itself
+    where the formula computes 0 * x + 1 * f(x): values are equal, and only
+    a -0.0 in f(x) keeps its sign where the formula gives +0.0.
 
     f is called exactly once per iteration, in order, on the iterate whose
     residual it measures; stateful step closures (the PnP baselines) rely
@@ -235,23 +256,27 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
     trace = IterationTrace()
     s = cfg.anderson_memory
     delta = cfg.anderson_damping
-    x = np.array(x0, dtype=np.float64, order="C")
-    del x0  # the caller's inline estimate is freed here
-    shape = x.shape
+    x0 = np.asarray(x0, dtype=np.float64)
+    shape, n = x0.shape, x0.size
     if s == 1:
-        partner = np.empty_like(x)
-        diff = np.empty(max(1, min(x.size, RESIDUAL_BLOCK)))
+        x = x0.copy()
     else:
-        g_ring = np.empty((s, x.size))
-        y_ring = np.empty((s, x.size))
-        gram = np.zeros((s, s))
+        g_ring = np.empty((s, n))
+        x = g_ring[0].reshape(shape)
+        np.copyto(x, x0)
+    del x0  # the caller's inline estimate is freed here, before the rest is allocated
+    if s == 1:
+        partner = np.empty(shape)
+    else:
+        y_ring, gram = np.empty((s, n)), np.zeros((s, s))
+    buf = np.empty(max(1, min(n, RESIDUAL_BLOCK)))
     best = np.inf
+    converged = False
     for k in range(1, cfg.max_iter + 1):
         if s == 1:
             out = partner
         else:
             j, m = (k - 1) % s, min(k, s)
-            g = g_ring[j]
             out = y_ring[j].reshape(shape)
         t0 = time.perf_counter()
         fx = f(x, out)
@@ -260,46 +285,48 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
         if fx is not out:
             np.copyto(out, fx)
         del fx
-        if s == 1:
-            res = _residual_norm(out, x, diff)
-        else:
-            np.subtract(out, x, out=g.reshape(shape))
-            res = math.sqrt(g.dot(g))
+        res, x_norm = _residual_norm(out, x, buf)
         if not math.isfinite(res):
             _check_finite(out, trace, k)
         p = None
         if cfg.record_trace and psnr_ref is not None:
             p = psnr(out, psnr_ref)[1]
-        rel = res / (float(np.linalg.norm(x)) + _EPS)
+        rel = res / (x_norm + _EPS)
         if cfg.record_trace:
             trace.append(res, rel, dt, p)
         if rel <= cfg.tol:
-            return SolveResult(x_hat=x, converged=True, iterations=k, trace=trace)
+            converged = True
+            break
         _check_growth(res, best, trace, k)
         best = min(best, res)
-        if delta != 1.0:  # out = (1 - delta) x + delta f(x); x is dead until the mix
-            out *= delta
-            x *= 1.0 - delta
-            out += x
         if s == 1:  # alpha is exactly [1]: the mix is the damped Picard step
+            if delta != 1.0:  # out = (1 - delta) x + delta f(x); x is dead after
+                out *= delta
+                x *= 1.0 - delta
+                out += x
             if cfg.record_trace:
                 trace.alpha_errors.append(0.0)
                 trace.fallbacks.append(False)
             x, partner = out, x
             continue
-        gram[j, :m] = gram[:m, j] = g_ring[:m] @ g
+        _residual_in_place(out, x, delta, buf)  # x is G[j] = f(x) - x from here
+        gram[j, :m] = gram[:m, j] = g_ring[:m] @ g_ring[j]
+        x = g_ring[k % s].reshape(shape)
         try:
             alpha = solve_alpha(gram[:m, :m], cfg.anderson_reg)
             if cfg.record_trace:
                 trace.alpha_errors.append(abs(float(alpha.sum()) - 1.0))
                 trace.fallbacks.append(False)
-            np.matmul(alpha, y_ring[:m], out=x.reshape(-1))
+            np.matmul(alpha, y_ring[:m], out=g_ring[k % s])
         except SingularAlphaError:
             if cfg.record_trace:
                 trace.alpha_errors.append(0.0)
                 trace.fallbacks.append(True)
             np.copyto(x, out)
-    return SolveResult(x_hat=x, converged=False, iterations=cfg.max_iter, trace=trace)
+    if s > 1:  # free Y before copying x out of G, so x_hat is no ring view
+        del out, y_ring
+        x = x.copy()
+    return SolveResult(x_hat=x, converged=converged, iterations=k, trace=trace)
 
 
 # the name the CLI calls, and the tests and the benchmark's tracer look up

@@ -207,19 +207,19 @@ def test_solver_flag_defaults_to_anderson(scene, tmp_path):
     assert not np.array_equal(x_default, x_picard)
 
 
-@pytest.mark.parametrize("method, bound", [("de-gap", 14.71), ("pnp-gap", 5.80)])
+@pytest.mark.parametrize("method, bound", [("de-gap", 13.85), ("pnp-gap", 5.80)])
 def test_reconstruct_peak_in_cubes(tmp_path, method, bound):
     # A 64x64x8 reconstruction, 20 iterations with a PSNR per iteration,
-    # under tracemalloc. Live at the peak: the bool mask (1/8 cube), the
-    # reference and x; for de-gap the Anderson m=3 rings (6 rows), one of
-    # which receives the projection and its in-place denoise, plus the
-    # denoiser's tile working set; for pnp-gap x, its partner buffer and
-    # the TV prox's working set. Measured 14.08-14.21 (de-gap) and
+    # under tracemalloc. Live at the peak: the bool mask (1/8 cube) and the
+    # reference; for de-gap the Anderson m=3 rings (6 rows), x in one G row
+    # and one Y row receiving the projection and its in-place denoise, plus
+    # the denoiser's tile working set; for pnp-gap x, its partner buffer and
+    # the TV prox's working set. Measured 13.31-13.35 (de-gap) and
     # 5.15-5.30 (pnp-gap) cubes; each bound is the highest plus 0.5 cube.
-    # With f(x), the denoise, the trace's PSNR and the mix in new arrays,
-    # de-gap peaked at 16.95; with the initial estimate held through the
-    # solve and the PSNR, projection and TV temporaries, the peaks were
-    # 17.95 and 7.67.
+    # With x held beside the rings, de-gap peaked at 14.06-14.21; with f(x),
+    # the denoise, the trace's PSNR and the mix in new arrays, at 16.95;
+    # with the initial estimate held through the solve and the PSNR,
+    # projection and TV temporaries, the peaks were 17.95 and 7.67.
     files = _scene_files(tmp_path, 64, 64, 8)
     extra = ["--method", method]
     if method == "de-gap":

@@ -24,11 +24,10 @@ _SLACK = 16 << 10
 
 
 def _held(memory, cube):
-    """Bytes a solve holds from its first iteration on: x and its partner
-    with the residual buffer (memory 1), or x and the two (m, N) rings."""
-    if memory == 1:
-        return 2 * cube.nbytes + 8 * RESIDUAL_BLOCK
-    return (2 * memory + 1) * cube.nbytes
+    """Bytes a solve holds from its first iteration on: 2m iterates (x and
+    its partner for memory 1, the two (m, N) rings, x in G, otherwise) and
+    the residual buffer."""
+    return 2 * memory * cube.nbytes + 8 * RESIDUAL_BLOCK
 
 
 def affine_map(a, b):
@@ -412,9 +411,9 @@ class TestAnderson:
     @pytest.mark.parametrize("memory, damping", [(1, 1.0), (2, 1.0), (3, 1.0), (5, 1.0),
                                                  (3, 0.6)])
     def test_map_called_with_only_rings_and_iterate_live(self, memory, damping):
-        # from iteration 2 on, f starts while the engine holds x and the two
-        # (m, N) rings, or x and its partner; the previous f(x) is already
-        # freed
+        # from iteration 2 on, f starts while the engine holds the two (m, N)
+        # rings, with x in G, or x and its partner, and the residual buffer;
+        # the previous f(x) is already freed
         b = np.random.default_rng(17).random((64, 64, 8))
         x0 = np.zeros_like(b)
         live = []
@@ -435,10 +434,11 @@ class TestAnderson:
 
     def test_map_filling_out_allocates_no_iterate_after_the_rings(self):
         # f writes into the lent ring slot, the trace's PSNR works in one row
-        # block smaller than the iterate and the mix goes into x: from
-        # iteration 2 on the engine holds x and the two (m, N) rings and
-        # nothing else of the iterate's size (a fresh mix, a PSNR scratch
-        # cube or f(x) each add one)
+        # block smaller than the iterate and the mix goes into the next G
+        # slot: from iteration 2 on, and through the copy of x_hat out of G
+        # after the Y ring is freed, the engine holds the two (m, N) rings
+        # and nothing else of the iterate's size (a separate x, a fresh mix,
+        # a PSNR scratch cube or f(x) each add one)
         b = np.random.default_rng(19).random((128, 128, 8))
         memory, fill = 3, _tanh_map(b)
 
@@ -514,11 +514,11 @@ class TestAnderson:
 
     @pytest.mark.parametrize("method, memory", [("picard", 1), ("anderson", 3)])
     def test_inline_initial_estimate_is_freed(self, method, memory):
-        # the engine copies x0 and drops its reference, so an x0 built in
-        # the call holds no memory while f runs: at iteration 2 the engine
-        # holds x and its partner with the residual buffer (Picard), or x
-        # and the two (m, N) rings (Anderson), one iterate less than when x0
-        # outlives the call
+        # the engine copies x0 (into G[0] for Anderson) and drops its
+        # reference, so an x0 built in the call holds no memory while f
+        # runs: at iteration 2 the engine holds 2m iterates and the residual
+        # buffer, x and its partner (Picard) or the two (m, N) rings with x
+        # in G (Anderson), one iterate less than when x0 outlives the call
         b = np.random.default_rng(18).random((64, 64, 8))
         refs, live = [], []
 
@@ -540,6 +540,26 @@ class TestAnderson:
         assert [gone for _, gone in live] == [True, True, True]
         assert live[1][0] <= _held(memory, b) + _SLACK
 
+    @pytest.mark.parametrize("converged", [True, False], ids=["converged", "capped"])
+    @pytest.mark.parametrize("memory", [1, 3])
+    def test_returned_solve_leaves_x_hat_and_the_trace(self, memory, converged):
+        # the rings (or x's partner) and the residual buffer die with the
+        # solve, and x_hat, copied out of G, is no view that keeps a ring
+        # alive: a finished solve leaves x_hat and the trace's scalars
+        b = np.random.default_rng(22).random((64, 64, 8))
+        x0 = np.zeros_like(b)
+        cfg = FixedPointConfig(tol=1e-3 if converged else 0.0, max_iter=30 if converged else 12,
+                               anderson_memory=memory)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = anderson_solve(lambda x, out=None: 0.5 * x + b, x0, cfg)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.converged == converged
+        assert res.x_hat.base is None and res.x_hat.nbytes == b.nbytes
+        assert left <= b.nbytes + _SLACK
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("memory", [1, 3])

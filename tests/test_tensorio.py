@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays, array_shapes
 
 from helpers import traced_peak
 from vsci.errors import BadMagicError, DtypeMismatchError, TruncatedError
-from vsci.tensorio import read_kv, read_tensor, write_kv, write_tensor
+from vsci.tensorio import WRITE_BLOCK, read_kv, read_tensor, write_kv, write_tensor
 
 
 def test_roundtrip_small(tmp_path):
@@ -107,3 +107,34 @@ def test_round_trip_holds_one_payload(tmp_path):
     assert traced_peak(write_tensor, path, t) <= 1.1 * t.nbytes
     assert traced_peak(read_tensor, path) <= 1.1 * t.nbytes
     assert np.array_equal(read_tensor(path), t)
+
+
+@pytest.mark.parametrize("make", [
+    lambda r: r.random((256, 256, 8)) < 0.5,  # a paper-scale bool mask
+    lambda r: (r.random((9, 7, 3)) < 0.5).transpose(2, 0, 1),  # not contiguous
+    lambda r: r.integers(-5, 5, size=(2 * WRITE_BLOCK + 3,), dtype=np.int32),
+    lambda r: r.random((4, 5)).astype(np.float16),
+    lambda r: np.zeros((0, 3), dtype=bool),
+    lambda r: r.random((6, 5)).T,
+    lambda r: r.random((4, 5, 3))[:, :, 0],  # flattens to a strided view
+    lambda r: r.random((3, 4)).astype(">f8"),
+], ids=["bool-256x256x8", "bool-transposed", "int32-ragged", "float16", "empty",
+        "float64-transposed", "float64-strided", "float64-big-endian"])
+def test_non_float_written_as_its_float64_copy(tmp_path, make):
+    # a tensor that is not float32/float64 in C order is converted block by
+    # block as it is written, into the bytes of its whole float64 copy
+    t = make(np.random.default_rng(5))
+    p1, p2 = str(tmp_path / "a.vsci"), str(tmp_path / "b.vsci")
+    write_tensor(p1, t)
+    write_tensor(p2, t.astype(np.float64))
+    assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_bool_mask_write_allocates_one_block(tmp_path):
+    # a 256x256x8 bool mask is converted one WRITE_BLOCK-entry block at a
+    # time, far below the float64 cube (4 MiB) that a whole cast allocates
+    frames = np.random.default_rng(6).random((256, 256, 8)) < 0.5
+    cube_bytes = 8 * frames.size
+    assert 8 * WRITE_BLOCK <= cube_bytes // 8
+    peak = traced_peak(write_tensor, str(tmp_path / "m.vsci"), frames)
+    assert peak <= 8 * WRITE_BLOCK + (16 << 10)
