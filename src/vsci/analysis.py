@@ -81,7 +81,6 @@ def projection_spectrum(mask: SensingMask) -> SpectrumReport:
 @dataclass
 class LipschitzReport:
     sigma_hat: float                 # sampled ||df/dx|| at a point
-    contraction_flag: bool           # sigma_hat < 1
     idempotence_defect: float
     n_unit_eigenvalues: int
     n_zero_eigenvalues: int
@@ -89,7 +88,6 @@ class LipschitzReport:
     def to_kv(self) -> dict:
         return {
             "sigma_hat": repr(self.sigma_hat),
-            "contraction_flag": self.contraction_flag,
             "idempotence_defect": repr(self.idempotence_defect),
             "n_unit_eigenvalues": self.n_unit_eigenvalues,
             "n_zero_eigenvalues": self.n_zero_eigenvalues,
@@ -107,7 +105,6 @@ def build_report(
     eigs = spectrum.eigenvalues
     return LipschitzReport(
         sigma_hat=sigma_hat,
-        contraction_flag=sigma_hat < 1.0,
         idempotence_defect=spectrum.idempotence_defect,
         n_unit_eigenvalues=int(np.sum(np.abs(eigs - 1.0) <= eig_tol)),
         n_zero_eigenvalues=int(np.sum(np.abs(eigs) <= eig_tol)),

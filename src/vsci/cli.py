@@ -25,14 +25,13 @@ from .denoisers import (
     GatedConvCell,
     IdentityDenoiser,
     load_denoiser,
-    make_conv_residual,
     save_denoiser,
 )
 from .errors import ConfigError, DivergedError, TensorFileError, TrainingAbortedError, VsciError
 from .fixed_point import FixedPointConfig, solve
 from .maps import DeGapMap, pnp_gap_solve
 from .metrics import psnr, ssim
-from .models import DeGapModel, equilibrium_denoiser
+from .models import DeGapModel, desk_denoiser, equilibrium_denoiser
 from .sci import (
     Measurement,
     SensingMask,
@@ -101,10 +100,8 @@ def cmd_mask(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scene = SyntheticScene(
-        kind=args.scene, seed=args.seed, h=args.height, w=args.width,
-        b=args.frames, amplitude=args.amplitude,
-    )
+    scene = SyntheticScene(kind=args.scene, seed=args.seed, h=args.height, w=args.width,
+                           b=args.frames)
     cube = synth_video(scene)
     mask = load_mask(args.mask)
     y = forward(mask, cube)
@@ -117,7 +114,6 @@ def cmd_simulate(args) -> int:
         {
             "scene": scene.kind, "scene_seed": scene.seed,
             "h": scene.h, "w": scene.w, "b": scene.b,
-            "amplitude": repr(scene.amplitude),
             "mask": args.mask, "sigma": repr(args.sigma),
             "noise_seed": args.noise_seed,
         },
@@ -131,11 +127,15 @@ _ANDERSON_KEYS = ("solver.anderson_memory", "solver.anderson_damping", "solver.a
 
 def _reconstruct(args, cfg, entries):
     """Run the chosen method; entries are the keys the --config file set."""
-    given = [f"--{f}" for f in ("solver", "memory", "damping", "reg")
-             if getattr(args, f) is not None]
+    # pnp-gap and --solver picard run undamped Picard, which reads no Anderson setting
+    picard = args.method if args.method == "pnp-gap" else (
+        "--solver picard" if args.solver == "picard" else None)
+    given = [f"--{f}" for f in ("memory", "damping", "reg") if getattr(args, f) is not None]
     given += [k for k in _ANDERSON_KEYS if k in entries]
-    if args.method == "pnp-gap" and given:
-        raise ConfigError(f"pnp-gap runs undamped Picard and takes no {', '.join(given)}")
+    if args.method == "pnp-gap" and args.solver is not None:
+        given.insert(0, "--solver")
+    if picard and given:
+        raise ConfigError(f"{picard} runs undamped Picard and takes no {', '.join(given)}")
     tv_given = [flag for flag, value in (("--schedule", args.schedule),
                                          ("--tv-iters", args.tv_iters)) if value is not None]
     if args.method != "pnp-gap" and tv_given:
@@ -180,7 +180,7 @@ def _make_dataset(args, n: int, seed0: int):
     samples = []
     for i in range(n):
         scene = SyntheticScene(kind=args.scene, seed=seed0 + i, h=args.height,
-                               w=args.width, b=args.frames, amplitude=args.amplitude)
+                               w=args.width, b=args.frames)
         cube = synth_video(scene)
         mask = mask_generate(args.mask_seed, args.height, args.width, args.frames,
                              kind="bernoulli", p=args.mask_p, policy="floor")
@@ -194,7 +194,6 @@ def _make_dataset(args, n: int, seed0: int):
 def _train_cfg(args, cfg: dict) -> TrainConfig:
     return TrainConfig(
         epochs=_pick(args, cfg, "epochs", "train.epochs"),
-        batch_size=_pick(args, cfg, "batch_size", "train.batch_size"),
         lr=_pick(args, cfg, "lr", "train.lr"),
         lr_decay=cfg["train.lr_decay"],
         lr_decay_every=cfg["train.lr_decay_every"],
@@ -209,30 +208,26 @@ def _train_cfg(args, cfg: dict) -> TrainConfig:
 
 
 def _desk_model(args) -> DeGapModel:
-    den = make_conv_residual(
-        seed=args.model_seed, channels=args.channels, n_layers=args.layers,
-        gamma=args.gamma, init=args.init,
-    )
-    return DeGapModel(denoiser=den)
+    return DeGapModel(denoiser=desk_denoiser(args.model_seed, args.channels, args.layers,
+                                             args.gamma))
 
 
 def cmd_train(args) -> int:
     cfg, _ = _load_run_config(args)
     tcfg = _train_cfg(args, cfg)
     model = _desk_model(args)
-    model.spectral_normalize(tcfg.sn_iters_val)
     dataset = _make_dataset(args, args.train_scenes, seed0=args.data_seed)
     val = _make_dataset(args, args.val_scenes, seed0=args.data_seed + 10_000)
     try:
-        result = train(model, dataset, tcfg, val_set=val or None)
+        log = train(model, dataset, tcfg, val_set=val or None)
     except TrainingAbortedError as exc:  # keep the epochs that ran; main exits 4
         if args.log:
             write_epoch_log(args.log, exc.log or [])
         raise
     save_denoiser(args.out_prefix, model.denoiser)
     if args.log:
-        write_epoch_log(args.log, result.log)
-    last = result.log[-1]
+        write_epoch_log(args.log, log)
+    last = log[-1]
     print(f"trained {tcfg.epochs} epochs, final mean_loss={last.mean_loss:.6g} "
           f"val_psnr={last.val_psnr:.4f}")
     print(f"checkpoint -> {args.out_prefix}.vsci")
@@ -292,8 +287,7 @@ def _parse_method(text: str) -> MethodSpec:
 def cmd_bench(args) -> int:
     cfg, _ = _load_run_config(args)
     scenes = [
-        SyntheticScene(kind=args.scene, seed=s, h=args.height, w=args.width,
-                       b=args.frames, amplitude=args.amplitude)
+        SyntheticScene(kind=args.scene, seed=s, h=args.height, w=args.width, b=args.frames)
         for s in range(args.scene_seed, args.scene_seed + args.n_scenes)
     ]
     methods = [_parse_method(m) for m in args.methods]
@@ -321,7 +315,6 @@ def _add_model_flags(p):
     p.add_argument("--channels", type=int, default=8)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--gamma", type=float, default=0.3)
-    p.add_argument("--init", default="smooth", choices=["smooth", "random", "zero"])
 
 
 def _add_data_flags(p, h=16, w=16, b=4):
@@ -329,7 +322,6 @@ def _add_data_flags(p, h=16, w=16, b=4):
     p.add_argument("--height", type=int, default=h)
     p.add_argument("--width", type=int, default=w)
     p.add_argument("--frames", type=int, default=b)
-    p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--mask-seed", type=int, default=0)
     p.add_argument("--mask-p", type=float, default=0.5)
     p.add_argument("--sigma", type=float, default=0.0)
@@ -363,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--mask", required=True, help="mask prefix from `vsci mask`")
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--noise-seed", type=int, default=1234)
@@ -398,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-scenes", type=int, default=16)
     p.add_argument("--val-scenes", type=int, default=4)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--momentum", type=float)
     p.add_argument("--backward-mode", choices=["fixed_point", "neumann"])
@@ -440,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=32)
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--frames", type=int, default=4)
-    p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--methods", nargs="+", required=True,
                    help="e.g. de_gap:ckpt de_rnn pnp_gap:0.1,0.05")

@@ -2,7 +2,7 @@
 
 Files are UTF-8 text, one `key = value` per line, '#' starts a comment.
 Keys are namespaced (solver.*, train.*, bench.*). Unknown keys are rejected
-by name; CLI flags override file values. dump/load round-trips losslessly.
+by name; CLI flags override file values.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ KNOWN_KEYS = {
     "solver.anderson_damping": (float, 1.0, "mixing damping delta in (0,1]"),
     "solver.anderson_reg": (float, 1e-8, "relative Tikhonov weight in the alpha solve"),
     "train.epochs": (int, 30, "training epochs"),
-    "train.batch_size": (int, 1, "samples per parameter update"),
     "train.lr": (float, 1e-3, "learning rate"),
     "train.lr_decay": (float, 0.1, "fractional decay applied every lr_decay_every epochs"),
     "train.lr_decay_every": (int, 10, "epochs between decays"),
@@ -56,11 +55,6 @@ def parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
 
-def load_config(path: str) -> dict:
-    """Defaults overlaid with the file's entries; unknown keys are fatal."""
-    return with_defaults(read_config(path))
-
-
 def with_defaults(entries: dict) -> dict:
     """Every known key: its entry if given, else its default."""
     return {**defaults(), **entries}
@@ -83,16 +77,6 @@ def read_config(path: str) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             cfg[key] = parse_value(key, val)
     return cfg
-
-
-def dump_config(cfg: dict, path: str) -> None:
-    """Write every known key; floats use repr so load(dump(c)) == c."""
-    lines = []
-    for key in KNOWN_KEYS:
-        val = cfg[key]
-        lines.append(f"{key} = {repr(val) if isinstance(val, float) else val}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def help_text() -> str:

@@ -9,6 +9,7 @@ import numpy as np
 from . import denoisers
 from .denoisers import ConvResidualDenoiser, GatedConvCell, IdentityDenoiser, make_gated_cell
 from .maps import DeGapMap
+from .training import TrainConfig
 
 # method -> (the denoiser class its checkpoints hold, its untrained default)
 _EQUILIBRIUM = {
@@ -23,6 +24,16 @@ def equilibrium_denoiser(method: str, checkpoint: str | None):
     both is the identity."""
     cls, untrained = _EQUILIBRIUM[method]
     return denoisers.load_denoiser(checkpoint, cls) if checkpoint else untrained()
+
+
+def desk_denoiser(seed: int, channels: int, layers: int, gamma: float) -> ConvResidualDenoiser:
+    """The untrained DE-GAP denoiser that `vsci train` starts from: the
+    smooth-init conv_residual stack, spectrally normalized with
+    TrainConfig.sn_iters_val power iterations."""
+    den = denoisers.make_conv_residual(seed=seed, channels=channels, n_layers=layers,
+                                       gamma=gamma, init="smooth")
+    den.spectral_normalize(TrainConfig.sn_iters_val)
+    return den
 
 
 @dataclass

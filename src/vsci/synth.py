@@ -1,4 +1,4 @@
-"""Deterministic synthetic video generators for desk-scale experiments."""
+"""Deterministic synthetic videos for desk-scale experiments; objects move 1 px per frame."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCENE_KINDS = ("moving_square", "shifting_gradient", "bouncing_dots")
+SCENE_KINDS = ("moving_square", "bouncing_dots")
 
 
 @dataclass
@@ -16,7 +16,6 @@ class SyntheticScene:
     h: int
     w: int
     b: int
-    amplitude: float = 1.0  # pixels per frame
 
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
@@ -37,19 +36,7 @@ def _moving_square(scene: SyntheticScene) -> np.ndarray:
     rows = (top + np.arange(side)) % h
     cols = (left + np.arange(side)) % w
     frame0[np.ix_(rows, cols)] = hi
-    shift = int(round(scene.amplitude))
-    return np.stack(
-        [np.roll(frame0, (k * shift, k * shift), axis=(0, 1)) for k in range(b)], axis=2
-    )
-
-
-def _shifting_gradient(scene: SyntheticScene) -> np.ndarray:
-    rng = np.random.default_rng(scene.seed)
-    h, w, b = scene.h, scene.w, scene.b
-    span = max(h + w - 2, 1)
-    base = (np.arange(h)[:, None] + np.arange(w)[None, :]) / span + rng.random()
-    phase = scene.amplitude / max(h, w)
-    return np.stack([(base + k * phase) % 1.0 for k in range(b)], axis=2)
+    return np.stack([np.roll(frame0, (k, k), axis=(0, 1)) for k in range(b)], axis=2)
 
 
 def _bouncing_dots(scene: SyntheticScene) -> np.ndarray:
@@ -58,7 +45,7 @@ def _bouncing_dots(scene: SyntheticScene) -> np.ndarray:
     ndots = int(rng.integers(3, 6))
     pos = rng.random((ndots, 2)) * [h - 1, w - 1]
     ang = rng.random(ndots) * 2 * np.pi
-    vel = scene.amplitude * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    vel = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     sig = max(1.0, h / 16.0)
     ii = np.arange(h)[:, None]
     jj = np.arange(w)[None, :]
@@ -83,7 +70,6 @@ def synth_video(scene: SyntheticScene) -> np.ndarray:
     """Deterministic (H, W, B) cube with values in [0, 1]."""
     gen = {
         "moving_square": _moving_square,
-        "shifting_gradient": _shifting_gradient,
         "bouncing_dots": _bouncing_dots,
     }[scene.kind]
     cube = gen(scene)

@@ -27,7 +27,6 @@ from .sci import init_estimate
 @dataclass
 class TrainConfig:
     epochs: int = 30
-    batch_size: int = 1
     lr: float = 1e-3
     lr_decay: float = 0.1       # fraction removed every lr_decay_every epochs
     lr_decay_every: int = 10
@@ -43,8 +42,8 @@ class TrainConfig:
     forward: FixedPointConfig = field(default_factory=FixedPointConfig)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if not self.lr >= 0 or not self.backward_tol > 0 or self.backward_max_iter < 1:
             raise ValueError("rates and counts must be positive")
         if not 0.0 <= self.lr_decay <= 1.0:
@@ -168,12 +167,6 @@ class EpochLog:
     approximate: int  # applied gradients whose forward or backward solve hit its cap
 
 
-@dataclass
-class TrainResult:
-    theta: np.ndarray
-    log: list
-
-
 def write_epoch_log(path: str, log: list) -> None:
     """One CSV row per EpochLog: epoch,mean_loss,val_psnr,skipped,approximate
     (val_psnr empty when no validation ran)."""
@@ -196,8 +189,9 @@ def evaluate_psnr(model, samples, solver_cfg: FixedPointConfig) -> float:
     return float(np.mean(vals))
 
 
-def train(model, dataset, cfg: TrainConfig, val_set=None) -> TrainResult:
-    """Plain SGD (optional momentum) over per-sample implicit gradients.
+def train(model, dataset, cfg: TrainConfig, val_set=None) -> list:
+    """Plain SGD (optional momentum) over per-sample implicit gradients;
+    returns one EpochLog per epoch.
 
     After every parameter update the model is spectrally renormalized with
     sn_iters_step power iterations. A pass of sn_iters_val iterations runs
@@ -212,8 +206,7 @@ def train(model, dataset, cfg: TrainConfig, val_set=None) -> TrainResult:
     if not dataset:
         raise ValueError("dataset must be non-empty")
     rng = np.random.default_rng(cfg.seed)
-    theta = model.get_params()
-    velocity = np.zeros_like(theta)
+    velocity = np.zeros_like(model.get_params())
     log = []
     updated = False  # parameters changed since the last sn_iters_val pass
     for epoch in range(cfg.epochs):
@@ -222,21 +215,15 @@ def train(model, dataset, cfg: TrainConfig, val_set=None) -> TrainResult:
         losses = []
         skipped = 0
         approximate = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grads = []
-            for idx in batch:
-                try:
-                    r = loss_gradient(model, dataset[idx], cfg)
-                except DivergedError:
-                    skipped += 1
-                    continue
-                grads.append(r.grad)
-                losses.append(r.loss)
-                approximate += r.approximate
-            if not grads:
+        for idx in order:
+            try:
+                r = loss_gradient(model, dataset[idx], cfg)
+            except DivergedError:
+                skipped += 1
                 continue
-            g = np.mean(grads, axis=0)
+            losses.append(r.loss)
+            approximate += r.approximate
+            g = r.grad
             if cfg.clip_norm > 0:
                 gn = float(np.linalg.norm(g))
                 if gn > cfg.clip_norm:
@@ -261,7 +248,7 @@ def train(model, dataset, cfg: TrainConfig, val_set=None) -> TrainResult:
                             skipped=skipped, approximate=approximate))
     if updated:
         model.spectral_normalize(cfg.sn_iters_val)
-    return TrainResult(theta=model.get_params(), log=log)
+    return log
 
 
 @dataclass

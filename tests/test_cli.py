@@ -11,6 +11,7 @@ import vsci.training
 from helpers import traced_peak
 from vsci import tensorio
 from vsci.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_IO, EXIT_OK, main
+from vsci.config import KNOWN_KEYS, defaults
 from vsci.denoisers import make_conv_residual, make_gated_cell, save_denoiser
 from vsci.errors import DivergedError
 
@@ -156,6 +157,31 @@ def test_pnp_gap_rejects_solver_keys_in_config(scene, tmp_path, key, flag, value
     assert _reconstruct(scene, x_cfg, *base, "--config", str(cfg)) == EXIT_OK
     assert _reconstruct(scene, x_flag, *base, flag, value) == EXIT_OK
     assert np.array_equal(tensorio.read_tensor(x_cfg), tensorio.read_tensor(x_flag))
+
+
+@pytest.mark.parametrize("extra, cfg_line", [
+    (("--memory", "5"), ""), (("--damping", "0.5"), ""), (("--reg", "1e-6"), ""),
+    ((), "solver.anderson_memory = 5"), ((), "solver.anderson_damping = 0.5"),
+    ((), "solver.anderson_reg = 1e-6"),
+], ids=["memory", "damping", "reg", "memory_key", "damping_key", "reg_key"])
+@pytest.mark.parametrize("method", ["de-gap", "de-rnn"])
+def test_picard_solver_rejects_anderson_settings(scene, tmp_path, method, extra, cfg_line,
+                                                 capsys):
+    # --solver picard runs undamped Picard, as pnp-gap does; it would ignore them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_line + "\n", encoding="utf-8")
+    out, trace = str(tmp_path / "x.vsci"), str(tmp_path / "tr.csv")
+    assert _reconstruct(scene, out, "--max-iter", "3", "--method", method, "--solver", "picard",
+                        "--config", str(cfg), "--trace", trace, *extra) == EXIT_CONFIG
+    assert (extra[0] if extra else cfg_line.split(" ")[0]) in capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(trace)
+
+
+def test_anderson_memory_one_still_runs(scene, tmp_path):
+    out = str(tmp_path / "x.vsci")
+    assert _reconstruct(scene, out, "--max-iter", "3", "--solver", "anderson",
+                        "--memory", "1") == EXIT_OK
+    assert os.path.exists(out)
 
 
 @pytest.mark.parametrize("extra", [("--schedule", "0.05"), ("--tv-iters", "30"),
@@ -458,7 +484,7 @@ def test_train_log_records_approximate_gradients(tmp_path, monkeypatch):
     header, *rows = log.read_text(encoding="utf-8").splitlines()
     assert header == "epoch,mean_loss,val_psnr,skipped,approximate"
     column = [int(row.split(",")[4]) for row in rows]
-    assert column == [epoch.approximate for epoch in results[0].log]
+    assert column == [epoch.approximate for epoch in results[0]]
     assert all(n > 0 for n in column)
 
 
@@ -500,8 +526,8 @@ def test_spectrum_at_64x64x8_prints_what_it_writes(tmp_path, capsys):
                  "--out", out]) == EXIT_OK
     printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
     assert printed == tensorio.read_kv(out)
-    assert list(printed) == ["sigma_hat", "contraction_flag", "idempotence_defect",
-                             "n_unit_eigenvalues", "n_zero_eigenvalues"]
+    assert list(printed) == ["sigma_hat", "idempotence_defect", "n_unit_eigenvalues",
+                             "n_zero_eigenvalues"]
     # floor policy, default tau: live pixels give 1 and dead pixels 0
     assert int(printed["n_unit_eigenvalues"]) + int(printed["n_zero_eigenvalues"]) == 64 * 64 * 8
 
@@ -549,3 +575,83 @@ def test_bench_timing_none_is_bitwise_reproducible(tmp_path):
                 header, *rows = fh.read().splitlines()
             assert header == "iter,residual,rel_residual,psnr,time_ms"
             assert rows and all(row.split(",")[4] == "0.000000" for row in rows), name
+
+
+# a valid value other than the default, for the keys whose type alone gives none
+_OTHER = {"solver.anderson_damping": 0.5, "train.lr_decay": 0.5, "train.momentum": 0.5,
+          "bench.mask_p": 0.25, "train.backward_mode": "neumann", "bench.mask_kind": "all_ones",
+          "bench.mask_policy": "reject", "bench.solver": "picard", "bench.timing": "none"}
+
+
+def _other_value(key):
+    default = defaults()[key]
+    if key in _OTHER:
+        return _OTHER[key]
+    return default + 1 if isinstance(default, int) else default / 2 or 0.25
+
+
+class _Captured(Exception):
+    """Raised by a stand-in with the configuration object it was handed."""
+
+
+def _capture(index):
+    def stand_in(*args, **_kwargs):
+        raise _Captured(args[index])
+    return stand_in
+
+
+@pytest.mark.parametrize("key", list(KNOWN_KEYS))
+def test_every_key_reaches_the_object_it_configures(tmp_path, monkeypatch, key):
+    value = _other_value(key)
+    assert value != defaults()[key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    size = ["--height", "12", "--width", "12", "--frames", "2"]
+    section, field = key.split(".")
+    if section == "solver":
+        # vsci.cli.solve(map, x0, FixedPointConfig, ...)
+        monkeypatch.setattr(vsci.cli, "solve", _capture(2))
+        p = _scene_files(tmp_path, 12, 12, 2)
+        argv = ["reconstruct", "--mask", p["mask"], "--measurement", p["y.vsci"],
+                "--out", str(tmp_path / "x.vsci")]
+    elif section == "train":
+        # vsci.cli.train(model, dataset, TrainConfig, ...)
+        monkeypatch.setattr(vsci.cli, "train", _capture(2))
+        argv = ["train", *size, "--train-scenes", "1", "--val-scenes", "0",
+                "--out-prefix", str(tmp_path / "model")]
+    else:
+        # vsci.cli.run_trajectory_bench(BenchSpec)
+        monkeypatch.setattr(vsci.cli, "run_trajectory_bench", _capture(0))
+        argv = ["bench", *size, "--outdir", str(tmp_path / "b"), "--methods", "pnp_gap"]
+    with pytest.raises(_Captured) as captured:
+        main([*argv, "--config", str(cfg)])
+    assert getattr(captured.value.args[0], field) == value
+
+
+def test_deleted_key_is_refused_by_name(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("train.batch_size = 2\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--out-prefix", str(tmp_path / "m")]) == EXIT_CONFIG
+    assert "train.batch_size" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--height", "4", "--width", "4", "--frames", "2", "--mask", "m",
+     "--out-cube", "c", "--out-meas", "y", "--amplitude", "2"],
+    ["train", "--out-prefix", "m", "--amplitude", "2"],
+    ["gradcheck", "--amplitude", "2"],
+    ["bench", "--outdir", "b", "--methods", "pnp_gap", "--amplitude", "2"],
+    ["train", "--out-prefix", "m", "--batch-size", "2"],
+    ["train", "--out-prefix", "m", "--init", "random"],
+    ["gradcheck", "--init", "random"],
+    ["simulate", "--height", "4", "--width", "4", "--frames", "2", "--mask", "m",
+     "--out-cube", "c", "--out-meas", "y", "--scene", "shifting_gradient"],
+], ids=["simulate-amplitude", "train-amplitude", "gradcheck-amplitude", "bench-amplitude",
+        "train-batch-size", "train-init", "gradcheck-init", "shifting-gradient"])
+def test_deleted_flags_exit_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []

@@ -18,7 +18,7 @@ from vsci.denoisers import (
     spectral_normalize,
 )
 from vsci.fixed_point import FixedPointConfig
-from vsci.models import DeGapModel
+from vsci.models import DeGapModel, desk_denoiser
 from vsci.sci import forward
 from vsci.training import TrainConfig, loss_gradient
 
@@ -102,3 +102,16 @@ def test_checkpoint_roundtrip_keeps_the_payload_bytes(tmp_path, cls, make):
     assert back.gamma == owner.gamma
     for a, b in zip(back.params.sn_u, owner.params.sn_u):
         np.testing.assert_array_equal(a, b)
+
+
+def test_desk_denoiser_is_the_smooth_stack_normalized_bit_for_bit():
+    # the model `vsci train` starts from, and the benchmark's checkpoint
+    want = make_conv_residual(seed=0, channels=8, n_layers=2, gamma=0.3, init="smooth")
+    want.spectral_normalize(TrainConfig.sn_iters_val)
+    got = desk_denoiser(0, 8, 2, 0.3)
+    assert type(got) is ConvResidualDenoiser and got.gamma == want.gamma
+    for name in ("kernels", "biases", "sn_u"):
+        mine, theirs = getattr(got.params, name), getattr(want.params, name)
+        assert len(mine) == len(theirs)
+        for a, b in zip(mine, theirs):
+            np.testing.assert_array_equal(a, b)

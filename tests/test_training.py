@@ -339,11 +339,11 @@ class TestTrainLoop:
             model.spectral_normalize(30)  # start inside the feasible set
             before = model.get_params()
             cfg = tight_train_cfg(lr=0.0, epochs=3, seed=0)
-            result = train(model, [sample], cfg, val_set=val_set)
+            log = train(model, [sample], cfg, val_set=val_set)
             np.testing.assert_array_equal(model.get_params(), before)
-            losses = [row.mean_loss for row in result.log]
+            losses = [row.mean_loss for row in log]
             assert losses.count(losses[0]) == len(losses)
-            val_psnrs = [row.val_psnr for row in result.log]
+            val_psnrs = [row.val_psnr for row in log]
             np.testing.assert_array_equal(val_psnrs, val_psnrs[:1] * len(val_psnrs))
 
     def test_identical_seeds_identical_logs(self):
@@ -352,8 +352,8 @@ class TestTrainLoop:
         for _ in range(2):
             model = desk_model(seed=11)
             dataset = [desk_sample(s) for s in (20, 21, 22)]
-            result = train(model, dataset, cfg)
-            logs.append([(r.epoch, r.mean_loss, r.skipped) for r in result.log])
+            log = train(model, dataset, cfg)
+            logs.append([(r.epoch, r.mean_loss, r.skipped) for r in log])
         assert logs[0] == logs[1]
 
     def test_single_sgd_step_does_not_increase_loss(self):
@@ -383,8 +383,8 @@ class TestTrainLoop:
         identity = DeGapModel(denoiser=make_conv_residual(0, channels=4, n_layers=2, init="zero"))
         identity_loss = loss_eval(identity, sample, cfg)
         initial = loss_eval(model, sample, cfg)
-        result = train(model, [sample], cfg)
-        assert all(row.skipped == 0 and row.approximate == 0 for row in result.log)
+        log = train(model, [sample], cfg)
+        assert all(row.skipped == 0 and row.approximate == 0 for row in log)
         final = loss_eval(model, sample, cfg)
         assert final <= 0.35 * initial
         assert final < identity_loss
