@@ -27,7 +27,8 @@ from .denoisers import (
     load_denoiser,
     save_denoiser,
 )
-from .errors import ConfigError, DivergedError, TensorFileError, TrainingAbortedError, VsciError
+from .errors import (ConfigError, DivergedError, ShapeMismatchError, TensorFileError,
+                     TrainingAbortedError, VsciError)
 from .fixed_point import FixedPointConfig, solve
 from .maps import DeGapMap, pnp_gap_solve
 from .metrics import psnr, ssim
@@ -39,6 +40,7 @@ from .sci import (
     forward,
     init_estimate,
     mask_generate,
+    validate_cube,
 )
 from .synth import SCENE_KINDS, SyntheticScene, synth_video
 from .training import TrainConfig, finite_diff_gradcheck, train, write_epoch_log
@@ -68,25 +70,61 @@ def load_mask(prefix: str) -> SensingMask:
     return SensingMask(frames=frames, policy=policy, floor_tau=tau)
 
 
-def _pick(args, cfg: dict, flag: str, key: str):
-    """The command-line flag when given, else the config value."""
-    return getattr(args, flag) if getattr(args, flag, None) is not None else cfg[key]
+def _settings(args, cfg: dict, section: str, **flags) -> dict:
+    """The `section.*` values by field name; flags maps a field to the args
+    attribute that overrides it when given."""
+    vals = {k.split(".")[1]: v for k, v in cfg.items() if k.startswith(section + ".")}
+    vals.update((f, getattr(args, a)) for f, a in flags.items()
+                if getattr(args, a, None) is not None)
+    return vals
 
 
 def _solver_cfg(args, cfg: dict) -> FixedPointConfig:
-    return FixedPointConfig(
-        tol=_pick(args, cfg, "tol", "solver.tol"),
-        max_iter=_pick(args, cfg, "max_iter", "solver.max_iter"),
-        anderson_memory=_pick(args, cfg, "memory", "solver.anderson_memory"),
-        anderson_damping=_pick(args, cfg, "damping", "solver.anderson_damping"),
-        anderson_reg=_pick(args, cfg, "reg", "solver.anderson_reg"),
-    )
+    return FixedPointConfig(**_settings(args, cfg, "solver", tol="tol", max_iter="max_iter",
+                                        anderson_memory="memory", anderson_damping="damping",
+                                        anderson_reg="reg"))
 
 
-def _load_run_config(args) -> tuple[dict, dict]:
-    """(every key's value for the run, the entries the --config file set)."""
-    entries = cfgmod.read_config(args.config) if getattr(args, "config", None) else {}
-    return cfgmod.with_defaults(entries), entries
+# The config keys and optional flags each run reads. A run refuses every other
+# --config key, and each flag that only other runs of its subcommand name; a
+# flag that no row names is read by every run of its subcommand.
+_TOL = ("solver.tol", "solver.max_iter")
+_ANDERSON = ("solver.anderson_memory", "solver.anderson_damping", "solver.anderson_reg")
+_ADJOINT = ("train.backward_mode", "train.neumann_order", "train.backward_max_iter")
+RUN_READS = {
+    # de-gap and de-rnn by solver; undamped Picard reads no Anderson setting
+    "reconstruct --solver anderson": _TOL + _ANDERSON + ("--solver", "--memory", "--damping",
+                                                         "--reg"),
+    "reconstruct --solver picard": _TOL + ("--solver",),
+    # GAP-TV runs undamped Picard; it ignores --checkpoint, which the benchmark
+    # passes to every method
+    "reconstruct --method pnp-gap": _TOL + ("--schedule", "--tv-iters"),
+    "train": _TOL + _ANDERSON + _ADJOINT + ("train.epochs", "train.lr", "train.lr_decay",
+                                            "train.lr_decay_every", "train.momentum",
+                                            "train.backward_tol", "train.seed"),
+    "gradcheck": ("solver.max_iter",) + _ANDERSON + _ADJOINT,  # --solve-tol sets both tols
+    "bench": tuple(k for k in cfgmod.KNOWN_KEYS if k.startswith("bench.")),
+}
+
+
+def _load_run_config(args) -> dict:
+    """Every key's value for the run: the --config file's entry, else the default.
+
+    Refuses by name every entry and given flag that the run's row does not read.
+    """
+    entries = cfgmod.read_config(args.config) if args.config else {}
+    run = args.command
+    if run == "reconstruct":
+        run += (" --method pnp-gap" if args.method == "pnp-gap"
+                else f" --solver {args.solver or 'anderson'}")
+    reads = RUN_READS[run]
+    named = {s for r, row in RUN_READS.items() if r.split()[0] == args.command for s in row}
+    refused = [s for s in sorted(named.difference(reads)) if s.startswith("--")
+               and getattr(args, s[2:].replace("-", "_")) is not None]
+    refused += [k for k in entries if k not in reads]
+    if refused:
+        raise ConfigError(f"{run} does not read {', '.join(refused)}")
+    return {**cfgmod.defaults(), **entries}
 
 
 def cmd_mask(args) -> int:
@@ -122,28 +160,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_ANDERSON_KEYS = ("solver.anderson_memory", "solver.anderson_damping", "solver.anderson_reg")
-
-
-def _reconstruct(args, cfg, entries):
-    """Run the chosen method; entries are the keys the --config file set."""
-    # pnp-gap and --solver picard run undamped Picard, which reads no Anderson setting
-    picard = args.method if args.method == "pnp-gap" else (
-        "--solver picard" if args.solver == "picard" else None)
-    given = [f"--{f}" for f in ("memory", "damping", "reg") if getattr(args, f) is not None]
-    given += [k for k in _ANDERSON_KEYS if k in entries]
-    if args.method == "pnp-gap" and args.solver is not None:
-        given.insert(0, "--solver")
-    if picard and given:
-        raise ConfigError(f"{picard} runs undamped Picard and takes no {', '.join(given)}")
-    tv_given = [flag for flag, value in (("--schedule", args.schedule),
-                                         ("--tv-iters", args.tv_iters)) if value is not None]
-    if args.method != "pnp-gap" and tv_given:
-        raise ConfigError(f"{args.method} runs no TV prox and takes no {', '.join(tv_given)}")
+def _reconstruct(args, cfg):
+    """Run the chosen method with the run's config values."""
     mask = load_mask(args.mask)
     y = Measurement(data=tensorio.read_tensor(args.measurement), noise_sigma=0.0)
     solver_cfg = _solver_cfg(args, cfg)
-    gt = tensorio.read_tensor(args.gt) if args.gt else None
+    gt = validate_cube(tensorio.read_tensor(args.gt)) if args.gt else None
+    if gt is not None and gt.shape != mask.frames.shape:
+        raise ShapeMismatchError(f"--gt shape {gt.shape} does not match mask {mask.frames.shape}")
     if args.method in ("de-gap", "de-rnn"):
         den = equilibrium_denoiser(args.method.replace("-", "_"), args.checkpoint)
         fmap = DeGapMap(denoiser=den, mask=mask, y=y)
@@ -159,7 +183,7 @@ def _reconstruct(args, cfg, entries):
 
 
 def cmd_reconstruct(args) -> int:
-    mask, y, result, gt = _reconstruct(args, *_load_run_config(args))
+    mask, y, result, gt = _reconstruct(args, _load_run_config(args))
     # every figure is computed before any file is written, so a run that
     # fails on one (an SSIM of frames below its window) writes nothing
     consistency = float(np.max(np.abs(forward(mask, result.x_hat).data - y.data)))
@@ -192,19 +216,9 @@ def _make_dataset(args, n: int, seed0: int):
 
 
 def _train_cfg(args, cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=_pick(args, cfg, "epochs", "train.epochs"),
-        lr=_pick(args, cfg, "lr", "train.lr"),
-        lr_decay=cfg["train.lr_decay"],
-        lr_decay_every=cfg["train.lr_decay_every"],
-        momentum=_pick(args, cfg, "momentum", "train.momentum"),
-        backward_mode=_pick(args, cfg, "backward_mode", "train.backward_mode"),
-        neumann_order=cfg["train.neumann_order"],
-        backward_tol=cfg["train.backward_tol"],
-        backward_max_iter=cfg["train.backward_max_iter"],
-        seed=_pick(args, cfg, "seed", "train.seed"),
-        forward=replace(_solver_cfg(args, cfg), record_trace=False),
-    )
+    flags = {f: f for f in ("epochs", "lr", "momentum", "backward_mode", "seed")}
+    return TrainConfig(**_settings(args, cfg, "train", **flags),
+                       forward=replace(_solver_cfg(args, cfg), record_trace=False))
 
 
 def _desk_model(args) -> DeGapModel:
@@ -213,7 +227,7 @@ def _desk_model(args) -> DeGapModel:
 
 
 def cmd_train(args) -> int:
-    cfg, _ = _load_run_config(args)
+    cfg = _load_run_config(args)
     tcfg = _train_cfg(args, cfg)
     model = _desk_model(args)
     dataset = _make_dataset(args, args.train_scenes, seed0=args.data_seed)
@@ -235,7 +249,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg, _ = _load_run_config(args)
+    cfg = _load_run_config(args)
     tcfg = _train_cfg(args, cfg)
     forward_cfg = replace(tcfg.forward, tol=args.solve_tol,
                           max_iter=max(tcfg.forward.max_iter, 400))
@@ -285,22 +299,14 @@ def _parse_method(text: str) -> MethodSpec:
 
 
 def cmd_bench(args) -> int:
-    cfg, _ = _load_run_config(args)
+    cfg = _load_run_config(args)
     scenes = [
         SyntheticScene(kind=args.scene, seed=s, h=args.height, w=args.width, b=args.frames)
         for s in range(args.scene_seed, args.scene_seed + args.n_scenes)
     ]
     methods = [_parse_method(m) for m in args.methods]
-    spec = BenchSpec(
-        scenes=scenes, methods=methods,
-        mask_seed=cfg["bench.mask_seed"], mask_kind=cfg["bench.mask_kind"],
-        mask_p=cfg["bench.mask_p"], mask_policy=cfg["bench.mask_policy"],
-        noise_sigma=cfg["bench.noise_sigma"], noise_seed=cfg["bench.noise_seed"],
-        max_iter=args.max_iter if args.max_iter is not None else cfg["bench.max_iter"],
-        tol=cfg["bench.tol"], solver=cfg["bench.solver"],
-        tv_iters=cfg["bench.tv_iters"], outdir=args.outdir,
-        timing=args.timing if args.timing else cfg["bench.timing"],
-    )
+    spec = BenchSpec(scenes=scenes, methods=methods, outdir=args.outdir,
+                     **_settings(args, cfg, "bench", max_iter="max_iter", timing="timing"))
     rows = run_trajectory_bench(spec)
     for r in rows:
         print(f"{r['scene']}/{r['method']}: final={r['final_psnr']:.3f} dB "

@@ -1,8 +1,13 @@
 """Flat key=value run configuration shared by the CLI subcommands.
 
 Files are UTF-8 text, one `key = value` per line, '#' starts a comment.
-Keys are namespaced (solver.*, train.*, bench.*). Unknown keys are rejected
-by name; CLI flags override file values.
+Keys are namespaced (solver.*, train.*, bench.*). `vsci reconstruct` reads
+solver.* (only solver.tol and solver.max_iter under Picard or pnp-gap),
+`vsci train` solver.* and train.*, `vsci gradcheck` solver.max_iter,
+solver.anderson_*, train.backward_mode, train.neumann_order and
+train.backward_max_iter (its --solve-tol sets both tolerances), and `vsci
+bench` bench.* (table: cli.RUN_READS). Unknown keys, and keys the run does
+not read, are refused by name; CLI flags override file values.
 """
 
 from __future__ import annotations
@@ -53,11 +58,6 @@ def parse_value(key: str, raw: str):
         return typ(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
-
-
-def with_defaults(entries: dict) -> dict:
-    """Every known key: its entry if given, else its default."""
-    return {**defaults(), **entries}
 
 
 def read_config(path: str) -> dict:

@@ -121,7 +121,6 @@ class Denoiser:
     """
 
     kind = "abstract"
-    trainable = False
 
     def denoise(self, x: np.ndarray, out=None) -> np.ndarray:
         raise NotImplementedError
@@ -529,7 +528,6 @@ class ConvResidualDenoiser(Denoiser):
     params: ConvParams
     gamma: float
     kind = "conv_residual"
-    trainable = True
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:

@@ -69,7 +69,7 @@ def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0):
         sse += ones[:n] @ d.reshape(n, b)
     mse = sse / (h * w)
     vals = np.full(b, PSNR_CAP_DB)
-    nz = mse > 0
+    nz = mse != 0  # a NaN error stays NaN
     vals[nz] = np.minimum(PSNR_CAP_DB, 10.0 * np.log10(peak * peak / mse[nz]))
     return vals, float(vals.mean())
 

@@ -103,10 +103,6 @@ class SensingMask:
             raise DeadPixelError(self._dead)
         return self._q_eff
 
-    def live_pixels(self) -> np.ndarray:
-        """Boolean (H, W) map of pixels with nonzero mask energy."""
-        return self.q_diag > 0.0
-
 
 def _mask_frames(frames) -> np.ndarray:
     """frames as a bool array when every entry is 0 or 1, else as float64.

@@ -10,7 +10,8 @@ import vsci.cli
 import vsci.training
 from helpers import traced_peak
 from vsci import tensorio
-from vsci.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_IO, EXIT_OK, main
+from vsci.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_IO, EXIT_OK, RUN_READS,
+                      build_parser, main)
 from vsci.config import KNOWN_KEYS, defaults
 from vsci.denoisers import make_conv_residual, make_gated_cell, save_denoiser
 from vsci.errors import DivergedError
@@ -81,6 +82,21 @@ def test_gt_metric_failure_exits_2_and_writes_nothing(tmp_path):
                         "--gt", files["gt.vsci"], "--trace", trace) == EXIT_CONFIG
     assert not os.path.exists(out)
     assert not os.path.exists(trace)
+
+
+@pytest.mark.parametrize("spoil, message", [("nan", "non-finite"), ("frames", "--gt shape")])
+def test_bad_gt_cube_exits_2_and_writes_nothing(tmp_path, capsys, spoil, message):
+    # a NaN in the reference once gave psnr_db=56.7700 and ssim=nan, exit 0
+    files = _scene_files(tmp_path, 16, 16, 2)
+    gt = tensorio.read_tensor(files["gt.vsci"])
+    if spoil == "nan":
+        gt[4, 5, 1] = math.nan
+    tensorio.write_tensor(files["gt.vsci"], gt if spoil == "nan" else gt[:, :, :1])
+    out, trace = str(tmp_path / "x.vsci"), str(tmp_path / "tr.csv")
+    assert _reconstruct(files, out, "--method", "pnp-gap", "--max-iter", "3",
+                        "--gt", files["gt.vsci"], "--trace", trace) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(trace)
 
 
 @pytest.mark.parametrize("second, extra, cfg_line, code", [
@@ -626,6 +642,80 @@ def test_every_key_reaches_the_object_it_configures(tmp_path, monkeypatch, key):
     with pytest.raises(_Captured) as captured:
         main([*argv, "--config", str(cfg)])
     assert getattr(captured.value.args[0], field) == value
+
+
+# the keys each run reads, stated apart from cli.RUN_READS
+_TOL = ["solver.tol", "solver.max_iter"]
+_READS = {
+    "reconstruct": [k for k in KNOWN_KEYS if k.startswith("solver.")],
+    "reconstruct-picard": _TOL,
+    "reconstruct-pnp-gap": _TOL,
+    "train": [k for k in KNOWN_KEYS if not k.startswith("bench.")],
+    "gradcheck": ["solver.max_iter", "solver.anderson_memory", "solver.anderson_damping",
+                  "solver.anderson_reg", "train.backward_mode", "train.neumann_order",
+                  "train.backward_max_iter"],
+    "bench": [k for k in KNOWN_KEYS if k.startswith("bench.")],
+}
+_VARIANT = {"reconstruct-picard": ["--solver", "picard"],
+            "reconstruct-pnp-gap": ["--method", "pnp-gap"]}
+
+
+@pytest.fixture(scope="module")
+def small_scene(tmp_path_factory):
+    return _scene_files(tmp_path_factory.mktemp("scene"), 16, 16, 2)
+
+
+@pytest.mark.parametrize("run, key", [(run, key) for run, reads in _READS.items()
+                                      for key in KNOWN_KEYS if key not in reads])
+def test_every_key_a_run_does_not_read_is_refused(small_scene, tmp_path, capsys, run, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {_other_value(key)}\n", encoding="utf-8")
+    command = run.split("-")[0]
+    size = ["--height", "8", "--width", "8", "--frames", "2"]
+    argv = {
+        "reconstruct": ["--mask", small_scene["mask"], "--measurement", small_scene["y.vsci"],
+                        "--max-iter", "2", "--out", str(tmp_path / "x.vsci"),
+                        "--trace", str(tmp_path / "tr.csv"), *_VARIANT.get(run, [])],
+        "train": [*size, "--train-scenes", "1", "--val-scenes", "0", "--epochs", "1",
+                  "--out-prefix", str(tmp_path / "model"), "--log", str(tmp_path / "log.csv")],
+        "gradcheck": [*size, "--probes", "1"],
+        "bench": [*size, "--n-scenes", "1", "--max-iter", "2", "--outdir", str(tmp_path / "b"),
+                  "--methods", "pnp_gap"],
+    }[command]
+    assert main([command, "--config", str(cfg), *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "does not read" in err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+# optional flags that no row of RUN_READS names: every run of the subcommand
+# accepts them (pnp-gap ignores --checkpoint, which the benchmark passes to
+# every method)
+_EVERY_RUN_FLAGS = {
+    "reconstruct": {"--config", "--checkpoint", "--tol", "--max-iter", "--gt", "--trace"},
+    "train": {"--config", "--epochs", "--lr", "--momentum", "--backward-mode", "--seed", "--log"},
+    "gradcheck": {"--config", "--seed"},
+    "bench": {"--config", "--max-iter", "--timing"},
+}
+
+
+def test_run_table_matches_the_keys_and_the_parser():
+    # a key or flag that no run reads fails here rather than being ignored
+    read = {s for row in RUN_READS.values() for s in row if not s.startswith("--")}
+    assert read == set(KNOWN_KEYS)
+    parsers = next(a for a in build_parser()._actions if a.choices and "bench" in a.choices)
+    with_config = {name for name, p in parsers.choices.items()
+                   if any("--config" in a.option_strings for a in p._actions)}
+    assert with_config == set(_EVERY_RUN_FLAGS)
+    for name in with_config:
+        named = {s for run, row in RUN_READS.items() if run.split()[0] == name
+                 for s in row if s.startswith("--")}
+        actions = {a.option_strings[-1]: a for a in parsers.choices[name]._actions
+                   if a.option_strings and a.default is None and not a.required}
+        assert set(actions) == named | _EVERY_RUN_FLAGS[name], name
+        assert not named & _EVERY_RUN_FLAGS[name], name
+        # the refusal reads a flag's value from its attribute, --tv-iters -> tv_iters
+        assert all(actions[f].dest == f[2:].replace("-", "_") for f in named), name
 
 
 def test_deleted_key_is_refused_by_name(tmp_path, capsys):

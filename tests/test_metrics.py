@@ -96,6 +96,16 @@ def test_psnr_caps_zero_error_frames():
     assert psnr(ref, ref) == (pytest.approx([PSNR_CAP_DB] * 3), PSNR_CAP_DB)
 
 
+def test_psnr_of_a_nan_frame_is_nan_not_the_cap():
+    # a NaN error is not zero error; the other frames score as before
+    x, ref = _out_of_range_pair(7)
+    finite, _ = psnr(x, ref)
+    ref[2, 3, 1] = np.nan
+    per_frame, mean = psnr(x, ref)
+    assert np.isnan(per_frame[1]) and np.isnan(mean)
+    assert per_frame[0] == finite[0] and per_frame[2] == finite[2]
+
+
 @pytest.mark.parametrize("peak", [0.0, -1.0])
 def test_psnr_rejects_nonpositive_peak(peak):
     x, ref = _out_of_range_pair(7)
