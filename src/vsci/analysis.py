@@ -56,7 +56,6 @@ def estimate_map_lipschitz(map_obj, x_point: np.ndarray, n_iters: int = 20, seed
 class SpectrumReport:
     eigenvalues: np.ndarray       # sorted descending
     idempotence_defect: float     # Frobenius norm of P^2 - P
-    n_live_pixels: int            # pixels with nonzero mask energy
 
 
 def projection_spectrum(mask: SensingMask) -> SpectrumReport:
@@ -74,7 +73,6 @@ def projection_spectrum(mask: SensingMask) -> SpectrumReport:
     return SpectrumReport(
         eigenvalues=eigs,
         idempotence_defect=float(np.linalg.norm(lam * lam - lam)),
-        n_live_pixels=int(np.count_nonzero(mask.q_diag > 0)),
     )
 
 
@@ -97,15 +95,15 @@ class LipschitzReport:
         tensorio.write_kv(path, self.to_kv())
 
 
-def build_report(
-    sigma_hat: float,
-    spectrum: SpectrumReport,
-    eig_tol: float = 1e-8,
-) -> LipschitzReport:
+# distance from 1 or 0 within which build_report counts an eigenvalue as one
+EIG_TOL = 1e-8
+
+
+def build_report(sigma_hat: float, spectrum: SpectrumReport) -> LipschitzReport:
     eigs = spectrum.eigenvalues
     return LipschitzReport(
         sigma_hat=sigma_hat,
         idempotence_defect=spectrum.idempotence_defect,
-        n_unit_eigenvalues=int(np.sum(np.abs(eigs - 1.0) <= eig_tol)),
-        n_zero_eigenvalues=int(np.sum(np.abs(eigs) <= eig_tol)),
+        n_unit_eigenvalues=int(np.sum(np.abs(eigs - 1.0) <= EIG_TOL)),
+        n_zero_eigenvalues=int(np.sum(np.abs(eigs) <= EIG_TOL)),
     )

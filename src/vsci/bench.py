@@ -21,7 +21,7 @@ from .fixed_point import FixedPointConfig, solve
 from .maps import DeGapMap, pnp_gap_solve
 from .metrics import ssim
 from .models import equilibrium_denoiser
-from .sci import add_noise, forward, init_estimate, mask_generate
+from .sci import add_noise, adjoint, forward, mask_generate
 from .synth import SyntheticScene, synth_video
 
 
@@ -79,11 +79,13 @@ def _scene_tag(scene: SyntheticScene) -> str:
 
 
 def _run_method(method: MethodSpec, mask, y, cube, bench: BenchSpec):
-    cfg = FixedPointConfig(tol=bench.tol, max_iter=bench.max_iter)
     if method.name in ("de_gap", "de_rnn"):
         den = equilibrium_denoiser(method.name, method.checkpoint)
         fmap = DeGapMap(denoiser=den, mask=mask, y=y)
-        return solve(fmap.apply, init_estimate(mask, y), cfg, method=bench.solver, psnr_ref=cube)
+        cfg = FixedPointConfig(tol=bench.tol, max_iter=bench.max_iter)
+        if bench.solver == "picard":
+            cfg = replace(cfg, anderson_memory=1)
+        return solve(fmap.apply, adjoint(mask, y), cfg, psnr_ref=cube)
     return pnp_gap_solve(
         mask, y, method.schedule, bench.max_iter,
         tv_iters=bench.tv_iters, tol=bench.tol, psnr_ref=cube,
@@ -118,9 +120,7 @@ def run_trajectory_bench(bench: BenchSpec):
             bench.mask_seed, scene.h, scene.w, scene.b,
             kind=bench.mask_kind, p=bench.mask_p, policy=bench.mask_policy,
         )
-        y = forward(mask, cube)
-        if bench.noise_sigma > 0:
-            y = add_noise(y, bench.noise_sigma, bench.noise_seed)
+        y = add_noise(forward(mask, cube), bench.noise_sigma, bench.noise_seed)
         for method, label in zip(bench.methods, labels):
             tag = f"{_scene_tag(scene)}_{label}"
             t0 = time.perf_counter()
@@ -129,16 +129,14 @@ def run_trajectory_bench(bench: BenchSpec):
                 diverged = False
                 trace = result.trace
                 x_hat = result.x_hat
-            except DivergedError as exc:
+            except DivergedError as exc:  # the engine's, which carries its trace
                 diverged = True
                 trace = exc.trace
-                x_hat = None
             wall = 0.0 if bench.timing == "none" else time.perf_counter() - t0
-            if trace is not None:
-                if bench.timing == "none":
-                    trace = replace(trace, times=[0.0] * len(trace.times))
-                traces[f"trace_{tag}.csv"] = trace
-            if diverged or trace is None or not trace.psnrs:
+            if bench.timing == "none":
+                trace = replace(trace, times=[0.0] * len(trace.times))
+            traces[f"trace_{tag}.csv"] = trace
+            if diverged or not trace.psnrs:
                 rows.append({
                     "scene": _scene_tag(scene), "method": label,
                     "final_psnr": math.nan, "max_psnr": math.nan, "drop_db": math.nan,

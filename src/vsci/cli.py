@@ -37,8 +37,8 @@ from .sci import (
     Measurement,
     SensingMask,
     add_noise,
+    adjoint,
     forward,
-    init_estimate,
     mask_generate,
     validate_cube,
 )
@@ -80,9 +80,13 @@ def _settings(args, cfg: dict, section: str, **flags) -> dict:
 
 
 def _solver_cfg(args, cfg: dict) -> FixedPointConfig:
-    return FixedPointConfig(**_settings(args, cfg, "solver", tol="tol", max_iter="max_iter",
-                                        anderson_memory="memory", anderson_damping="damping",
-                                        anderson_reg="reg"))
+    """The solver.* values and flags; --solver picard is memory 1, undamped
+    because its run reads no damping."""
+    vals = _settings(args, cfg, "solver", tol="tol", max_iter="max_iter",
+                     anderson_memory="memory", anderson_damping="damping", anderson_reg="reg")
+    if getattr(args, "solver", None) == "picard":
+        vals["anderson_memory"] = 1
+    return FixedPointConfig(**vals)
 
 
 # The config keys and optional flags each run reads. A run refuses every other
@@ -142,9 +146,7 @@ def cmd_simulate(args) -> int:
                            b=args.frames)
     cube = synth_video(scene)
     mask = load_mask(args.mask)
-    y = forward(mask, cube)
-    if args.sigma > 0:
-        y = add_noise(y, args.sigma, args.noise_seed)
+    y = add_noise(forward(mask, cube), args.sigma, args.noise_seed)
     tensorio.write_tensor(args.out_cube, cube)
     tensorio.write_tensor(args.out_meas, y.data)
     tensorio.write_kv(
@@ -163,7 +165,7 @@ def cmd_simulate(args) -> int:
 def _reconstruct(args, cfg):
     """Run the chosen method with the run's config values."""
     mask = load_mask(args.mask)
-    y = Measurement(data=tensorio.read_tensor(args.measurement), noise_sigma=0.0)
+    y = Measurement(data=tensorio.read_tensor(args.measurement))
     solver_cfg = _solver_cfg(args, cfg)
     gt = validate_cube(tensorio.read_tensor(args.gt)) if args.gt else None
     if gt is not None and gt.shape != mask.frames.shape:
@@ -171,8 +173,7 @@ def _reconstruct(args, cfg):
     if args.method in ("de-gap", "de-rnn"):
         den = equilibrium_denoiser(args.method.replace("-", "_"), args.checkpoint)
         fmap = DeGapMap(denoiser=den, mask=mask, y=y)
-        result = solve(fmap.apply, init_estimate(mask, y), solver_cfg,
-                       method=args.solver or "anderson", psnr_ref=gt)
+        result = solve(fmap.apply, adjoint(mask, y), solver_cfg, psnr_ref=gt)
     else:
         text = "0.05" if args.schedule is None else args.schedule
         schedule = [float(s) for s in text.split(",")]
@@ -208,9 +209,7 @@ def _make_dataset(args, n: int, seed0: int):
         cube = synth_video(scene)
         mask = mask_generate(args.mask_seed, args.height, args.width, args.frames,
                              kind="bernoulli", p=args.mask_p, policy="floor")
-        y = forward(mask, cube)
-        if args.sigma > 0:
-            y = add_noise(y, args.sigma, seed0 + 1000 + i)
+        y = add_noise(forward(mask, cube), args.sigma, seed0 + 1000 + i)
         samples.append((mask, y, cube))
     return samples
 
@@ -228,6 +227,8 @@ def _desk_model(args) -> DeGapModel:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
+    if args.val_scenes < 0:
+        raise ConfigError(f"--val-scenes must be >= 0, got {args.val_scenes}")
     tcfg = _train_cfg(args, cfg)
     model = _desk_model(args)
     dataset = _make_dataset(args, args.train_scenes, seed0=args.data_seed)
@@ -250,6 +251,8 @@ def cmd_train(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_run_config(args)
+    if not 0 <= args.threshold < np.inf:  # also refuses NaN; 0 fails any nonzero error
+        raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     tcfg = _train_cfg(args, cfg)
     forward_cfg = replace(tcfg.forward, tol=args.solve_tol,
                           max_iter=max(tcfg.forward.max_iter, 400))
@@ -278,7 +281,7 @@ def cmd_spectrum(args) -> int:
     cube = synth_video(scene)
     y = forward(mask, cube)
     fmap = DeGapMap(denoiser=den, mask=mask, y=y)
-    sigma = estimate_map_lipschitz(fmap, init_estimate(mask, y), n_iters=args.iters, seed=0)
+    sigma = estimate_map_lipschitz(fmap, adjoint(mask, y), n_iters=args.iters, seed=0)
     report = build_report(sigma, spectrum)
     for key, val in report.to_kv().items():
         print(f"{key} = {val}")
@@ -450,9 +453,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (TensorFileError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

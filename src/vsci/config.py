@@ -1,18 +1,20 @@
 """Flat key=value run configuration shared by the CLI subcommands.
 
-Files are UTF-8 text, one `key = value` per line, '#' starts a comment.
-Keys are namespaced (solver.*, train.*, bench.*). `vsci reconstruct` reads
-solver.* (only solver.tol and solver.max_iter under Picard or pnp-gap),
-`vsci train` solver.* and train.*, `vsci gradcheck` solver.max_iter,
-solver.anderson_*, train.backward_mode, train.neumann_order and
-train.backward_max_iter (its --solve-tol sets both tolerances), and `vsci
-bench` bench.* (table: cli.RUN_READS). Unknown keys, and keys the run does
-not read, are refused by name; CLI flags override file values.
+Files are tensorio.read_kv text: UTF-8, one `key = value` per line, '#'
+starts a comment. Keys are namespaced (solver.*, train.*, bench.*). `vsci
+reconstruct` reads solver.* (only solver.tol and solver.max_iter under
+Picard or pnp-gap), `vsci train` solver.* and train.*, `vsci gradcheck`
+solver.max_iter, solver.anderson_*, train.backward_mode,
+train.neumann_order and train.backward_max_iter (its --solve-tol sets both
+tolerances), and `vsci bench` bench.* (table: cli.RUN_READS). Unknown keys,
+and keys the run does not read, are refused by name; CLI flags override
+file values.
 """
 
 from __future__ import annotations
 
-from .errors import ConfigError
+from . import tensorio
+from .errors import ConfigError, TensorFileError
 
 
 # key -> (type, default, help)
@@ -61,22 +63,13 @@ def parse_value(key: str, raw: str):
 
 
 def read_config(path: str) -> dict:
-    """The file's entries only, each parsed; unknown keys are fatal."""
-    cfg = {}
+    """The file's entries only, each parsed; an unknown key, a line without
+    '=' and an unreadable file raise ConfigError."""
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        entries = tensorio.read_kv(path)
+    except (OSError, TensorFileError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            cfg[key] = parse_value(key, val)
-    return cfg
+    return {key: parse_value(key, raw) for key, raw in entries.items()}
 
 
 def help_text() -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,10 +169,9 @@ def solve_alpha(gram: np.ndarray, reg: float) -> np.ndarray:
     return w / ssum
 
 
-def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "anderson",
-                   psnr_ref=None) -> SolveResult:
-    """Anderson-accelerated fixed-point iteration; method "picard" is its
-    memory-1, undamped case.
+def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, psnr_ref=None) -> SolveResult:
+    """Anderson-accelerated fixed-point iteration; Picard is its memory-1,
+    undamped case.
 
     Mixes the last m = `anderson_memory` iterates x_i and their images
     f(x_i) with solve_alpha weights:
@@ -212,7 +211,7 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
     RESIDUAL_BLOCK-float buffer and the m x m Gram matrix, all allocated
     before the first iteration. The engine copies x0 and drops its
     reference, so an x0 passed inline (as every caller passes
-    init_estimate(mask, y)) is freed before f first runs. With an f that
+    adjoint(mask, y)) is freed before f first runs. With an f that
     fills out, an iteration allocates no array of the iterate's size: the
     trace's PSNR works in one block of at most metrics.PSNR_BLOCK floats,
     and only the trace grows, by a few scalars per iteration. On return
@@ -249,10 +248,6 @@ def anderson_solve(f, x0: np.ndarray, cfg: FixedPointConfig, method: str = "ande
     on this. A map output whose shape differs from the iterate's raises
     ShapeMismatchError.
     """
-    if method == "picard":
-        cfg = replace(cfg, anderson_memory=1, anderson_damping=1.0)
-    elif method != "anderson":
-        raise ValueError(f"unknown solver {method!r}")
     trace = IterationTrace()
     s = cfg.anderson_memory
     delta = cfg.anderson_damping

@@ -4,8 +4,9 @@ DeGapMap:  f(x) = D(x + Phi^T (Phi Phi^T)^{-1} (y - Phi x))   (denoise the
            Euclidean projection onto the measurement-consistent set)
 plus the classical GAP-TV baseline (pnp_gap_solve: GAP with a per-iteration
 TV strength) used for stability comparisons. The baseline runs as a step
-closure through the one fixed-point engine (fixed_point.solve, Picard case),
-so every method shares its stopping rule, trace and divergence guard.
+closure through the one fixed-point engine (fixed_point.solve at memory 1,
+which is Picard), so every method shares its stopping rule, trace and
+divergence guard.
 
 Both equilibrium models are a DeGapMap: DE-GAP with the conv_residual
 denoiser, DE-RNN with the gated cell (denoisers.GatedConvCell). An output
@@ -32,13 +33,7 @@ import numpy as np
 from .denoisers import Denoiser, tv_denoise
 from .errors import ShapeMismatchError
 from .fixed_point import FixedPointConfig, SolveResult, solve
-from .sci import (
-    Measurement,
-    SensingMask,
-    gap_project,
-    init_estimate,
-    project_null,
-)
+from .sci import Measurement, SensingMask, adjoint, gap_project, project_null
 
 
 def _meas_data(y) -> np.ndarray:
@@ -112,6 +107,6 @@ def pnp_gap_solve(
         u = gap_project(mask, y, v, out=out)
         return tv_denoise(u, next(strengths), tv_iters, out=u)
 
-    cfg = FixedPointConfig(tol=tol, max_iter=max_iter)
-    return solve(step, init_estimate(mask, y), cfg, method="picard", psnr_ref=psnr_ref)
+    cfg = FixedPointConfig(tol=tol, max_iter=max_iter, anderson_memory=1)
+    return solve(step, adjoint(mask, y), cfg, psnr_ref=psnr_ref)
 

@@ -128,11 +128,9 @@ def _mask_frames(frames) -> np.ndarray:
 
 @dataclass
 class Measurement:
-    """A coded 2D snapshot with optional noise provenance."""
+    """A coded 2D snapshot of finite values."""
 
     data: np.ndarray
-    noise_sigma: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -140,8 +138,6 @@ class Measurement:
             raise ShapeMismatchError(f"measurement must be 2D, got {self.data.shape}")
         if not np.isfinite(self.data).all():
             raise ValueError("measurement contains non-finite entries")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
 
 
 def mask_generate(
@@ -200,29 +196,25 @@ def forward(mask: SensingMask, x: np.ndarray) -> Measurement:
     """Noiseless coded snapshot: y[i] = sum_b m_b[i] * x_b[i]."""
     x = _check_cube_shape(mask, x)
     data = np.einsum("hwb,hwb->hw", mask.frames, x)
-    return Measurement(data=data, noise_sigma=0.0, seed=None)
+    return Measurement(data=data)
 
 
 def adjoint(mask: SensingMask, y) -> np.ndarray:
-    """Transpose operator: x_b[i] = m_b[i] * y[i]. Returns an (H, W, B) cube."""
+    """Transpose operator: x_b[i] = m_b[i] * y[i]. Returns an (H, W, B) cube,
+    the initial estimate of every solve."""
     data = _check_meas_shape(mask, y)
     return mask.frames * data[:, :, None]
 
 
-def init_estimate(mask: SensingMask, y) -> np.ndarray:
-    """Canonical solver initializer; same operation as :func:`adjoint`."""
-    return adjoint(mask, y)
-
-
 def add_noise(y: Measurement, sigma: float, seed: int) -> Measurement:
-    """Add iid Gaussian noise, deterministic per seed; records provenance."""
-    if sigma < 0:
+    """Add iid Gaussian noise, deterministic per seed; sigma = 0 returns a
+    copy, and a sigma that is not >= 0 (NaN too) raises ValueError."""
+    if not sigma >= 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
-        return Measurement(data=y.data.copy(), noise_sigma=0.0, seed=seed)
+        return Measurement(data=y.data.copy())
     rng = np.random.default_rng(seed)
-    noisy = y.data + rng.normal(0.0, sigma, size=y.data.shape)
-    return Measurement(data=noisy, noise_sigma=sigma, seed=seed)
+    return Measurement(data=y.data + rng.normal(0.0, sigma, size=y.data.shape))
 
 
 def gap_project(mask: SensingMask, y, v: np.ndarray, out=None) -> np.ndarray:

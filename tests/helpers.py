@@ -84,11 +84,11 @@ class Float64Mask:
         return w - self.m * (self.forward(w) / self.q_eff)[:, :, None]
 
     def spectrum(self):
-        """(eigenvalues sorted descending, idempotence defect, live pixels)."""
+        """(eigenvalues sorted descending, idempotence defect)."""
         lam = (self.q / self.q_eff).ravel()
         eigs = np.zeros(self.m.size)
         eigs[: lam.size] = np.sort(lam)[::-1]
-        return eigs, float(np.linalg.norm(lam * lam - lam)), int(np.count_nonzero(self.q > 0))
+        return eigs, float(np.linalg.norm(lam * lam - lam))
 
 
 def dense_conv_matrix(kernel: np.ndarray, h: int, w: int) -> np.ndarray:

@@ -249,6 +249,33 @@ def test_solver_flag_defaults_to_anderson(scene, tmp_path):
     assert not np.array_equal(x_default, x_picard)
 
 
+@pytest.mark.parametrize("method", ["de-gap", "de-rnn"])
+def test_picard_is_anderson_memory_one(scene, tmp_path, capsys, method):
+    # --solver picard builds the memory-1 config that --memory 1 gives
+    runs = {"picard": ("--solver", "picard"), "memory1": ("--memory", "1")}
+    outputs = {}
+    for name, extra in runs.items():
+        out, trace = tmp_path / f"x_{name}.vsci", tmp_path / f"tr_{name}.csv"
+        assert _reconstruct(scene, str(out), "--method", method, "--max-iter", "6", "--tol", "0",
+                            "--gt", scene["gt.vsci"], "--trace", str(trace), *extra) == EXIT_OK
+        rows = [line.split(",") for line in trace.read_text(encoding="utf-8").splitlines()]
+        assert rows[0][-1] == "time_ms"
+        outputs[name] = (out.read_bytes(), capsys.readouterr().out, [r[:-1] for r in rows])
+    assert outputs["picard"] == outputs["memory1"]
+    assert len(outputs["picard"][2]) == 7
+
+
+@pytest.mark.parametrize("config", ["malformed", "missing"])
+def test_unreadable_config_exits_2_and_writes_nothing(scene, tmp_path, capsys, config):
+    cfg = tmp_path / "run.cfg"
+    if config == "malformed":
+        cfg.write_text("solver.tol = 1e-3\nsolver.max_iter 5\n", encoding="utf-8")
+    out = str(tmp_path / "x.vsci")
+    assert _reconstruct(scene, out, "--config", str(cfg)) == EXIT_CONFIG
+    assert str(cfg) in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("method, bound", [("de-gap", 13.85), ("pnp-gap", 5.80)])
 def test_reconstruct_peak_in_cubes(tmp_path, method, bound):
     # A 64x64x8 reconstruction, 20 iterations with a PSNR per iteration,
@@ -512,6 +539,55 @@ def test_gradcheck_over_threshold_exits_5():
 def test_gradcheck_bad_solve_tol_exits_2(capsys, tol):
     assert main(["gradcheck", "--solve-tol", tol, "--probes", "2"]) == EXIT_CONFIG
     assert "gradcheck ok" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--probes", "0", "n_probe must"), ("--probes", "-1", "n_probe must"),
+    ("--h", "nan", "h must"), ("--h", "0", "h must"), ("--h", "inf", "h must"),
+    ("--h", "-1e-5", "h must"), ("--threshold", "nan", "--threshold must"),
+    ("--threshold", "inf", "--threshold must"), ("--threshold", "-1", "--threshold must"),
+])
+def test_gradcheck_bad_probe_settings_exit_2_before_any_solve(monkeypatch, capsys, flag, value,
+                                                              message):
+    calls = []
+    monkeypatch.setattr(vsci.training, "loss_gradient", lambda *a, **k: calls.append(1))
+    assert main(["gradcheck", f"{flag}={value}"]) == EXIT_CONFIG
+    assert calls == []
+    assert message in capsys.readouterr().err
+
+
+def test_negative_val_scenes_exits_2_before_any_epoch(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(vsci.training, "loss_gradient", lambda *a, **k: calls.append(1))
+    assert main(["train", "--height", "8", "--width", "8", "--frames", "2",
+                 "--train-scenes", "1", "--val-scenes", "-1", "--epochs", "1",
+                 "--out-prefix", str(tmp_path / "model")]) == EXIT_CONFIG
+    assert calls == []
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan"])
+def test_bad_noise_sigma_exits_2_and_writes_nothing(tmp_path, monkeypatch, sigma):
+    calls = []
+    monkeypatch.setattr(vsci.training, "loss_gradient", lambda *a, **k: calls.append(1))
+    size = ["--height", "12", "--width", "12", "--frames", "2"]
+    p = _scene_files(tmp_path, 12, 12, 2)
+    made = sorted(os.listdir(tmp_path))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"bench.noise_sigma = {sigma}\n", encoding="utf-8")
+    runs = [
+        ["simulate", *size, "--mask", p["mask"], "--sigma", sigma,
+         "--out-cube", str(tmp_path / "c.vsci"), "--out-meas", str(tmp_path / "y2.vsci")],
+        ["train", *size, "--train-scenes", "1", "--val-scenes", "0", "--sigma", sigma,
+         "--out-prefix", str(tmp_path / "model")],
+        ["gradcheck", "--sigma", sigma],
+        ["bench", *size, "--n-scenes", "1", "--outdir", str(tmp_path / "b"), "--config",
+         str(cfg), "--methods", "pnp_gap"],
+    ]
+    for argv in runs:
+        assert main(argv) == EXIT_CONFIG, argv[0]
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == sorted(made + ["run.cfg"])
 
 
 @pytest.mark.parametrize("line", ["train.lr_decay_every = 0", "train.lr_decay = 1.5"])

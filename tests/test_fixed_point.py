@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import weakref
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,8 +121,8 @@ class TestConfig:
 
 class TestPicard:
     def test_half_map_converges_within_60(self):
-        cfg = FixedPointConfig(tol=1e-6, max_iter=100)
-        res = solve(lambda x, out=None: 0.5 * x, np.ones(4), cfg, method="picard")
+        cfg = FixedPointConfig(tol=1e-6, max_iter=100, anderson_memory=1)
+        res = solve(lambda x, out=None: 0.5 * x, np.ones(4), cfg)
         # iterations counts map evaluations; the accepted iterate is x_{k-1},
         # so "within 60 iterates" allows 61 evaluations
         assert res.converged and res.iterations - 1 <= 60
@@ -131,17 +132,17 @@ class TestPicard:
         np.testing.assert_allclose(r[1:11] / r[:10], 0.5, atol=1e-12)
 
     def test_identity_converges_at_one(self):
-        cfg = FixedPointConfig(tol=1e-6, max_iter=10)
+        cfg = FixedPointConfig(tol=1e-6, max_iter=10, anderson_memory=1)
         x0 = np.arange(5, dtype=float)
-        res = solve(lambda x, out=None: x, x0, cfg, method="picard")
+        res = solve(lambda x, out=None: x, x0, cfg)
         assert res.converged and res.iterations == 1
         assert res.trace.residuals[0] == 0.0
         np.testing.assert_array_equal(res.x_hat, x0)
 
     def test_affine_matches_dense_solve(self):
         a, b = contraction_16(0, 0.8)
-        cfg = FixedPointConfig(tol=1e-12, max_iter=500)
-        res = solve(affine_map(a, b), np.zeros(16), cfg, method="picard")
+        cfg = FixedPointConfig(tol=1e-12, max_iter=500, anderson_memory=1)
+        res = solve(affine_map(a, b), np.zeros(16), cfg)
         expected = np.linalg.solve(np.eye(16) - a, b)
         assert res.converged
         np.testing.assert_allclose(res.x_hat, expected, atol=1e-8)
@@ -150,16 +151,16 @@ class TestPicard:
         def f(x, out=None):
             return x * 2.0 if np.linalg.norm(x) < 8 else x * np.nan
 
-        cfg = FixedPointConfig(tol=1e-12, max_iter=100)
+        cfg = FixedPointConfig(tol=1e-12, max_iter=100, anderson_memory=1)
         with pytest.raises(DivergedError) as exc:
-            solve(f, np.ones(4), cfg, method="picard")
+            solve(f, np.ones(4), cfg)
         assert exc.value.trace is not None
         assert exc.value.iterations >= 1
 
     def test_growth_guard(self):
-        cfg = FixedPointConfig(tol=1e-16, max_iter=10_000)
+        cfg = FixedPointConfig(tol=1e-16, max_iter=10_000, anderson_memory=1)
         with pytest.raises(DivergedError):
-            solve(lambda x, out=None: 1.5 * x, np.ones(3), cfg, method="picard")
+            solve(lambda x, out=None: 1.5 * x, np.ones(3), cfg)
 
     def test_contraction_ratio_property(self):
         for seed, c in ((1, 0.3), (2, 0.6), (3, 0.9)):
@@ -168,8 +169,8 @@ class TestPicard:
             lip = np.linalg.svd(a, compute_uv=False)[0]
             a *= c / lip
             lip = c
-            cfg = FixedPointConfig(tol=1e-13, max_iter=400)
-            res = solve(affine_map(a, b), np.zeros(16), cfg, method="picard")
+            cfg = FixedPointConfig(tol=1e-13, max_iter=400, anderson_memory=1)
+            res = solve(affine_map(a, b), np.zeros(16), cfg)
             r = np.array(res.trace.residuals)
             ratios = r[6:] / r[5:-1]
             ratios = ratios[r[5:-1] > 1e-13]
@@ -177,9 +178,9 @@ class TestPicard:
 
     def test_determinism_bitwise(self):
         a, b = contraction_16(4, 0.7)
-        cfg = FixedPointConfig(tol=1e-10, max_iter=300)
-        r1 = solve(affine_map(a, b), np.zeros(16), cfg, method="picard")
-        r2 = solve(affine_map(a, b), np.zeros(16), cfg, method="picard")
+        cfg = FixedPointConfig(tol=1e-10, max_iter=300, anderson_memory=1)
+        r1 = solve(affine_map(a, b), np.zeros(16), cfg)
+        r2 = solve(affine_map(a, b), np.zeros(16), cfg)
         assert r1.x_hat.tobytes() == r2.x_hat.tobytes()
         assert r1.trace.residuals == r2.trace.residuals
 
@@ -267,7 +268,7 @@ class TestAnderson:
         a, b = contraction_16(8, 0.8)
         f = affine_map(a, b)
         cfg = FixedPointConfig(tol=1e-10, max_iter=2000)
-        pic = solve(f, np.zeros(16), cfg, method="picard")
+        pic = solve(f, np.zeros(16), replace(cfg, anderson_memory=1))
         and_ = anderson_solve(f, np.zeros(16), cfg)
         assert and_.converged
         np.testing.assert_allclose(and_.x_hat, pic.x_hat, atol=1e-8)
@@ -277,7 +278,7 @@ class TestAnderson:
         a, b = contraction_16(9, 0.99)
         f = affine_map(a, b)
         cfg = FixedPointConfig(tol=1e-9, max_iter=20_000)
-        pic = solve(f, np.zeros(16), cfg, method="picard")
+        pic = solve(f, np.zeros(16), replace(cfg, anderson_memory=1))
         and_ = anderson_solve(f, np.zeros(16), FixedPointConfig(tol=1e-9, max_iter=20_000))
         assert pic.converged and and_.converged
         assert and_.iterations <= pic.iterations
@@ -479,10 +480,10 @@ class TestAnderson:
                     tracemalloc.reset_peak()
                 return fill(x, out)
 
-            cfg = FixedPointConfig(tol=0.0, max_iter=max_iter)
+            cfg = FixedPointConfig(tol=0.0, max_iter=max_iter, anderson_memory=1)
             tracemalloc.start()
             try:
-                res = solve(f, np.zeros_like(b), cfg, method="picard", psnr_ref=b)
+                res = solve(f, np.zeros_like(b), cfg, psnr_ref=b)
                 peaks[max_iter] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -512,8 +513,8 @@ class TestAnderson:
         for f in (_tanh_map(b), lambda x, out=None: np.tanh(x) + b):  # fills out / returns new
             assert np.array_equal(anderson_solve(f, x0, cfg).x_hat, expected)
 
-    @pytest.mark.parametrize("method, memory", [("picard", 1), ("anderson", 3)])
-    def test_inline_initial_estimate_is_freed(self, method, memory):
+    @pytest.mark.parametrize("memory", [1, 3], ids=["picard-1", "anderson-3"])
+    def test_inline_initial_estimate_is_freed(self, memory):
         # the engine copies x0 (into G[0] for Anderson) and drops its
         # reference, so an x0 built in the call holds no memory while f
         # runs: at iteration 2 the engine holds 2m iterates and the residual
@@ -534,7 +535,7 @@ class TestAnderson:
         cfg = FixedPointConfig(tol=0.0, max_iter=3, anderson_memory=memory)
         tracemalloc.start()
         try:
-            anderson_solve(f, make_x0(), cfg, method=method)
+            anderson_solve(f, make_x0(), cfg)
         finally:
             tracemalloc.stop()
         assert [gone for _, gone in live] == [True, True, True]
@@ -582,8 +583,8 @@ class TestAnderson:
 
 
 class TestShapeGuard:
-    @pytest.mark.parametrize("method", ["anderson", "picard"])
-    def test_wrong_map_shape_raises_at_first_bad_iteration(self, method):
+    @pytest.mark.parametrize("memory", [3, 1], ids=["anderson", "picard"])
+    def test_wrong_map_shape_raises_at_first_bad_iteration(self, memory):
         calls = []
 
         def f(x, out=None):
@@ -591,16 +592,16 @@ class TestShapeGuard:
             fx = 0.5 * x
             return fx if len(calls) < 3 else fx[:, :, :1]
 
-        cfg = FixedPointConfig(tol=0.0, max_iter=10)
+        cfg = FixedPointConfig(tol=0.0, max_iter=10, anderson_memory=memory)
         with pytest.raises(ShapeMismatchError, match="iteration 3"):
-            solve(f, np.ones((4, 4, 3)), cfg, method=method)
+            solve(f, np.ones((4, 4, 3)), cfg)
         assert len(calls) == 3
 
 
 class TestTraceCsv:
     def test_columns_and_empty_psnr(self, tmp_path):
-        cfg = FixedPointConfig(tol=1e-4, max_iter=50)
-        res = solve(lambda x, out=None: 0.5 * x, np.ones(3), cfg, method="picard")
+        cfg = FixedPointConfig(tol=1e-4, max_iter=50, anderson_memory=1)
+        res = solve(lambda x, out=None: 0.5 * x, np.ones(3), cfg)
         path = str(tmp_path / "trace.csv")
         res.trace.to_csv(path)
         lines = open(path).read().strip().split("\n")

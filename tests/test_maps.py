@@ -20,7 +20,7 @@ from vsci.denoisers import (
 from vsci.errors import DivergedError, UnsupportedDenoiserOpError
 from vsci.fixed_point import FixedPointConfig, solve
 from vsci.maps import DeGapMap, pnp_gap_solve
-from vsci.sci import Measurement, forward, gap_project, init_estimate, mask_generate
+from vsci.sci import Measurement, adjoint, forward, gap_project, mask_generate
 
 
 def _instance(seed, h=4, w=4, b=3):
@@ -43,15 +43,15 @@ class TestDeGap:
         fmap = DeGapMap(denoiser=ScaleShiftDenoiser(a=0.0), mask=mask, y=y)
         rng = np.random.default_rng(0)
         assert (fmap.apply(rng.random(cube.shape)) == 0).all()
-        res = solve(fmap.apply, init_estimate(mask, y), FixedPointConfig(tol=1e-12, max_iter=50),
-                    method="picard")
+        res = solve(fmap.apply, adjoint(mask, y),
+                    FixedPointConfig(tol=1e-12, max_iter=50, anderson_memory=1))
         assert np.linalg.norm(res.x_hat) <= 1e-12
 
     def test_scale_half_fixed_point_matches_dense_solve(self):
         mask, cube, y = _instance(2, 3, 3, 2)
         fmap = DeGapMap(denoiser=ScaleShiftDenoiser(a=0.5), mask=mask, y=y)
-        res = solve(fmap.apply, init_estimate(mask, y),
-                    FixedPointConfig(tol=1e-13, max_iter=500), method="picard")
+        res = solve(fmap.apply, adjoint(mask, y),
+                    FixedPointConfig(tol=1e-13, max_iter=500, anderson_memory=1))
         phi = dense_phi(mask)
         n = phi.shape[1]
         m_null = np.eye(n) - phi.T @ np.linalg.inv(phi @ phi.T) @ phi
@@ -104,8 +104,8 @@ class TestDeRnn:
         x = np.random.default_rng(0).random(cube.shape)
         np.testing.assert_array_equal(fmap.apply(x), plain.apply(x))
         cfg = FixedPointConfig(tol=1e-10)
-        res = solve(fmap.apply, init_estimate(mask, y), cfg, method="anderson")
-        ref = solve(plain.apply, init_estimate(mask, y), cfg, method="anderson")
+        res = solve(fmap.apply, adjoint(mask, y), cfg)
+        ref = solve(plain.apply, adjoint(mask, y), cfg)
         assert res.converged and res.iterations == ref.iterations
         np.testing.assert_array_equal(res.x_hat, ref.x_hat)
 
@@ -177,7 +177,7 @@ class TestDeRnn:
             fmap = DeGapMap(denoiser=cell, mask=mask, y=y)
             outputs = [fmap.apply(scale * rng.standard_normal((16, 16, 4)))
                        for scale in (0.1, 1.0, 100.0)]
-            x = init_estimate(mask, y)
+            x = adjoint(mask, y)
             for _ in range(20):  # along a Picard run
                 x = fmap.apply(x)
                 outputs.append(x)
@@ -327,7 +327,7 @@ class TestPnpGap:
     def test_single_iteration_equals_projected_init(self):
         mask, cube, y = _instance(11)
         res = pnp_gap_solve(mask, y, [0.0], 1, tol=0.0)
-        np.testing.assert_array_equal(res.x_hat, gap_project(mask, y, init_estimate(mask, y)))
+        np.testing.assert_array_equal(res.x_hat, gap_project(mask, y, adjoint(mask, y)))
 
     def test_schedule_cycles(self):
         mask, cube, y = _instance(12, 6, 6, 2)
@@ -349,7 +349,7 @@ class TestPnpGap:
         mask, cube, y = _instance(13, 12, 10, 3)
         schedule = [0.1, 0.05, 0.02]
         res = pnp_gap_solve(mask, y, schedule, 7, tv_iters=4, tol=0.0, psnr_ref=cube)
-        v = init_estimate(mask, y)
+        v = adjoint(mask, y)
         for k in range(7):
             v = vsci.maps.tv_denoise(gap_project(mask, y, v), schedule[k % 3], 4)
         assert res.iterations == 7 and not res.converged

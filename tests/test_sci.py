@@ -15,7 +15,6 @@ from vsci.sci import (
     adjoint,
     forward,
     gap_project,
-    init_estimate,
     mask_generate,
     project_null,
     validate_cube,
@@ -158,7 +157,6 @@ class TestMaskRepresentation:
         assert np.array_equal(m.q_diag, oracle.q)
         assert np.array_equal(forward(m, x).data, oracle.forward(x))
         assert np.array_equal(adjoint(m, y), oracle.adjoint(y))
-        assert np.array_equal(init_estimate(m, y), oracle.adjoint(y))
         if policy == "reject" and dead:
             for op in (lambda: gap_project(m, y, x), lambda: project_null(m, x),
                        lambda: projection_spectrum(m)):
@@ -171,10 +169,9 @@ class TestMaskRepresentation:
         assert np.array_equal(gap_project(m, y, x, out=out), oracle.gap_project(y, x))
         assert np.array_equal(project_null(m, x), oracle.project_null(x))
         spectrum = projection_spectrum(m)
-        eigs, defect, live = oracle.spectrum()
+        eigs, defect = oracle.spectrum()
         assert np.array_equal(spectrum.eigenvalues, eigs)
         assert spectrum.idempotence_defect == defect
-        assert spectrum.n_live_pixels == live == 7 * 6 - dead
 
     def test_mask_file_is_float64_and_loads_as_bool(self, tmp_path):
         m = mask_generate(5, 6, 5, 3, policy="floor")
@@ -243,11 +240,6 @@ class TestForwardAdjoint:
         scale = np.linalg.norm(x) * np.linalg.norm(y) + 1.0
         assert abs(lhs - rhs) <= 1e-10 * scale
 
-    def test_init_estimate_is_adjoint(self):
-        m = random_mask(1, 4, 4, 2)
-        y = Measurement(data=np.random.default_rng(0).random((4, 4)))
-        np.testing.assert_array_equal(init_estimate(m, y), adjoint(m, y))
-
     def test_shape_mismatch_raises(self):
         m = random_mask(0, 4, 4, 2)
         with pytest.raises(ShapeMismatchError):
@@ -267,7 +259,6 @@ class TestAddNoise:
         a = add_noise(y, 0.3, seed=7)
         b = add_noise(y, 0.3, seed=7)
         np.testing.assert_array_equal(a.data, b.data)
-        assert a.noise_sigma == 0.3 and a.seed == 7
 
     def test_sample_std(self):
         y = Measurement(data=np.zeros((1000, 1000)))
@@ -278,6 +269,10 @@ class TestAddNoise:
         y = Measurement(data=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             add_noise(y, -0.1, seed=0)
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma"):
+            add_noise(Measurement(data=np.zeros((2, 2))), float("nan"), seed=0)
 
 
 class TestGapProject:

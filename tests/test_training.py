@@ -168,9 +168,9 @@ class TestLossGradient:
         cfg = tight_train_cfg()
         fmap = model.make_map(mask, y)
         from vsci.fixed_point import anderson_solve
-        from vsci.sci import init_estimate
+        from vsci.sci import adjoint
 
-        x_hat = anderson_solve(fmap.apply, init_estimate(mask, y), cfg.forward).x_hat
+        x_hat = anderson_solve(fmap.apply, adjoint(mask, y), cfg.forward).x_hat
         res = loss_gradient(model, (mask, y, x_hat), cfg)
         assert res.loss <= 1e-18
         assert np.max(np.abs(res.grad)) <= 1e-9
@@ -311,15 +311,12 @@ class TestTrainConfig:
         (dict(momentum=-3.0), "momentum"),
         (dict(momentum=5.0), "momentum"),
         (dict(momentum=1.0), "momentum"),
-        (dict(clip_norm=float("nan")), "clip_norm"),
-        (dict(clip_norm=-1.0), "clip_norm"),
     ])
     def test_out_of_range_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**kw)
 
-    @pytest.mark.parametrize("kw", [dict(momentum=0.0), dict(momentum=0.99),
-                                    dict(clip_norm=0.0), dict(clip_norm=float("inf"))])
+    @pytest.mark.parametrize("kw", [dict(momentum=0.0), dict(momentum=0.99)])
     def test_momentum_and_clip_bounds_accepted(self, kw):
         cfg = TrainConfig(**kw)
         assert all(getattr(cfg, k) == v for k, v in kw.items())
