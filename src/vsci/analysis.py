@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensorio
 from .sci import SensingMask
 
 
@@ -76,34 +75,16 @@ def projection_spectrum(mask: SensingMask) -> SpectrumReport:
     )
 
 
-@dataclass
-class LipschitzReport:
-    sigma_hat: float                 # sampled ||df/dx|| at a point
-    idempotence_defect: float
-    n_unit_eigenvalues: int
-    n_zero_eigenvalues: int
-
-    def to_kv(self) -> dict:
-        return {
-            "sigma_hat": repr(self.sigma_hat),
-            "idempotence_defect": repr(self.idempotence_defect),
-            "n_unit_eigenvalues": self.n_unit_eigenvalues,
-            "n_zero_eigenvalues": self.n_zero_eigenvalues,
-        }
-
-    def write(self, path: str) -> None:
-        tensorio.write_kv(path, self.to_kv())
-
-
-# distance from 1 or 0 within which build_report counts an eigenvalue as one
+# distance from 1 or 0 within which report_kv counts an eigenvalue as one
 EIG_TOL = 1e-8
 
 
-def build_report(sigma_hat: float, spectrum: SpectrumReport) -> LipschitzReport:
+def report_kv(sigma_hat: float, spectrum: SpectrumReport) -> dict:
+    """The `key = value` entries `vsci spectrum` prints and writes."""
     eigs = spectrum.eigenvalues
-    return LipschitzReport(
-        sigma_hat=sigma_hat,
-        idempotence_defect=spectrum.idempotence_defect,
-        n_unit_eigenvalues=int(np.sum(np.abs(eigs - 1.0) <= EIG_TOL)),
-        n_zero_eigenvalues=int(np.sum(np.abs(eigs) <= EIG_TOL)),
-    )
+    return {
+        "sigma_hat": sigma_hat,
+        "idempotence_defect": spectrum.idempotence_defect,
+        "n_unit_eigenvalues": int(np.sum(np.abs(eigs - 1.0) <= EIG_TOL)),
+        "n_zero_eigenvalues": int(np.sum(np.abs(eigs) <= EIG_TOL)),
+    }

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .errors import DivergedError
 from .fixed_point import FixedPointConfig, solve
-from .maps import DeGapMap, pnp_gap_solve
+from .maps import DEFAULT_TV_ITERS, DEFAULT_TV_SCHEDULE, DeGapMap, pnp_gap_solve
 from .metrics import ssim
 from .models import equilibrium_denoiser
 from .sci import add_noise, adjoint, forward, mask_generate
@@ -36,7 +36,7 @@ class MethodSpec:
     """
 
     name: str
-    schedule: tuple = (0.05,)
+    schedule: tuple = DEFAULT_TV_SCHEDULE
     checkpoint: str | None = None
 
     def __post_init__(self):
@@ -57,7 +57,7 @@ class BenchSpec:
     max_iter: int = 100
     tol: float = 0.0  # 0 = run the full iteration budget
     solver: str = "anderson"
-    tv_iters: int = 30
+    tv_iters: int = DEFAULT_TV_ITERS
     outdir: str = "bench_out"
     timing: str = "wall"  # "none" zeroes timing columns for bitwise output
 
@@ -86,10 +86,8 @@ def _run_method(method: MethodSpec, mask, y, cube, bench: BenchSpec):
         if bench.solver == "picard":
             cfg = replace(cfg, anderson_memory=1)
         return solve(fmap.apply, adjoint(mask, y), cfg, psnr_ref=cube)
-    return pnp_gap_solve(
-        mask, y, method.schedule, bench.max_iter,
-        tv_iters=bench.tv_iters, tol=bench.tol, psnr_ref=cube,
-    )
+    return pnp_gap_solve(mask, y, method.schedule, bench.max_iter, tol=bench.tol,
+                         tv_iters=bench.tv_iters, psnr_ref=cube)
 
 
 def _unique_labels(methods) -> list:

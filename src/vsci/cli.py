@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import tensorio
-from .analysis import build_report, estimate_map_lipschitz, projection_spectrum
+from .analysis import estimate_map_lipschitz, projection_spectrum, report_kv
 from .bench import BenchSpec, MethodSpec, run_trajectory_bench
 from .denoisers import (
     ConvResidualDenoiser,
@@ -30,10 +30,12 @@ from .denoisers import (
 from .errors import (ConfigError, DivergedError, ShapeMismatchError, TensorFileError,
                      TrainingAbortedError, VsciError)
 from .fixed_point import FixedPointConfig, solve
-from .maps import DeGapMap, pnp_gap_solve
+from .maps import DEFAULT_TV_ITERS, DEFAULT_TV_SCHEDULE, DeGapMap, pnp_gap_solve
 from .metrics import psnr, ssim
 from .models import DeGapModel, desk_denoiser, equilibrium_denoiser
 from .sci import (
+    DEFAULT_FLOOR_TAU,
+    POLICY_REJECT,
     Measurement,
     SensingMask,
     add_noise,
@@ -62,12 +64,9 @@ def save_mask(prefix: str, mask: SensingMask) -> None:
 
 def load_mask(prefix: str) -> SensingMask:
     frames = tensorio.read_tensor(prefix + ".vsci")
-    policy, tau = "reject", 1e-6
-    if os.path.exists(prefix + ".meta"):
-        meta = tensorio.read_kv(prefix + ".meta")
-        policy = meta.get("policy", "reject")
-        tau = float(meta.get("floor_tau", "1e-6"))
-    return SensingMask(frames=frames, policy=policy, floor_tau=tau)
+    meta = tensorio.read_kv(prefix + ".meta") if os.path.exists(prefix + ".meta") else {}
+    return SensingMask(frames=frames, policy=meta.get("policy", POLICY_REJECT),
+                       floor_tau=float(meta.get("floor_tau", DEFAULT_FLOOR_TAU)))
 
 
 def _settings(args, cfg: dict, section: str, **flags) -> dict:
@@ -112,7 +111,7 @@ RUN_READS = {
 
 
 def _load_run_config(args) -> dict:
-    """Every key's value for the run: the --config file's entry, else the default.
+    """The --config file's entries; the objects they configure default the rest.
 
     Refuses by name every entry and given flag that the run's row does not read.
     """
@@ -128,7 +127,7 @@ def _load_run_config(args) -> dict:
     refused += [k for k in entries if k not in reads]
     if refused:
         raise ConfigError(f"{run} does not read {', '.join(refused)}")
-    return {**cfgmod.defaults(), **entries}
+    return entries
 
 
 def cmd_mask(args) -> int:
@@ -175,11 +174,11 @@ def _reconstruct(args, cfg):
         fmap = DeGapMap(denoiser=den, mask=mask, y=y)
         result = solve(fmap.apply, adjoint(mask, y), solver_cfg, psnr_ref=gt)
     else:
-        text = "0.05" if args.schedule is None else args.schedule
-        schedule = [float(s) for s in text.split(",")]
-        tv_iters = 30 if args.tv_iters is None else args.tv_iters
-        result = pnp_gap_solve(mask, y, schedule, solver_cfg.max_iter,
-                               tv_iters=tv_iters, tol=solver_cfg.tol, psnr_ref=gt)
+        schedule = (DEFAULT_TV_SCHEDULE if args.schedule is None
+                    else [float(s) for s in args.schedule.split(",")])
+        tv_iters = DEFAULT_TV_ITERS if args.tv_iters is None else args.tv_iters
+        result = pnp_gap_solve(mask, y, schedule, solver_cfg.max_iter, tol=solver_cfg.tol,
+                               tv_iters=tv_iters, psnr_ref=gt)
     return mask, y, result, gt
 
 
@@ -282,21 +281,20 @@ def cmd_spectrum(args) -> int:
     y = forward(mask, cube)
     fmap = DeGapMap(denoiser=den, mask=mask, y=y)
     sigma = estimate_map_lipschitz(fmap, adjoint(mask, y), n_iters=args.iters, seed=0)
-    report = build_report(sigma, spectrum)
-    for key, val in report.to_kv().items():
+    report = report_kv(sigma, spectrum)
+    for key, val in report.items():
         print(f"{key} = {val}")
     if args.out:
-        report.write(args.out)
+        tensorio.write_kv(args.out, report)
     return EXIT_OK
 
 
 def _parse_method(text: str) -> MethodSpec:
-    """pnp_gap[:0.1,0.05] | de_gap[:ckpt] | de_rnn[:ckpt]"""
+    """pnp_gap[:lam,lam,...] | de_gap[:ckpt] | de_rnn[:ckpt]"""
     name, _, rest = text.partition(":")
-    if name == "pnp_gap":
-        sched = tuple(float(s) for s in rest.split(",")) if rest else (0.05,)
-        return MethodSpec(name=name, schedule=sched)
-    if name in ("de_gap", "de_rnn"):
+    if name == "pnp_gap" and rest:
+        return MethodSpec(name=name, schedule=tuple(float(s) for s in rest.split(",")))
+    if name in ("pnp_gap", "de_gap", "de_rnn"):
         return MethodSpec(name=name, checkpoint=rest or None)
     raise ConfigError(f"unknown method spec {text!r}")
 
@@ -353,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--kind", default="bernoulli", choices=["bernoulli", "all_ones"])
     p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--policy", default="reject", choices=["reject", "floor"])
-    p.add_argument("--tau", type=float, default=1e-6)
+    p.add_argument("--policy", default=POLICY_REJECT, choices=["reject", "floor"])
+    p.add_argument("--tau", type=float, default=DEFAULT_FLOOR_TAU)
     p.add_argument("--out", required=True, help="output prefix (.vsci/.meta)")
     p.set_defaults(func=cmd_mask)
 
@@ -379,8 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["de-gap", "de-rnn", "pnp-gap"])
     p.add_argument("--solver", choices=["picard", "anderson"], help="default anderson")
     p.add_argument("--checkpoint")
-    p.add_argument("--schedule", help="pnp-gap TV strengths, comma separated; default 0.05")
-    p.add_argument("--tv-iters", type=int, help="pnp-gap TV prox steps; default 30")
+    p.add_argument("--schedule", help="pnp-gap TV strengths, comma separated; default "
+                   + ",".join(map(str, DEFAULT_TV_SCHEDULE)))
+    p.add_argument("--tv-iters", type=int,
+                   help=f"pnp-gap TV prox steps; default {DEFAULT_TV_ITERS}")
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--memory", type=int)

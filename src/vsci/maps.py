@@ -83,13 +83,19 @@ class DeGapLinearization:
         return self.denoiser.grad_params(v)
 
 
+# GAP-TV's defaults: the TV strength of every iteration, and TV prox steps per iteration
+DEFAULT_TV_SCHEDULE = (0.05,)
+DEFAULT_TV_ITERS = 30
+
+
 def pnp_gap_solve(
     mask: SensingMask,
     y,
     schedule,
     max_iter: int,
-    tv_iters: int = 30,
-    tol: float = 1e-6,
+    *,
+    tol: float,
+    tv_iters: int = DEFAULT_TV_ITERS,
     psnr_ref=None,
 ) -> SolveResult:
     """Classical GAP baseline: project, then TV-denoise with a per-iteration

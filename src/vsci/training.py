@@ -43,7 +43,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.lr >= 0 or not self.backward_tol > 0 or self.backward_max_iter < 1:
+        if not 0 <= self.lr < np.inf:  # also rejects NaN
+            raise ValueError(f"lr must be finite and positive or 0, got {self.lr}")
+        if not self.backward_tol > 0 or self.backward_max_iter < 1:
             raise ValueError("rates and counts must be positive")
         if not 0.0 <= self.lr_decay <= 1.0:
             raise ValueError(f"lr_decay must be in [0, 1], got {self.lr_decay}")
@@ -106,9 +108,6 @@ class LossGradResult:
     grad: np.ndarray
     loss: float
     x_hat: np.ndarray
-    forward_converged: bool
-    forward_iterations: int
-    backward_converged: bool
     approximate: bool  # true when either solve stopped at its iteration cap
 
 
@@ -135,16 +134,8 @@ def loss_gradient(model, sample, cfg: TrainConfig) -> LossGradResult:
         bwd = backward_fixed_point(lin.vjp_input, g, cfg.backward_config())
         a = bwd.x_hat
         backward_converged = bwd.converged
-    grad = lin.grad_params(a)
-    return LossGradResult(
-        grad=grad,
-        loss=loss,
-        x_hat=x_hat,
-        forward_converged=fwd.converged,
-        forward_iterations=fwd.iterations,
-        backward_converged=backward_converged,
-        approximate=not (fwd.converged and backward_converged),
-    )
+    return LossGradResult(grad=lin.grad_params(a), loss=loss, x_hat=x_hat,
+                          approximate=not (fwd.converged and backward_converged))
 
 
 def loss_eval(model, sample, cfg: TrainConfig) -> float:
@@ -196,7 +187,8 @@ def train(model, dataset, cfg: TrainConfig, val_set=None) -> list:
     changed the parameters since the previous such pass: spectral_normalize
     is not idempotent, so a model the caller already normalized is returned
     untouched when nothing was updated. Diverged samples are skipped and
-    counted; an epoch skipping more than half the dataset aborts. Gradients
+    counted; an epoch skipping more than half the dataset aborts, and so
+    does an update that leaves a parameter non-finite. Gradients
     from solves stopped at their cap are still applied, and EpochLog counts
     them in `approximate`. Deterministic per cfg.seed.
     """
@@ -224,6 +216,10 @@ def train(model, dataset, cfg: TrainConfig, val_set=None) -> list:
             if np.any(velocity != 0.0):
                 model.set_params(model.get_params() + velocity)
                 model.spectral_normalize(cfg.sn_iters_step)
+                if not np.isfinite(model.get_params()).all():
+                    raise TrainingAbortedError(
+                        f"epoch {epoch}: an update left a parameter non-finite", log=log
+                    )
                 updated = True
         if skipped > 0.5 * len(dataset):
             raise TrainingAbortedError(

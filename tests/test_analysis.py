@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_projector, random_mask
-from vsci.analysis import build_report, estimate_map_lipschitz, projection_spectrum
+from vsci.analysis import estimate_map_lipschitz, projection_spectrum, report_kv
 from vsci.denoisers import IdentityDenoiser, ScaleShiftDenoiser
 from vsci.maps import DeGapMap
 from vsci.sci import SensingMask, adjoint, forward, mask_generate
@@ -18,10 +18,10 @@ def test_all_ones_mask_spectrum_is_closed_form(h, w, b):
                                rtol=0, atol=1e-12)
     assert spectrum.idempotence_defect <= 1e-12
 
-    report = build_report(sigma_hat=0.5, spectrum=spectrum)
-    assert report.n_unit_eigenvalues == n
-    assert report.n_zero_eigenvalues == n * (b - 1)
-    assert report.idempotence_defect == spectrum.idempotence_defect
+    report = report_kv(sigma_hat=0.5, spectrum=spectrum)
+    assert report["n_unit_eigenvalues"] == n
+    assert report["n_zero_eigenvalues"] == n * (b - 1)
+    assert report["idempotence_defect"] == spectrum.idempotence_defect
 
 
 def _fractional_floor_mask():

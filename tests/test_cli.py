@@ -1,5 +1,6 @@
 """The CLI's exit-code contract, driven through main(argv)."""
 
+import dataclasses
 import math
 import os
 
@@ -612,6 +613,30 @@ def test_nan_momentum_exits_2_before_any_epoch(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def _train_8x8(tmp_path, *extra):
+    return main(["train", "--height", "8", "--width", "8", "--frames", "2",
+                 "--train-scenes", "1", "--epochs", "1", "--out-prefix", str(tmp_path / "model"),
+                 "--log", str(tmp_path / "log.csv"), *extra])
+
+
+def test_infinite_lr_exits_2_and_writes_nothing(tmp_path, capsys):
+    assert _train_8x8(tmp_path, "--lr", "inf", "--val-scenes", "0") == EXIT_CONFIG
+    assert "lr must be finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("val_scenes", ["0", "1"])
+def test_non_finite_update_exits_4_with_the_log_and_no_checkpoint(tmp_path, capsys, val_scenes):
+    # lr = 1e308 is finite, but the first update overflows the parameters
+    assert _train_8x8(tmp_path, "--lr", "1e308", "--val-scenes", val_scenes) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "training aborted: epoch 0: an update left a parameter non-finite" in err
+    assert os.listdir(tmp_path) == ["log.csv"]
+    rows = (tmp_path / "log.csv").read_text(encoding="utf-8").splitlines()
+    assert rows == ["epoch,mean_loss,val_psnr,skipped,approximate"]
+
+
 def test_spectrum_at_64x64x8_prints_what_it_writes(tmp_path, capsys):
     out = str(tmp_path / "spectrum.kv")
     assert main(["spectrum", "--height", "64", "--width", "64", "--frames", "8",
@@ -717,7 +742,12 @@ def test_every_key_reaches_the_object_it_configures(tmp_path, monkeypatch, key):
         argv = ["bench", *size, "--outdir", str(tmp_path / "b"), "--methods", "pnp_gap"]
     with pytest.raises(_Captured) as captured:
         main([*argv, "--config", str(cfg)])
-    assert getattr(captured.value.args[0], field) == value
+    configured = captured.value.args[0]
+    got = getattr(configured, field)
+    assert got == value
+    # an int parsed as a float would pass the equality above (151.0 == 151)
+    default = next(f.default for f in dataclasses.fields(configured) if f.name == field)
+    assert type(got) is type(default)
 
 
 # the keys each run reads, stated apart from cli.RUN_READS

@@ -311,6 +311,7 @@ class TestTrainConfig:
         (dict(momentum=-3.0), "momentum"),
         (dict(momentum=5.0), "momentum"),
         (dict(momentum=1.0), "momentum"),
+        (dict(lr=float("inf")), "lr"),
     ])
     def test_out_of_range_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
