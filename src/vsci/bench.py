@@ -1,6 +1,7 @@
 """Trajectory benchmark: PSNR-vs-iteration stability across methods.
 
-For every scene x method cell: simulate a coded measurement, run the method
+For every scene x method cell: simulate a coded measurement under the one
+mask every cell shares (as one camera codes every capture), run the method
 for up to K iterations recording PSNR against the ground truth each
 iteration, and write a per-cell trace CSV plus one summary CSV with the
 stability figure of merit drop_db = max PSNR - final PSNR.
@@ -21,7 +22,7 @@ from .fixed_point import FixedPointConfig, solve
 from .maps import DEFAULT_TV_ITERS, DEFAULT_TV_SCHEDULE, DeGapMap, pnp_gap_solve
 from .metrics import ssim
 from .models import equilibrium_denoiser
-from .sci import add_noise, adjoint, forward, mask_generate
+from .sci import SensingMask, add_noise, adjoint, forward
 from .synth import SyntheticScene, synth_video
 
 
@@ -46,12 +47,9 @@ class MethodSpec:
 
 @dataclass
 class BenchSpec:
-    scenes: list
+    scenes: list  # each of the mask's H x W x B
     methods: list
-    mask_seed: int = 0
-    mask_kind: str = "bernoulli"
-    mask_p: float = 0.5
-    mask_policy: str = "floor"
+    mask: SensingMask
     noise_sigma: float = 0.0
     noise_seed: int = 1234
     max_iter: int = 100
@@ -78,7 +76,8 @@ def _scene_tag(scene: SyntheticScene) -> str:
     return f"{scene.kind}_s{scene.seed}"
 
 
-def _run_method(method: MethodSpec, mask, y, cube, bench: BenchSpec):
+def _run_method(method: MethodSpec, y, cube, bench: BenchSpec):
+    mask = bench.mask
     if method.name in ("de_gap", "de_rnn"):
         den = equilibrium_denoiser(method.name, method.checkpoint)
         fmap = DeGapMap(denoiser=den, mask=mask, y=y)
@@ -114,16 +113,12 @@ def run_trajectory_bench(bench: BenchSpec):
     rows, traces = [], {}
     for scene in bench.scenes:
         cube = synth_video(scene)
-        mask = mask_generate(
-            bench.mask_seed, scene.h, scene.w, scene.b,
-            kind=bench.mask_kind, p=bench.mask_p, policy=bench.mask_policy,
-        )
-        y = add_noise(forward(mask, cube), bench.noise_sigma, bench.noise_seed)
+        y = add_noise(forward(bench.mask, cube), bench.noise_sigma, bench.noise_seed)
         for method, label in zip(bench.methods, labels):
             tag = f"{_scene_tag(scene)}_{label}"
             t0 = time.perf_counter()
             try:
-                result = _run_method(method, mask, y, cube, bench)
+                result = _run_method(method, y, cube, bench)
                 diverged = False
                 trace = result.trace
                 x_hat = result.x_hat

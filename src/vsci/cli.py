@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Subcommands: mask, simulate, reconstruct, train, gradcheck, spectrum, bench.
-Exit codes: 0 ok, 2 config error, 3 I/O error, 4 diverged (a solve, or a
-training run that aborted), 5 gradcheck over threshold. Every command is
-deterministic given its seeds (bench timing columns excepted unless
-bench.timing=none).
+`vsci mask` writes the only mask. The other commands read that file with
+--mask, as a camera ships its coded aperture with each capture, and every
+cube they make or read has the mask's H x W x B. Exit codes: 0 ok, 2 config
+error, 3 I/O error, 4 diverged (a solve, or a training run that aborted), 5
+gradcheck over threshold. Every command is deterministic given its seeds
+and its mask file (bench timing columns excepted unless bench.timing=none).
 """
 
 from __future__ import annotations
@@ -140,11 +142,16 @@ def cmd_mask(args) -> int:
     return EXIT_OK
 
 
+def _scene(mask: SensingMask, kind: str, seed: int) -> SyntheticScene:
+    """The synthetic scene of the mask's H x W x B."""
+    h, w, b = mask.frames.shape
+    return SyntheticScene(kind=kind, seed=seed, h=h, w=w, b=b)
+
+
 def cmd_simulate(args) -> int:
-    scene = SyntheticScene(kind=args.scene, seed=args.seed, h=args.height, w=args.width,
-                           b=args.frames)
-    cube = synth_video(scene)
     mask = load_mask(args.mask)
+    scene = _scene(mask, args.scene, args.seed)
+    cube = synth_video(scene)
     y = add_noise(forward(mask, cube), args.sigma, args.noise_seed)
     tensorio.write_tensor(args.out_cube, cube)
     tensorio.write_tensor(args.out_meas, y.data)
@@ -200,14 +207,11 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _make_dataset(args, n: int, seed0: int):
+def _make_dataset(args, mask: SensingMask, n: int, seed0: int):
+    """n (mask, y, cube) samples, scene seeds seed0, seed0 + 1, ..., all under one mask."""
     samples = []
     for i in range(n):
-        scene = SyntheticScene(kind=args.scene, seed=seed0 + i, h=args.height,
-                               w=args.width, b=args.frames)
-        cube = synth_video(scene)
-        mask = mask_generate(args.mask_seed, args.height, args.width, args.frames,
-                             kind="bernoulli", p=args.mask_p, policy="floor")
+        cube = synth_video(_scene(mask, args.scene, seed0 + i))
         y = add_noise(forward(mask, cube), args.sigma, seed0 + 1000 + i)
         samples.append((mask, y, cube))
     return samples
@@ -229,9 +233,10 @@ def cmd_train(args) -> int:
     if args.val_scenes < 0:
         raise ConfigError(f"--val-scenes must be >= 0, got {args.val_scenes}")
     tcfg = _train_cfg(args, cfg)
+    mask = load_mask(args.mask)
     model = _desk_model(args)
-    dataset = _make_dataset(args, args.train_scenes, seed0=args.data_seed)
-    val = _make_dataset(args, args.val_scenes, seed0=args.data_seed + 10_000)
+    dataset = _make_dataset(args, mask, args.train_scenes, seed0=args.data_seed)
+    val = _make_dataset(args, mask, args.val_scenes, seed0=args.data_seed + 10_000)
     try:
         log = train(model, dataset, tcfg, val_set=val or None)
     except TrainingAbortedError as exc:  # keep the epochs that ran; main exits 4
@@ -256,8 +261,9 @@ def cmd_gradcheck(args) -> int:
     forward_cfg = replace(tcfg.forward, tol=args.solve_tol,
                           max_iter=max(tcfg.forward.max_iter, 400))
     tcfg = replace(tcfg, forward=forward_cfg, backward_tol=args.solve_tol)
+    mask = load_mask(args.mask)
     model = _desk_model(args)
-    dataset = _make_dataset(args, 1, seed0=args.data_seed)
+    dataset = _make_dataset(args, mask, 1, seed0=args.data_seed)
     report = finite_diff_gradcheck(model, dataset[0], h=args.h,
                                    n_probe=args.probes, seed=args.seed or 0, cfg=tcfg)
     print(f"probes={len(report.indices)} max_rel_error={report.max_rel_error:.3e} "
@@ -270,14 +276,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    mask = mask_generate(args.mask_seed, args.height, args.width, args.frames,
-                         kind=args.kind, p=args.p, policy=args.policy)
+    mask = load_mask(args.mask)
     spectrum = projection_spectrum(mask)
     den = (load_denoiser(args.checkpoint, ConvResidualDenoiser, GatedConvCell)
            if args.checkpoint else IdentityDenoiser())
-    scene = SyntheticScene(kind="moving_square", seed=0, h=args.height,
-                           w=args.width, b=args.frames)
-    cube = synth_video(scene)
+    cube = synth_video(_scene(mask, "moving_square", 0))
     y = forward(mask, cube)
     fmap = DeGapMap(denoiser=den, mask=mask, y=y)
     sigma = estimate_map_lipschitz(fmap, adjoint(mask, y), n_iters=args.iters, seed=0)
@@ -301,12 +304,11 @@ def _parse_method(text: str) -> MethodSpec:
 
 def cmd_bench(args) -> int:
     cfg = _load_run_config(args)
-    scenes = [
-        SyntheticScene(kind=args.scene, seed=s, h=args.height, w=args.width, b=args.frames)
-        for s in range(args.scene_seed, args.scene_seed + args.n_scenes)
-    ]
+    mask = load_mask(args.mask)
+    scenes = [_scene(mask, args.scene, s)
+              for s in range(args.scene_seed, args.scene_seed + args.n_scenes)]
     methods = [_parse_method(m) for m in args.methods]
-    spec = BenchSpec(scenes=scenes, methods=methods, outdir=args.outdir,
+    spec = BenchSpec(scenes=scenes, methods=methods, mask=mask, outdir=args.outdir,
                      **_settings(args, cfg, "bench", max_iter="max_iter", timing="timing"))
     rows = run_trajectory_bench(spec)
     for r in rows:
@@ -324,13 +326,15 @@ def _add_model_flags(p):
     p.add_argument("--gamma", type=float, default=0.3)
 
 
-def _add_data_flags(p, h=16, w=16, b=4):
+def _add_mask_flag(p):
+    p.add_argument("--mask", required=True,
+                   help="mask prefix (.vsci/.meta) written by `vsci mask`, the only command "
+                   "that makes a mask; every cube takes the mask's H x W x B")
+
+
+def _add_data_flags(p):
+    _add_mask_flag(p)
     p.add_argument("--scene", default="moving_square", choices=list(SCENE_KINDS))
-    p.add_argument("--height", type=int, default=h)
-    p.add_argument("--width", type=int, default=w)
-    p.add_argument("--frames", type=int, default=b)
-    p.add_argument("--mask-seed", type=int, default=0)
-    p.add_argument("--mask-p", type=float, default=0.5)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--data-seed", type=int, default=100)
 
@@ -359,10 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthetic scene -> coded measurement")
     p.add_argument("--scene", default="moving_square", choices=list(SCENE_KINDS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--mask", required=True, help="mask prefix from `vsci mask`")
+    _add_mask_flag(p)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--noise-seed", type=int, default=1234)
     p.add_argument("--out-cube", required=True)
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="recover a cube from a measurement")
     p.add_argument("--config")
-    p.add_argument("--mask", required=True)
+    _add_mask_flag(p)
     p.add_argument("--measurement", required=True)
     p.add_argument("--method", default="de-gap",
                    choices=["de-gap", "de-rnn", "pnp-gap"])
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the projection-denoiser model")
     p.add_argument("--config")
-    _add_data_flags(p, h=32, w=32, b=4)
+    _add_data_flags(p)
     _add_model_flags(p)
     p.add_argument("--train-scenes", type=int, default=16)
     p.add_argument("--val-scenes", type=int, default=4)
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the implicit gradient")
     p.add_argument("--config")
-    _add_data_flags(p, h=8, w=8, b=2)
+    _add_data_flags(p)
     _add_model_flags(p)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--probes", type=int, default=25)
@@ -419,13 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="closed-form projector spectrum + sampled "
                        "Jacobian norm of the DE-GAP or DE-RNN map")
-    p.add_argument("--mask-seed", type=int, default=0)
-    p.add_argument("--height", type=int, default=6)
-    p.add_argument("--width", type=int, default=6)
-    p.add_argument("--frames", type=int, default=3)
-    p.add_argument("--kind", default="bernoulli", choices=["bernoulli", "all_ones"])
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--policy", default="floor", choices=["reject", "floor"])
+    _add_mask_flag(p)
     p.add_argument("--checkpoint")
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--out")
@@ -436,9 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", default="moving_square", choices=list(SCENE_KINDS))
     p.add_argument("--scene-seed", type=int, default=0)
     p.add_argument("--n-scenes", type=int, default=2)
-    p.add_argument("--height", type=int, default=32)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--frames", type=int, default=4)
+    _add_mask_flag(p)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--methods", nargs="+", required=True,
                    help="e.g. de_gap:ckpt de_rnn pnp_gap:0.1,0.05")

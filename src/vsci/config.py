@@ -37,10 +37,6 @@ KNOWN_KEYS = {
     "train.backward_tol": "adjoint solve tolerance",
     "train.backward_max_iter": "adjoint solve iteration cap",
     "train.seed": "shuffling / init seed",
-    "bench.mask_seed": "mask generator seed",
-    "bench.mask_kind": "bernoulli | all_ones",
-    "bench.mask_p": "bernoulli mask density",
-    "bench.mask_policy": "dead-pixel policy: reject | floor",
     "bench.noise_sigma": "measurement noise level",
     "bench.noise_seed": "measurement noise seed",
     "bench.max_iter": "iterations per method",

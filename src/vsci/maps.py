@@ -31,13 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoisers import Denoiser, tv_denoise
-from .errors import ShapeMismatchError
 from .fixed_point import FixedPointConfig, SolveResult, solve
-from .sci import Measurement, SensingMask, adjoint, gap_project, project_null
-
-
-def _meas_data(y) -> np.ndarray:
-    return y.data if isinstance(y, Measurement) else np.asarray(y, dtype=np.float64)
+from .sci import Measurement, SensingMask, _check_meas_shape, adjoint, gap_project, project_null
 
 
 @dataclass
@@ -49,8 +44,7 @@ class DeGapMap:
     y: Measurement
 
     def __post_init__(self):
-        if _meas_data(self.y).shape != self.mask.q_diag.shape:
-            raise ShapeMismatchError("measurement does not match mask")
+        _check_meas_shape(self.mask, self.y)
 
     def apply(self, x: np.ndarray, out=None) -> np.ndarray:
         """f(x), in `out` when given; the denoiser runs in place on the projection."""

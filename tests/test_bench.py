@@ -9,21 +9,21 @@ from vsci.sci import forward, mask_generate
 from vsci.synth import SyntheticScene, synth_video
 
 SCENE = SyntheticScene(kind="moving_square", seed=0, h=12, w=12, b=2)
+MASK = mask_generate(0, SCENE.h, SCENE.w, SCENE.b, kind="bernoulli", p=0.5, policy="floor")
 
 
 def _spec(tmp_path, **kw):
     kw = {"max_iter": 4, "timing": "none", **kw}
-    return BenchSpec(scenes=[SCENE], methods=[MethodSpec(name="pnp_gap")],
+    return BenchSpec(scenes=[SCENE], methods=[MethodSpec(name="pnp_gap")], mask=MASK,
                      outdir=str(tmp_path), **kw)
 
 
 def test_pnp_gap_honours_tv_iters(tmp_path):
     cube = synth_video(SCENE)
-    mask = mask_generate(0, SCENE.h, SCENE.w, SCENE.b, kind="bernoulli", p=0.5, policy="floor")
-    y = forward(mask, cube)
+    y = forward(MASK, cube)
 
     def direct(iters):
-        res = pnp_gap_solve(mask, y, (0.05,), 4, tv_iters=iters, tol=0.0, psnr_ref=cube)
+        res = pnp_gap_solve(MASK, y, (0.05,), 4, tv_iters=iters, tol=0.0, psnr_ref=cube)
         return res.trace.psnrs[-1]
 
     assert direct(3) != direct(30)
@@ -59,7 +59,7 @@ def test_unknown_solver_rejected(tmp_path, solver):
 def test_repeated_method_labels_get_suffixes(tmp_path):
     methods = [MethodSpec(name="pnp_gap", schedule=(0.1,)),
                MethodSpec(name="pnp_gap", schedule=(0.05,))]
-    rows = run_trajectory_bench(BenchSpec(scenes=[SCENE], methods=methods, max_iter=4,
+    rows = run_trajectory_bench(BenchSpec(scenes=[SCENE], methods=methods, mask=MASK, max_iter=4,
                                           timing="none", outdir=str(tmp_path)))
     assert [r["method"] for r in rows] == ["pnp_gap", "pnp_gap_2"]
     assert rows[0]["final_psnr"] != rows[1]["final_psnr"]

@@ -12,21 +12,36 @@ import vsci.training
 from helpers import traced_peak
 from vsci import tensorio
 from vsci.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_IO, EXIT_OK, RUN_READS,
-                      build_parser, main)
+                      build_parser, main, save_mask)
 from vsci.config import KNOWN_KEYS, defaults
 from vsci.denoisers import make_conv_residual, make_gated_cell, save_denoiser
 from vsci.errors import DivergedError
+from vsci.sci import SensingMask, mask_generate
 
 
 def _scene_files(tmp_path, h, w, b):
     """An h x w x b mask, measurement and ground truth; returns path prefixes."""
     p = {k: str(tmp_path / k) for k in ("mask", "y.vsci", "gt.vsci")}
-    size = ["--height", str(h), "--width", str(w), "--frames", str(b)]
-    assert main(["mask", "--seed", "0", *size, "--policy", "floor",
-                 "--out", p["mask"]]) == EXIT_OK
-    assert main(["simulate", *size, "--mask", p["mask"], "--out-cube", p["gt.vsci"],
+    assert main(["mask", "--seed", "0", "--height", str(h), "--width", str(w),
+                 "--frames", str(b), "--policy", "floor", "--out", p["mask"]]) == EXIT_OK
+    assert main(["simulate", "--mask", p["mask"], "--out-cube", p["gt.vsci"],
                  "--out-meas", p["y.vsci"]]) == EXIT_OK
     return p
+
+
+@pytest.fixture(scope="module")
+def masks(tmp_path_factory):
+    """masks(h, w, b): the prefix of the file `vsci mask --seed 0 --policy floor`
+    writes at that size, kept apart from each test's tmp_path so a test that
+    lists its directory sees only what its own run wrote."""
+    root = tmp_path_factory.mktemp("masks")
+
+    def prefix(h, w, b):
+        path = str(root / f"m{h}x{w}x{b}")
+        if not os.path.exists(path + ".meta"):
+            save_mask(path, mask_generate(0, h, w, b, policy="floor"))
+        return path
+    return prefix
 
 
 @pytest.fixture
@@ -39,10 +54,9 @@ def _reconstruct(scene, out, *extra):
                  "--out", out, *extra])
 
 
-def _bench(outdir, *methods, extra=()):
-    return main(["bench", "--height", "12", "--width", "12", "--frames", "2", "--n-scenes", "1",
-                 "--max-iter", "4", "--timing", "none", "--outdir", outdir, *extra,
-                 "--methods", *methods])
+def _bench(mask, outdir, *methods, extra=()):
+    return main(["bench", "--mask", mask, "--n-scenes", "1", "--max-iter", "4", "--timing", "none",
+                 "--outdir", outdir, *extra, "--methods", *methods])
 
 
 def test_success_exits_0(scene, tmp_path):
@@ -59,9 +73,9 @@ def test_unknown_config_key_exits_2(scene, tmp_path):
     assert not os.path.exists(out)
 
 
-def test_unknown_bench_method_exits_2(tmp_path):
+def test_unknown_bench_method_exits_2(tmp_path, masks):
     for method in ("no_such_method", "admm:rho=0.1"):
-        assert _bench(str(tmp_path / "b"), method) == EXIT_CONFIG
+        assert _bench(masks(12, 12, 2), str(tmp_path / "b"), method) == EXIT_CONFIG
     assert not os.path.exists(tmp_path / "b")
 
 
@@ -100,18 +114,18 @@ def test_bad_gt_cube_exits_2_and_writes_nothing(tmp_path, capsys, spoil, message
     assert not os.path.exists(out) and not os.path.exists(trace)
 
 
-@pytest.mark.parametrize("second, extra, cfg_line, code", [
-    ("pnp_gap:nan", (), "", EXIT_CONFIG),
-    ("de_gap:{tmp}/absent", (), "", EXIT_IO),
-    ("de_gap", (), "bench.solver = pircard", EXIT_CONFIG),
-    ("pnp_gap:0.1", ("--height", "8", "--width", "8"), "", EXIT_CONFIG),  # SSIM below 11x11
+@pytest.mark.parametrize("second, size, cfg_line, code", [
+    ("pnp_gap:nan", 12, "", EXIT_CONFIG),
+    ("de_gap:{tmp}/absent", 12, "", EXIT_IO),
+    ("de_gap", 12, "bench.solver = pircard", EXIT_CONFIG),
+    ("pnp_gap:0.1", 8, "", EXIT_CONFIG),  # SSIM below 11x11
 ], ids=["bad_schedule", "missing_checkpoint", "bad_solver", "ssim_too_small"])
-def test_bench_failing_cell_writes_nothing(tmp_path, second, extra, cfg_line, code):
+def test_bench_failing_cell_writes_nothing(tmp_path, masks, second, size, cfg_line, code):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(cfg_line + "\n", encoding="utf-8")
     outdir = str(tmp_path / "b")
-    assert _bench(outdir, "pnp_gap", second.format(tmp=tmp_path),
-                  extra=("--config", str(cfg), *extra)) == code
+    assert _bench(masks(size, size, 2), outdir, "pnp_gap", second.format(tmp=tmp_path),
+                  extra=("--config", str(cfg))) == code
     assert not os.path.exists(outdir)
 
 
@@ -325,8 +339,7 @@ def test_bad_mask_meta_exits_2_and_writes_nothing(scene, tmp_path, key, value):
     tensorio.write_kv(scene["mask"] + ".meta", meta)
     out = str(tmp_path / "x.vsci")
     assert _reconstruct(scene, out, "--max-iter", "3", "--method", "pnp-gap") == EXIT_CONFIG
-    assert main(["simulate", "--height", "16", "--width", "16", "--frames", "4",
-                 "--mask", scene["mask"], "--out-cube", out,
+    assert main(["simulate", "--mask", scene["mask"], "--out-cube", out,
                  "--out-meas", str(tmp_path / "y2.vsci")]) == EXIT_CONFIG
     assert not os.path.exists(out)
     assert not os.path.exists(tmp_path / "y2.vsci")
@@ -353,8 +366,8 @@ def test_malformed_mask_file_exits_2_and_writes_nothing(scene, tmp_path, capsys,
     spoil(scene["mask"])
     out, meas = str(tmp_path / "x.vsci"), str(tmp_path / "y2.vsci")
     assert _reconstruct(scene, out, "--max-iter", "3", "--method", "pnp-gap") == EXIT_CONFIG
-    assert main(["simulate", "--height", "16", "--width", "16", "--frames", "4",
-                 "--mask", scene["mask"], "--out-cube", out, "--out-meas", meas]) == EXIT_CONFIG
+    assert main(["simulate", "--mask", scene["mask"], "--out-cube", out,
+                 "--out-meas", meas]) == EXIT_CONFIG
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 2
     assert all("mask frames" in e and reason in e for e in errors)
@@ -448,7 +461,7 @@ def _three_layer_cell(prefix):
     tensorio.write_kv(prefix + ".meta", meta)
 
 
-def test_three_layer_cell_checkpoint_exits_2_and_writes_nothing(scene, tmp_path):
+def test_three_layer_cell_checkpoint_exits_2_and_writes_nothing(scene, tmp_path, masks):
     ckpt = str(tmp_path / "cell")
     save_denoiser(ckpt, make_gated_cell(2, channels=4, init_scale=0.1))
     _three_layer_cell(ckpt)
@@ -456,7 +469,7 @@ def test_three_layer_cell_checkpoint_exits_2_and_writes_nothing(scene, tmp_path)
     assert _reconstruct(scene, out, "--method", "de-rnn", "--checkpoint", ckpt) == EXIT_CONFIG
     assert not os.path.exists(out)
     outdir = tmp_path / "bench"
-    assert _bench(str(outdir), f"de_rnn:{ckpt}") == EXIT_CONFIG
+    assert _bench(masks(12, 12, 2), str(outdir), f"de_rnn:{ckpt}") == EXIT_CONFIG
     assert not outdir.exists() or list(outdir.iterdir()) == []
 
 
@@ -471,13 +484,13 @@ def test_untrained_de_rnn_equals_untrained_de_gap(scene, tmp_path, capsys):
     assert np.array_equal(x_hat["de-rnn"], x_hat["de-gap"])
 
 
-def test_training_abort_exits_4_and_writes_no_checkpoint(tmp_path, monkeypatch, capsys):
+def test_training_abort_exits_4_and_writes_no_checkpoint(tmp_path, masks, monkeypatch, capsys):
     def diverge(*_args, **_kwargs):
         raise DivergedError("forced")
 
     monkeypatch.setattr(vsci.training, "loss_gradient", diverge)
     prefix = str(tmp_path / "model")
-    code = main(["train", "--height", "8", "--width", "8", "--frames", "2",
+    code = main(["train", "--mask", masks(8, 8, 2),
                  "--train-scenes", "2", "--val-scenes", "0", "--epochs", "1",
                  "--out-prefix", prefix])
     assert code == EXIT_DIVERGED
@@ -485,7 +498,7 @@ def test_training_abort_exits_4_and_writes_no_checkpoint(tmp_path, monkeypatch, 
     assert os.listdir(tmp_path) == []
 
 
-def test_training_abort_writes_the_epochs_run_to_the_log(tmp_path, monkeypatch, capsys):
+def test_training_abort_writes_the_epochs_run_to_the_log(tmp_path, masks, monkeypatch, capsys):
     # epoch 0 trains; every solve of epoch 1 diverges, which aborts it
     real = vsci.training.loss_gradient
     calls = []
@@ -498,7 +511,7 @@ def test_training_abort_writes_the_epochs_run_to_the_log(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(vsci.training, "loss_gradient", diverge_after_two)
     log = tmp_path / "log.csv"
-    code = main(["train", "--height", "8", "--width", "8", "--frames", "2",
+    code = main(["train", "--mask", masks(8, 8, 2),
                  "--train-scenes", "2", "--val-scenes", "0", "--epochs", "3", "--lr", "0",
                  "--out-prefix", str(tmp_path / "model"), "--log", str(log)])
     assert code == EXIT_DIVERGED
@@ -511,7 +524,7 @@ def test_training_abort_writes_the_epochs_run_to_the_log(tmp_path, monkeypatch, 
     assert (epoch, val_psnr, skipped) == ("0", "", "0") and math.isfinite(float(mean_loss))
 
 
-def test_train_log_records_approximate_gradients(tmp_path, monkeypatch):
+def test_train_log_records_approximate_gradients(tmp_path, masks, monkeypatch):
     results = []
 
     def train_and_keep(*args, **kwargs):
@@ -522,7 +535,7 @@ def test_train_log_records_approximate_gradients(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("solver.tol = 0\nsolver.max_iter = 3\n", encoding="utf-8")  # every solve capped
     log = tmp_path / "log.csv"
-    assert main(["train", "--config", str(cfg), "--height", "8", "--width", "8", "--frames", "2",
+    assert main(["train", "--config", str(cfg), "--mask", masks(8, 8, 2),
                  "--train-scenes", "2", "--val-scenes", "0", "--epochs", "2", "--lr", "0",
                  "--out-prefix", str(tmp_path / "model"), "--log", str(log)]) == EXIT_OK
     header, *rows = log.read_text(encoding="utf-8").splitlines()
@@ -532,13 +545,15 @@ def test_train_log_records_approximate_gradients(tmp_path, monkeypatch):
     assert all(n > 0 for n in column)
 
 
-def test_gradcheck_over_threshold_exits_5():
-    assert main(["gradcheck", "--probes", "2", "--threshold", "0"]) == EXIT_GRADCHECK
+def test_gradcheck_over_threshold_exits_5(masks):
+    assert main(["gradcheck", "--mask", masks(8, 8, 2), "--probes", "2",
+                 "--threshold", "0"]) == EXIT_GRADCHECK
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
-def test_gradcheck_bad_solve_tol_exits_2(capsys, tol):
-    assert main(["gradcheck", "--solve-tol", tol, "--probes", "2"]) == EXIT_CONFIG
+def test_gradcheck_bad_solve_tol_exits_2(masks, capsys, tol):
+    assert main(["gradcheck", "--mask", masks(8, 8, 2), "--solve-tol", tol,
+                 "--probes", "2"]) == EXIT_CONFIG
     assert "gradcheck ok" not in capsys.readouterr().out
 
 
@@ -548,21 +563,20 @@ def test_gradcheck_bad_solve_tol_exits_2(capsys, tol):
     ("--h", "-1e-5", "h must"), ("--threshold", "nan", "--threshold must"),
     ("--threshold", "inf", "--threshold must"), ("--threshold", "-1", "--threshold must"),
 ])
-def test_gradcheck_bad_probe_settings_exit_2_before_any_solve(monkeypatch, capsys, flag, value,
-                                                              message):
+def test_gradcheck_bad_probe_settings_exit_2_before_any_solve(masks, monkeypatch, capsys, flag,
+                                                              value, message):
     calls = []
     monkeypatch.setattr(vsci.training, "loss_gradient", lambda *a, **k: calls.append(1))
-    assert main(["gradcheck", f"{flag}={value}"]) == EXIT_CONFIG
+    assert main(["gradcheck", "--mask", masks(8, 8, 2), f"{flag}={value}"]) == EXIT_CONFIG
     assert calls == []
     assert message in capsys.readouterr().err
 
 
-def test_negative_val_scenes_exits_2_before_any_epoch(tmp_path, monkeypatch):
+def test_negative_val_scenes_exits_2_before_any_epoch(tmp_path, masks, monkeypatch):
     calls = []
     monkeypatch.setattr(vsci.training, "loss_gradient", lambda *a, **k: calls.append(1))
-    assert main(["train", "--height", "8", "--width", "8", "--frames", "2",
-                 "--train-scenes", "1", "--val-scenes", "-1", "--epochs", "1",
-                 "--out-prefix", str(tmp_path / "model")]) == EXIT_CONFIG
+    assert main(["train", "--mask", masks(8, 8, 2), "--train-scenes", "1", "--val-scenes", "-1",
+                 "--epochs", "1", "--out-prefix", str(tmp_path / "model")]) == EXIT_CONFIG
     assert calls == []
     assert os.listdir(tmp_path) == []
 
@@ -571,18 +585,18 @@ def test_negative_val_scenes_exits_2_before_any_epoch(tmp_path, monkeypatch):
 def test_bad_noise_sigma_exits_2_and_writes_nothing(tmp_path, monkeypatch, sigma):
     calls = []
     monkeypatch.setattr(vsci.training, "loss_gradient", lambda *a, **k: calls.append(1))
-    size = ["--height", "12", "--width", "12", "--frames", "2"]
     p = _scene_files(tmp_path, 12, 12, 2)
     made = sorted(os.listdir(tmp_path))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"bench.noise_sigma = {sigma}\n", encoding="utf-8")
+    mask = ["--mask", p["mask"]]
     runs = [
-        ["simulate", *size, "--mask", p["mask"], "--sigma", sigma,
+        ["simulate", *mask, "--sigma", sigma,
          "--out-cube", str(tmp_path / "c.vsci"), "--out-meas", str(tmp_path / "y2.vsci")],
-        ["train", *size, "--train-scenes", "1", "--val-scenes", "0", "--sigma", sigma,
+        ["train", *mask, "--train-scenes", "1", "--val-scenes", "0", "--sigma", sigma,
          "--out-prefix", str(tmp_path / "model")],
-        ["gradcheck", "--sigma", sigma],
-        ["bench", *size, "--n-scenes", "1", "--outdir", str(tmp_path / "b"), "--config",
+        ["gradcheck", *mask, "--sigma", sigma],
+        ["bench", *mask, "--n-scenes", "1", "--outdir", str(tmp_path / "b"), "--config",
          str(cfg), "--methods", "pnp_gap"],
     ]
     for argv in runs:
@@ -592,44 +606,44 @@ def test_bad_noise_sigma_exits_2_and_writes_nothing(tmp_path, monkeypatch, sigma
 
 
 @pytest.mark.parametrize("line", ["train.lr_decay_every = 0", "train.lr_decay = 1.5"])
-def test_bad_lr_decay_exits_2_and_writes_no_checkpoint(tmp_path, line):
+def test_bad_lr_decay_exits_2_and_writes_no_checkpoint(tmp_path, masks, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     prefix = str(tmp_path / "model")
-    assert main(["train", "--config", str(cfg), "--height", "8", "--width", "8",
-                 "--frames", "2", "--train-scenes", "1", "--val-scenes", "0",
-                 "--epochs", "2", "--out-prefix", prefix]) == EXIT_CONFIG
+    assert main(["train", "--config", str(cfg), "--mask", masks(8, 8, 2), "--train-scenes", "1",
+                 "--val-scenes", "0", "--epochs", "2", "--out-prefix", prefix]) == EXIT_CONFIG
     assert os.listdir(tmp_path) == ["run.cfg"]
 
 
-def test_nan_momentum_exits_2_before_any_epoch(tmp_path, monkeypatch):
+def test_nan_momentum_exits_2_before_any_epoch(tmp_path, masks, monkeypatch):
     calls = []
     monkeypatch.setattr(vsci.training, "loss_gradient", lambda *a, **k: calls.append(1))
     prefix = str(tmp_path / "model")
-    assert main(["train", "--momentum", "nan", "--height", "8", "--width", "8",
-                 "--frames", "2", "--train-scenes", "1", "--val-scenes", "0",
-                 "--epochs", "2", "--out-prefix", prefix]) == EXIT_CONFIG
+    assert main(["train", "--momentum", "nan", "--mask", masks(8, 8, 2), "--train-scenes", "1",
+                 "--val-scenes", "0", "--epochs", "2", "--out-prefix", prefix]) == EXIT_CONFIG
     assert calls == []
     assert os.listdir(tmp_path) == []
 
 
-def _train_8x8(tmp_path, *extra):
-    return main(["train", "--height", "8", "--width", "8", "--frames", "2",
-                 "--train-scenes", "1", "--epochs", "1", "--out-prefix", str(tmp_path / "model"),
-                 "--log", str(tmp_path / "log.csv"), *extra])
+def _train_8x8(tmp_path, mask, *extra):
+    return main(["train", "--mask", mask, "--train-scenes", "1", "--epochs", "1",
+                 "--out-prefix", str(tmp_path / "model"), "--log", str(tmp_path / "log.csv"),
+                 *extra])
 
 
-def test_infinite_lr_exits_2_and_writes_nothing(tmp_path, capsys):
-    assert _train_8x8(tmp_path, "--lr", "inf", "--val-scenes", "0") == EXIT_CONFIG
+def test_infinite_lr_exits_2_and_writes_nothing(tmp_path, masks, capsys):
+    assert _train_8x8(tmp_path, masks(8, 8, 2), "--lr", "inf", "--val-scenes", "0") == EXIT_CONFIG
     assert "lr must be finite" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("val_scenes", ["0", "1"])
-def test_non_finite_update_exits_4_with_the_log_and_no_checkpoint(tmp_path, capsys, val_scenes):
+def test_non_finite_update_exits_4_with_the_log_and_no_checkpoint(tmp_path, masks, capsys,
+                                                                 val_scenes):
     # lr = 1e308 is finite, but the first update overflows the parameters
-    assert _train_8x8(tmp_path, "--lr", "1e308", "--val-scenes", val_scenes) == EXIT_DIVERGED
+    assert _train_8x8(tmp_path, masks(8, 8, 2), "--lr", "1e308",
+                      "--val-scenes", val_scenes) == EXIT_DIVERGED
     err = capsys.readouterr().err
     assert "training aborted: epoch 0: an update left a parameter non-finite" in err
     assert os.listdir(tmp_path) == ["log.csv"]
@@ -637,10 +651,9 @@ def test_non_finite_update_exits_4_with_the_log_and_no_checkpoint(tmp_path, caps
     assert rows == ["epoch,mean_loss,val_psnr,skipped,approximate"]
 
 
-def test_spectrum_at_64x64x8_prints_what_it_writes(tmp_path, capsys):
+def test_spectrum_at_64x64x8_prints_what_it_writes(tmp_path, masks, capsys):
     out = str(tmp_path / "spectrum.kv")
-    assert main(["spectrum", "--height", "64", "--width", "64", "--frames", "8",
-                 "--out", out]) == EXIT_OK
+    assert main(["spectrum", "--mask", masks(64, 64, 8), "--out", out]) == EXIT_OK
     printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
     assert printed == tensorio.read_kv(out)
     assert list(printed) == ["sigma_hat", "idempotence_defect", "n_unit_eigenvalues",
@@ -653,33 +666,110 @@ def test_spectrum_at_64x64x8_prints_what_it_writes(tmp_path, capsys):
     lambda: make_conv_residual(3, channels=4, n_layers=2, gamma=0.3),
     lambda: make_gated_cell(3, channels=4, init_scale=0.3, gamma=0.3),
 ], ids=["conv_residual", "gated_cell"])
-def test_spectrum_reads_either_checkpoint_kind(tmp_path, capsys, make):
+def test_spectrum_reads_either_checkpoint_kind(tmp_path, masks, capsys, make):
     ckpt = str(tmp_path / "ckpt")
     save_denoiser(ckpt, make())
-    assert main(["spectrum", "--checkpoint", ckpt]) == EXIT_OK
+    assert main(["spectrum", "--mask", masks(6, 6, 3), "--checkpoint", ckpt]) == EXIT_OK
     printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
     assert 0.0 < float(printed["sigma_hat"]) < float("inf")
 
 
 def test_spectrum_pairs_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--pairs", "4"])
+        main(["spectrum", "--mask", "m", "--pairs", "4"])
     assert exc.value.code == 2
 
 
 def test_spectrum_reject_policy_on_dead_pixel_exits_2(tmp_path):
-    out = str(tmp_path / "spectrum.kv")
-    # B = 2 at p = 0.2 leaves a dead pixel with overwhelming probability
-    assert main(["spectrum", "--height", "8", "--width", "8", "--frames", "2", "--p", "0.2",
-                 "--policy", "reject", "--out", out]) == EXIT_CONFIG
+    # a camera's mask file with a pixel that no frame opens; `vsci mask`
+    # refuses to write one under the reject policy, which a file without
+    # .meta has
+    frames = np.ones((8, 8, 2))
+    frames[3, 5] = 0.0
+    mask, out = str(tmp_path / "mask"), str(tmp_path / "spectrum.kv")
+    tensorio.write_tensor(mask + ".vsci", frames)
+    assert main(["spectrum", "--mask", mask, "--out", out]) == EXIT_CONFIG
     assert not os.path.exists(out)
 
 
-def test_bench_timing_none_is_bitwise_reproducible(tmp_path):
+def test_commands_run_on_a_non_binary_mask(tmp_path, capsys):
+    # a float mask, as a hardware capture ships, which `vsci mask` cannot write
+    frames = np.random.default_rng(0).uniform(0.2, 1.0, (12, 12, 2))
+    mask = str(tmp_path / "mask")
+    save_mask(mask, SensingMask(frames=frames))
+    assert main(["spectrum", "--mask", mask]) == EXIT_OK
+    printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    assert int(printed["n_unit_eigenvalues"]) == 12 * 12  # every pixel is live
+    cube, meas = str(tmp_path / "c.vsci"), str(tmp_path / "y.vsci")
+    assert main(["simulate", "--mask", mask, "--out-cube", cube, "--out-meas", meas]) == EXIT_OK
+    y = np.einsum("hwb,hwb->hw", frames, tensorio.read_tensor(cube))
+    assert np.array_equal(tensorio.read_tensor(meas), y)
+    assert main(["train", "--mask", mask, "--train-scenes", "1", "--val-scenes", "1",
+                 "--epochs", "1", "--out-prefix", str(tmp_path / "model")]) == EXIT_OK
+    assert main(["bench", "--mask", mask, "--n-scenes", "1", "--max-iter", "3", "--timing", "none",
+                 "--outdir", str(tmp_path / "b"), "--methods", "de_gap", "pnp_gap"]) == EXIT_OK
+    assert "DIVERGED" not in capsys.readouterr().out
+
+
+def _trace_csvs(_stdout, files):
+    return [data for name, data in files.items() if name.startswith("trace_")]
+
+
+# each command's arguments for a small run; {out} is the run's own directory
+_SMALL_RUN = {
+    "train": ["--train-scenes", "1", "--val-scenes", "1", "--epochs", "1",
+              "--out-prefix", "{out}/m", "--log", "{out}/log.csv"],
+    "gradcheck": ["--probes", "3"],
+    "bench": ["--n-scenes", "1", "--max-iter", "3", "--timing", "none", "--outdir", "{out}",
+              "--methods", "pnp_gap"],
+    "simulate": ["--sigma", "0.05", "--out-cube", "{out}/c.vsci", "--out-meas", "{out}/y.vsci"],
+    "spectrum": ["--checkpoint", "{ckpt}", "--out", "{out}/s.kv"],
+}
+
+
+def _file(name):
+    return lambda _stdout, files: files[name]
+
+
+def _stdout(stdout, _files):
+    return stdout
+
+
+# the desk model's flags, each with its default and one other value
+_MODEL_FLAGS = [("--data-seed", "100", "7"), ("--model-seed", "0", "1"),
+                ("--channels", "8", "4"), ("--layers", "2", "3"), ("--gamma", "0.3", "0.5")]
+
+
+# command, flag, two values, and what the second value must change
+@pytest.mark.parametrize("command, flag, first, second, changed", [
+    *[("train", *flag, _file("m.vsci")) for flag in _MODEL_FLAGS],
+    *[("gradcheck", *flag, _stdout) for flag in _MODEL_FLAGS],
+    ("bench", "--scene-seed", "0", "3", _trace_csvs),
+    ("simulate", "--noise-seed", "1234", "5", _file("y.vsci")),
+    ("spectrum", "--iters", "5", "6", _file("s.kv")),
+], ids=[*(f"{c}-{f[0][2:]}" for c in ("train", "gradcheck") for f in _MODEL_FLAGS),
+        "bench-scene-seed", "simulate-noise-seed", "spectrum-iters"])
+def test_flag_changes_the_output_and_a_repeat_reproduces_it(tmp_path, masks, capsys, command,
+                                                           flag, first, second, changed):
+    ckpt = str(tmp_path / "ckpt")
+    save_denoiser(ckpt, make_conv_residual(3, channels=4, n_layers=2, gamma=0.3))
+    outputs = []
+    for name, value in (("a", first), ("b", first), ("c", second)):
+        out = tmp_path / name
+        out.mkdir()
+        argv = [a.format(out=out, ckpt=ckpt) for a in _SMALL_RUN[command]]
+        assert main([command, "--mask", masks(12, 12, 2), flag, value, *argv]) == EXIT_OK
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        outputs.append((capsys.readouterr().out.replace(str(out), "{out}"), files))
+    assert outputs[0] == outputs[1]
+    assert changed(*outputs[0]) != changed(*outputs[2])
+
+
+def test_bench_timing_none_is_bitwise_reproducible(tmp_path, masks):
     methods = ("de_gap", "de_rnn", "pnp_gap:0.1,0.05")
     dirs = [str(tmp_path / name) for name in ("a", "b")]
     for d in dirs:
-        assert _bench(d, *methods) == EXIT_OK
+        assert _bench(masks(12, 12, 2), d, *methods) == EXIT_OK
     names = sorted(os.listdir(dirs[0]))
     assert names == sorted(os.listdir(dirs[1]))
     assert len(names) == 4  # three trace CSVs and the summary
@@ -696,8 +786,11 @@ def test_bench_timing_none_is_bitwise_reproducible(tmp_path):
 
 # a valid value other than the default, for the keys whose type alone gives none
 _OTHER = {"solver.anderson_damping": 0.5, "train.lr_decay": 0.5, "train.momentum": 0.5,
-          "bench.mask_p": 0.25, "train.backward_mode": "neumann", "bench.mask_kind": "all_ones",
-          "bench.mask_policy": "reject", "bench.solver": "picard", "bench.timing": "none"}
+          "train.backward_mode": "neumann", "bench.solver": "picard", "bench.timing": "none"}
+
+# keys deleted with the commands' own mask generators, each with a value it took
+_DELETED_KEYS = {"bench.mask_seed": 1, "bench.mask_kind": "all_ones", "bench.mask_p": 0.25,
+                 "bench.mask_policy": "reject"}
 
 
 def _other_value(key):
@@ -718,12 +811,12 @@ def _capture(index):
 
 
 @pytest.mark.parametrize("key", list(KNOWN_KEYS))
-def test_every_key_reaches_the_object_it_configures(tmp_path, monkeypatch, key):
+def test_every_key_reaches_the_object_it_configures(tmp_path, masks, monkeypatch, key):
     value = _other_value(key)
     assert value != defaults()[key]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
-    size = ["--height", "12", "--width", "12", "--frames", "2"]
+    mask = ["--mask", masks(12, 12, 2)]
     section, field = key.split(".")
     if section == "solver":
         # vsci.cli.solve(map, x0, FixedPointConfig, ...)
@@ -734,12 +827,12 @@ def test_every_key_reaches_the_object_it_configures(tmp_path, monkeypatch, key):
     elif section == "train":
         # vsci.cli.train(model, dataset, TrainConfig, ...)
         monkeypatch.setattr(vsci.cli, "train", _capture(2))
-        argv = ["train", *size, "--train-scenes", "1", "--val-scenes", "0",
+        argv = ["train", *mask, "--train-scenes", "1", "--val-scenes", "0",
                 "--out-prefix", str(tmp_path / "model")]
     else:
         # vsci.cli.run_trajectory_bench(BenchSpec)
         monkeypatch.setattr(vsci.cli, "run_trajectory_bench", _capture(0))
-        argv = ["bench", *size, "--outdir", str(tmp_path / "b"), "--methods", "pnp_gap"]
+        argv = ["bench", *mask, "--outdir", str(tmp_path / "b"), "--methods", "pnp_gap"]
     with pytest.raises(_Captured) as captured:
         main([*argv, "--config", str(cfg)])
     configured = captured.value.args[0]
@@ -771,26 +864,30 @@ def small_scene(tmp_path_factory):
     return _scene_files(tmp_path_factory.mktemp("scene"), 16, 16, 2)
 
 
+# a deleted key is one that no run reads: each run refuses it as unknown
 @pytest.mark.parametrize("run, key", [(run, key) for run, reads in _READS.items()
-                                      for key in KNOWN_KEYS if key not in reads])
-def test_every_key_a_run_does_not_read_is_refused(small_scene, tmp_path, capsys, run, key):
+                                      for key in [*KNOWN_KEYS, *_DELETED_KEYS]
+                                      if key not in reads])
+def test_every_key_a_run_does_not_read_is_refused(small_scene, masks, tmp_path, capsys, run, key):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = {_other_value(key)}\n", encoding="utf-8")
+    value = _DELETED_KEYS[key] if key in _DELETED_KEYS else _other_value(key)
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
     command = run.split("-")[0]
-    size = ["--height", "8", "--width", "8", "--frames", "2"]
+    mask = ["--mask", masks(8, 8, 2)]
     argv = {
         "reconstruct": ["--mask", small_scene["mask"], "--measurement", small_scene["y.vsci"],
                         "--max-iter", "2", "--out", str(tmp_path / "x.vsci"),
                         "--trace", str(tmp_path / "tr.csv"), *_VARIANT.get(run, [])],
-        "train": [*size, "--train-scenes", "1", "--val-scenes", "0", "--epochs", "1",
+        "train": [*mask, "--train-scenes", "1", "--val-scenes", "0", "--epochs", "1",
                   "--out-prefix", str(tmp_path / "model"), "--log", str(tmp_path / "log.csv")],
-        "gradcheck": [*size, "--probes", "1"],
-        "bench": [*size, "--n-scenes", "1", "--max-iter", "2", "--outdir", str(tmp_path / "b"),
+        "gradcheck": [*mask, "--probes", "1"],
+        "bench": [*mask, "--n-scenes", "1", "--max-iter", "2", "--outdir", str(tmp_path / "b"),
                   "--methods", "pnp_gap"],
     }[command]
     assert main([command, "--config", str(cfg), *argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert key in err and "does not read" in err
+    assert key in err
+    assert ("unknown config key" if key in _DELETED_KEYS else "does not read") in err
     assert os.listdir(tmp_path) == ["run.cfg"]
 
 
@@ -824,30 +921,68 @@ def test_run_table_matches_the_keys_and_the_parser():
         assert all(actions[f].dest == f[2:].replace("-", "_") for f in named), name
 
 
-def test_deleted_key_is_refused_by_name(tmp_path, capsys):
+def test_deleted_key_is_refused_by_name(tmp_path, masks, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("train.batch_size = 2\n", encoding="utf-8")
-    assert main(["train", "--config", str(cfg), "--out-prefix", str(tmp_path / "m")]) == EXIT_CONFIG
+    assert main(["train", "--config", str(cfg), "--mask", masks(8, 8, 2),
+                 "--out-prefix", str(tmp_path / "m")]) == EXIT_CONFIG
     assert "train.batch_size" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--height", "4", "--width", "4", "--frames", "2", "--mask", "m",
-     "--out-cube", "c", "--out-meas", "y", "--amplitude", "2"],
-    ["train", "--out-prefix", "m", "--amplitude", "2"],
-    ["gradcheck", "--amplitude", "2"],
-    ["bench", "--outdir", "b", "--methods", "pnp_gap", "--amplitude", "2"],
-    ["train", "--out-prefix", "m", "--batch-size", "2"],
-    ["train", "--out-prefix", "m", "--init", "random"],
-    ["gradcheck", "--init", "random"],
-    ["simulate", "--height", "4", "--width", "4", "--frames", "2", "--mask", "m",
-     "--out-cube", "c", "--out-meas", "y", "--scene", "shifting_gradient"],
-], ids=["simulate-amplitude", "train-amplitude", "gradcheck-amplitude", "bench-amplitude",
-        "train-batch-size", "train-init", "gradcheck-init", "shifting-gradient"])
-def test_deleted_flags_exit_2(tmp_path, monkeypatch, argv):
+# each command's required arguments; argparse refuses a deleted flag before
+# the run reads the mask, so "m" need not exist
+_REQUIRED = {
+    "simulate": ["--mask", "m", "--out-cube", "c", "--out-meas", "y"],
+    "spectrum": ["--mask", "m"],
+    "train": ["--mask", "m", "--out-prefix", "m"],
+    "gradcheck": ["--mask", "m"],
+    "bench": ["--mask", "m", "--outdir", "b", "--methods", "pnp_gap"],
+}
+_SIZE = ("--height", "--width", "--frames")
+# the flags that drew a command's own mask or gave its cube shape, now the mask file's
+_MASK_FLAGS = {"simulate": _SIZE, "spectrum": _SIZE + ("--mask-seed", "--kind", "--p", "--policy"),
+               "train": _SIZE + ("--mask-seed", "--mask-p"),
+               "gradcheck": _SIZE + ("--mask-seed", "--mask-p"), "bench": _SIZE}
+_DELETED_FLAGS = {
+    "simulate-amplitude": ("simulate", "--amplitude", "2"),
+    "train-amplitude": ("train", "--amplitude", "2"),
+    "gradcheck-amplitude": ("gradcheck", "--amplitude", "2"),
+    "bench-amplitude": ("bench", "--amplitude", "2"),
+    "train-batch-size": ("train", "--batch-size", "2"),
+    "train-init": ("train", "--init", "random"),
+    "gradcheck-init": ("gradcheck", "--init", "random"),
+    "shifting-gradient": ("simulate", "--scene", "shifting_gradient"),
+    **{f"{command}-{flag[2:]}": (command, flag, "4")
+       for command, flags in _MASK_FLAGS.items() for flag in flags},
+}
+
+
+@pytest.mark.parametrize("command, flag, value", list(_DELETED_FLAGS.values()),
+                         ids=list(_DELETED_FLAGS))
+def test_deleted_flags_exit_2(tmp_path, monkeypatch, command, flag, value):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([command, *_REQUIRED[command], flag, value])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+_COMMANDS = ["mask", "simulate", "reconstruct", "train", "gradcheck", "spectrum", "bench"]
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: vsci")
+
+
+def test_help_lists_every_command_and_exactly_the_config_keys(capsys):
+    parsers = next(a for a in build_parser()._actions if a.choices and "bench" in a.choices)
+    assert list(parsers.choices) == _COMMANDS
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    epilog = capsys.readouterr().out.split("\nconfig keys", 1)[1].splitlines()[1:]
+    assert [line.split()[0] for line in epilog] == list(KNOWN_KEYS)

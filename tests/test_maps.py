@@ -7,7 +7,7 @@ import pytest
 import vsci.denoisers
 import vsci.maps
 from helpers import dense_phi, random_mask, unvec, vec
-from vsci.cli import main
+from vsci.cli import main, save_mask
 from vsci.denoisers import (
     GatedConvCell,
     IdentityDenoiser,
@@ -394,10 +394,10 @@ class TestDivergenceGuard:
 
     def test_bench_reports_diverged_cell(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(vsci.maps, "tv_denoise", _nan_from_third_call(vsci.maps.tv_denoise))
-        outdir = str(tmp_path / "bench")
-        assert main(["bench", "--height", "8", "--width", "8", "--frames", "2",
-                     "--n-scenes", "1", "--max-iter", "5", "--timing", "none",
-                     "--outdir", outdir, "--methods", "pnp_gap:0.05"]) == 0
+        outdir, mask = str(tmp_path / "bench"), str(tmp_path / "mask")
+        save_mask(mask, mask_generate(0, 8, 8, 2, policy="floor"))
+        assert main(["bench", "--mask", mask, "--n-scenes", "1", "--max-iter", "5",
+                     "--timing", "none", "--outdir", outdir, "--methods", "pnp_gap:0.05"]) == 0
         assert "moving_square_s0/pnp_gap: DIVERGED" in capsys.readouterr().out
         with open(tmp_path / "bench" / "summary.csv", encoding="utf-8") as fh:
             row = fh.read().splitlines()[1].split(",")
